@@ -13,7 +13,7 @@ import os
 import sys as _sys
 
 from . import assoc, factor, mscheme
-from .gf import ScanCapExceeded, field_ctx, is_prime, poly_from_text
+from .gf import ScanCapExceeded, field_ctx, is_prime, poly_from_text, smooth_divisor
 
 EXIT_OK = 0
 EXIT_STUCK = 2
@@ -36,23 +36,6 @@ def linnik_p1s(s: int, scan_constant: int = LINNIK_SCAN_CONSTANT) -> int:
             raise ScanCapExceeded(f"no prime 1 mod {s} within {cap}")
         if is_prime(n):
             return n
-
-
-def smooth_divisor(n: int, r: int) -> int:
-    """Largest divisor of n whose prime factors are all <= r."""
-    if n < 1 or r < 2:
-        raise ValueError("need n >= 1 and r >= 2")
-    out = 1
-    rem = n
-    q = 2
-    while q <= r and q * q <= rem:
-        while rem % q == 0:
-            out *= q
-            rem //= q
-        q += 1
-    if rem > 1 and rem <= r:
-        out *= rem
-    return out
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -86,12 +69,13 @@ def cmd_factor(args) -> int:
             res = factor.prime_degree_factor(f, args.r, args.l, dim_cap=dim_cap)
         else:
             res = factor.iks_factor(f, args.m, dim_cap=dim_cap)
+    except (factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, factor.DimCapExceeded) as exc:
+        # before ValueError: the first two subclass it
+        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
+        return EXIT_PRECONDITION
     except (factor.NotSplit, ValueError) as exc:
         _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
         return EXIT_INVALID
-    except (factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, factor.DimCapExceeded) as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_PRECONDITION
     if isinstance(res, factor.Factor):
         payload = {
             "status": "factored",

@@ -1,16 +1,18 @@
 """Deterministic factoring of split squarefree polynomials by ideal refinement.
 
 The driver builds the essential levels of the quotient algebra of f over a
-field extension with enough roots of unity, then refines each level's
-orthogonal ideal decomposition until either level 1 splits (a factor) or
-the induced combinatorial structure is a homogeneous antisymmetric scheme
-with no matchings (a certified stuck state).
+field extension with enough roots of unity (`levels.LevelAlgebra`; level 1
+is k[x]/(f) itself), then refines each level's orthogonal ideal
+decomposition until either level 1 splits (a factor) or the induced
+combinatorial structure is a homogeneous antisymmetric scheme with no
+matchings (a certified stuck state).
 
 Every ideal is tracked by its support idempotent plus a reduced-row-echelon
 basis, so dimensions are exact and all splits are deterministic.  Zero
 divisors are converted to idempotents by powering with |k|-1, which is exact
-on split algebras; the public automorphism splitter also handles non-split
-inputs through a universal exponent.
+on split algebras.  The public automorphism splitter runs the same engine
+and the same extend-scalars-and-descend path on level 1 of any f, and
+handles non-split inputs through a universal exponent.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ from .assoc import TheoremContradiction
 from .gf import (
     FieldCtx,
     Poly,
+    embed_field,
     extension_for_levels,
     field_ctx,
     find_nonresidue,
     is_prime,
     is_split_squarefree,
     lift_poly,
+    poly_gcd,
+    smooth_divisor,
 )
 from .levels import LevelAlgebra, build_levels
 from .linalg import KOps
@@ -78,236 +83,6 @@ class SmoothDivisorTooSmall(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small-scale algebras with explicit structure constants
-
-
-class Algebra:
-    """Commutative algebra given by structure constants over a FieldCtx."""
-
-    def __init__(self, ctx: FieldCtx, structure, identity):
-        self.ctx = ctx
-        self.kops = KOps(ctx)
-        self.structure = np.asarray(structure, dtype=np.int64)
-        self.dim = self.structure.shape[0]
-        self.identity = np.asarray(identity, dtype=np.int64)
-
-    def zero(self):
-        return self.kops.zeros((self.dim,))
-
-    def mult(self, u, v):
-        # w_k = sum_{i,j} u_i v_j S_{ijk}, all products in the field
-        uv = self.kops.mul(u[:, None, :], v[None, :, :])  # (N, N, d)
-        w = self.kops.mul(uv[:, :, None, :], self.structure)
-        return w.sum(axis=(0, 1)) % self.kops.p
-
-    def power(self, u, e: int):
-        result = self.identity.copy()
-        base = u
-        while e:
-            if e & 1:
-                result = self.mult(result, base)
-            base = self.mult(base, base) if e > 1 else base
-            e >>= 1
-        return result
-
-    def elem(self, coeffs):
-        vec = self.zero()
-        for i, c in enumerate(coeffs):
-            vec[i] = self.kops.scalar(c)
-        return vec
-
-    def __repr__(self):
-        return f"Algebra(dim={self.dim} over F_{self.ctx.p}^{self.ctx.d})"
-
-
-@dataclass
-class AlgElem:
-    algebra: Algebra
-    vec: np.ndarray
-
-    def __mul__(self, other):
-        return AlgElem(self.algebra, self.algebra.mult(self.vec, other.vec))
-
-    def __eq__(self, other):
-        return isinstance(other, AlgElem) and np.array_equal(self.vec, other.vec)
-
-
-def quotient_algebra(f: Poly, k: FieldCtx | None = None) -> Algebra:
-    """A = k[x]/(f) with basis 1, x, ..., x^(n-1); requires f split squarefree."""
-    g = f.monic()
-    if not is_split_squarefree(g):
-        raise NotSplit("polynomial is not squarefree and fully split over its field")
-    if k is not None and k != g.ctx:
-        g = lift_poly(g, k)
-    ctx = g.ctx
-    n = g.degree
-    kops = KOps(ctx)
-    structure = kops.zeros((n, n, n))
-    x = Poly(ctx, [0, 1])
-    pows = [Poly(ctx, [1])]
-    for _ in range(2 * n - 1):
-        pows.append((pows[-1] * x) % g)
-    for i in range(n):
-        for j in range(n):
-            prod = pows[i + j]
-            for kk, c in enumerate(prod.coeffs):
-                structure[i, j, kk] = np.array(c.coeffs, dtype=np.int64)
-    identity = kops.zeros((n,))
-    identity[0, 0] = 1
-    alg = Algebra(ctx, structure, identity)
-    alg.modulus = g
-    return alg
-
-
-class EssentialAlgebra(Algebra):
-    """Essential part of a tensor power, with its ambient embedding data."""
-
-    def __init__(self, ctx, structure, identity, base, level, ambient_basis):
-        super().__init__(ctx, structure, identity)
-        self.base = base
-        self.level = level
-        self.ambient_basis = ambient_basis  # (dim, base.dim**level, d)
-
-
-def _ambient_mult(base: Algebra, s: int, u, v):
-    """Product in the s-fold tensor power; u, v flat (n^s, d).
-
-    Slot-by-slot contraction: before handling slot t the work tensor has
-    axes (i_t..i_{s-1}, j_t..j_{s-1}, k_0..k_{t-1}, d); contracting the
-    leading i and j axes against the structure constants appends k_t.
-    """
-    n = base.dim
-    kops = base.kops
-    T = kops.mul(u.reshape((n**s, 1, kops.d)), v.reshape((1, n**s, kops.d)))
-    T = T.reshape((n,) * s + (n,) * s + (kops.d,))
-    for slot in range(s):
-        ni = s - slot
-        Tm = np.moveaxis(T, [0, ni], [0, 1])
-        rest_shape = Tm.shape[2:-1]
-        Tm = Tm.reshape(n, n, -1, kops.d)
-        out_flat = kops.zeros((Tm.shape[2], n))
-        for a in range(n):
-            for b in range(n):
-                coeffs = Tm[a, b]
-                if not coeffs.any():
-                    continue
-                row = base.structure[a, b]
-                contrib = kops.mul(coeffs[:, None, :], row[None, :, :])
-                out_flat = (out_flat + contrib) % kops.p
-        T = out_flat.reshape(rest_shape + (n, kops.d))
-    return T.reshape((n**s, kops.d))
-
-
-def essential_part(a: Algebra, s: int, dim_cap: int = DIM_CAP) -> EssentialAlgebra:
-    """Essential part of the s-th tensor power, computed as the intersection
-    of the diagonal-vanishing ideals D_ij inside the ambient tensor power."""
-    n = a.dim
-    if s < 1:
-        raise ValueError("level must be >= 1")
-    target = 1
-    for j in range(s):
-        target *= n - j
-    if target == 0:
-        raise ZeroAlgebra(f"no essential {s}-tuples on {n} points")
-    ambient = n**s
-    if ambient > dim_cap:
-        raise DimCapExceeded(f"ambient dimension {ambient} exceeds cap {dim_cap}")
-    kops = a.kops
-    if s == 1:
-        basis = kops.eye(n)
-        return EssentialAlgebra(a.ctx, a.structure, a.identity, a, 1, basis)
-
-    def iota(vec, slot):
-        """Insert the identity of A at `slot` (0-based)."""
-        shape = (n,) * (s - 1) + (kops.d,)
-        t = vec.reshape(shape) if vec.ndim == 2 else vec
-        expanded = np.zeros((n,) * s + (kops.d,), dtype=np.int64)
-        idx = [slice(None)] * s
-        # identity has coefficients a.identity over the inserted slot
-        for c in range(n):
-            if not a.identity[c].any():
-                continue
-            idx2 = list(idx)
-            idx2[slot] = c
-            sub = kops.mul(t, np.broadcast_to(a.identity[c], t.shape))
-            expanded[tuple(idx2)] = (expanded[tuple(idx2)] + sub) % kops.p
-        return expanded.reshape(ambient, kops.d)
-
-    # D_ij = ideal generated by {iota_i(b) - iota_j(b)}: span of gen * monomial
-    inter = None
-    eye_small = kops.eye(n)
-    for i, j in itertools.combinations(range(s), 2):
-        gens = []
-        for b in range(n):
-            gens.append((iota(eye_small[b], i) - iota(eye_small[b], j)) % kops.p)
-        rows = []
-        for g in gens:
-            for mono in range(ambient):
-                m = kops.zeros((ambient,))
-                m[mono, 0] = 1
-                rows.append(_ambient_mult(a, s, g, m))
-        rows = np.stack(rows)
-        dij, _ = kops.rref(rows)
-        inter = dij if inter is None else kops.intersect_row_spaces(inter, dij)
-    basis, _ = kops.rref(inter)
-    if basis.shape[0] != target:
-        raise InvalidSystem(f"essential dimension {basis.shape[0]} != {target}")
-    # identity of the essential part: e with e * b_r = b_r for all basis rows
-    # solve in coordinates: sum_a lam_a (b_a * b_r) = b_r
-    prods = np.stack([
-        np.stack([_ambient_mult(a, s, basis[x], basis[y]) for y in range(target)])
-        for x in range(target)
-    ])  # (target, target, ambient, d)
-    _, pivots = kops.rref(basis)
-    coords = prods[:, :, pivots, :]  # products in essential coordinates
-    # lam solves sum_a lam_a coords[a, r, :] = delta_r
-    A_mat = coords.transpose(1, 2, 0, 3).reshape(target * target, target, kops.d)
-    rhs = kops.eye(target).reshape(target * target, kops.d)
-    lam = kops.solve_right(A_mat, rhs)
-    if lam is None:
-        raise InvalidSystem("essential part has no identity")
-    ident_amb = kops.zeros((ambient,))
-    for x in range(target):
-        if basis[x].any() and lam[x].any():
-            ident_amb = (ident_amb + kops.mul(np.broadcast_to(lam[x], basis[x].shape), basis[x])) % kops.p
-    # structure constants on the essential basis
-    structure = coords.copy()  # structure[i][j][k]
-    identity_coords = ident_amb[pivots]
-    ess = EssentialAlgebra(a.ctx, structure, identity_coords, a, s, basis)
-    ess.ambient_identity = ident_amb
-    ess.pivots = pivots
-    return ess
-
-
-def embed(a: AlgElem, j: int, target: EssentialAlgebra) -> AlgElem:
-    """iota_j (1-based slot) from one essential level into the next, then
-    multiplied by the target's identity."""
-    src = a.algebra
-    if not isinstance(src, EssentialAlgebra) or target.level != src.level + 1:
-        raise ValueError("embed expects consecutive essential levels")
-    base = src.base
-    n = base.dim
-    kops = base.kops
-    s = target.level
-    amb_vec = kops.zeros((n ** src.level,))
-    for x in range(src.dim):
-        if a.vec[x].any():
-            amb_vec = (amb_vec + kops.mul(np.broadcast_to(a.vec[x], src.ambient_basis[x].shape), src.ambient_basis[x])) % kops.p
-    t = amb_vec.reshape((n,) * src.level + (kops.d,))
-    expanded = np.zeros((n,) * s + (kops.d,), dtype=np.int64)
-    for c in range(n):
-        if not base.identity[c].any():
-            continue
-        idx = [slice(None)] * s
-        idx[j - 1] = c
-        sub = kops.mul(t, np.broadcast_to(base.identity[c], t.shape))
-        expanded[tuple(idx)] = (expanded[tuple(idx)] + sub) % kops.p
-    amb = _ambient_mult(base, s, expanded.reshape(n**s, kops.d), target.ambient_identity)
-    coords = amb[target.pivots]
-    return AlgElem(target, coords)
-
-
-# ---------------------------------------------------------------------------
 # generic automorphism splitting (the zero-divisor engine)
 
 
@@ -322,24 +97,20 @@ class ZeroDivisor:
 
 
 class _Ops:
-    """Uniform element operations for the splitting engine."""
+    """Element operations of the splitting engine, local to one ideal: the
+    unit is the ideal's idempotent, so powers and comparisons are
+    componentwise on its support only."""
 
-    def __init__(self, ctx, mult, identity, idem_exponent):
-        self.ctx = ctx
-        self.kops = KOps(ctx)
-        self.mult = mult
-        self.identity = identity
+    def __init__(self, alg: LevelAlgebra, unit, idem_exponent: int):
+        self.alg = alg
+        self.ctx = alg.ctx
+        self.kops = alg.ops
+        self.mult = alg.mult
+        self.identity = unit
         self.idem_exponent = idem_exponent
 
     def power(self, u, e: int):
-        result = self.identity.copy()
-        base = u
-        while e:
-            if e & 1:
-                result = self.mult(result, base)
-            base = self.mult(base, base) if e > 1 else base
-            e >>= 1
-        return result
+        return self.alg.power(u, e, self.identity)
 
     def idem(self, z):
         return self.power(z, self.idem_exponent)
@@ -554,75 +325,91 @@ def _universal_exponent(ctx: FieldCtx, dim: int) -> int:
     return lam
 
 
-def split_by_automorphism(b: Algebra, sigma, r: int):
-    """Ronyai-style split of an algebra under a prime-order automorphism.
+def _split_in_extension(f: Poly, s: int, basis, pivots, idem, sigma_mat, r: int, t: int):
+    """Adjoin the r-th roots of unity, split there, descend the idempotent.
 
-    sigma is a dim x dim matrix (entries ints or digit vectors) giving the
-    action on basis coordinates.  Returns ZeroDivisor (as an AlgElem) or
-    NoSplit; a NoSplit on a split-semisimple input means it is a field.
+    The ideal (basis, pivots, idem) of level s of f is lifted to level s of
+    f over the extension; t bounds the degrees of its residue fields over
+    the base field (1 when f splits), which fixes the idempotent exponent.
     """
-    kops = b.kops
+    ctx = f.ctx
+    ord_t = 1
+    acc = ctx.order % r
+    while acc != 1:
+        acc = acc * ctx.order % r
+        ord_t += 1
+    K = field_ctx(ctx.p, ctx.d * ord_t)
+    algK = build_levels(lift_poly(f, K), s, dim_cap=DIM_CAP)[s - 1]
+    emb = embed_field(ctx, K)
+    # embedding on digit vectors is F_p-linear: build the (d, dK) matrix
+    E = np.zeros((ctx.d, K.d), dtype=np.int64)
+    for i in range(ctx.d):
+        basis_el = [0] * ctx.d
+        basis_el[i] = 1
+        E[i] = np.array(emb(ctx.elem(basis_el)).coeffs, dtype=np.int64)
+
+    def lift_vec(v):
+        return (v.astype(np.int64) @ E) % ctx.p
+
+    idemK = lift_vec(idem)
+    opsK = _Ops(algK, idemK, _universal_exponent(K, t))
+    res = _split_with_automorphism(opsK, lift_vec(basis), list(pivots), idemK, lift_vec(sigma_mat), r)
+    if isinstance(res, NoSplit):
+        return res
+    eK = opsK.idem(res.vec)
+    # e has 0/1 component values, so its digit vectors lie in the image of E
+    pops = KOps(field_ctx(ctx.p, 1))
+    sol = pops.solve_right_many(E.T[..., None], eK.reshape(-1, K.d).T[..., None])
+    if sol is None:
+        raise InvalidSystem("extension idempotent failed to descend")
+    down = sol[:, :, 0].T.reshape(eK.shape[:-1] + (ctx.d,)) % ctx.p
+    if not np.array_equal((down @ E) % ctx.p, eK):
+        raise InvalidSystem("descended idempotent does not lift back")
+    return ZeroDivisor(down)
+
+
+def _split_ideal(alg: LevelAlgebra, basis, pivots, idem, sigma_mat, r: int, t: int):
+    """Split an ideal of a level under sigma, extending scalars when the
+    r-th roots of unity are missing; t as in _split_in_extension."""
+    ops = _Ops(alg, idem, _universal_exponent(alg.ctx, t))
+    try:
+        return _split_with_automorphism(ops, basis, list(pivots), idem, sigma_mat, r)
+    except MissingRootOfUnity:
+        return _split_in_extension(alg.f, alg.s, basis, pivots, idem, sigma_mat, r, t)
+
+
+def split_by_automorphism(f: Poly, sigma, r: int):
+    """Ronyai-style split of A = k[x]/(f) under a prime-order automorphism.
+
+    A has the basis 1, x, ..., x^(n-1); sigma is an n x n matrix (entries
+    ints or digit vectors) whose row i is the image of x^i in that basis.
+    f must be squarefree but need not split.  Returns ZeroDivisor, with
+    coordinates in the same basis, or NoSplit (as for the field
+    F_5[x]/(x^2 - 2) under x -> -x).
+    """
+    g = f.monic()
+    dg = Poly(g.ctx, [c * g.ctx.elem([i]) for i, c in enumerate(g.coeffs)][1:])
+    if dg.is_zero() or poly_gcd(g, dg).degree > 0:
+        # nilpotents have no support idempotent: the engine would be wrong
+        raise NotSplit("polynomial is not squarefree")
+    alg = build_levels(g, 1, DIM_CAP)[0]
+    kops = alg.ops
+    n = alg.dim
     sigma = np.asarray(sigma, dtype=np.int64)
     if sigma.ndim == 2:
-        sig = kops.zeros((b.dim, b.dim))
+        sig = kops.zeros((n, n))
         sig[..., 0] = sigma % kops.p
         sigma = sig
     if not is_prime(r):
         raise ValueError("r must be prime")
     # sigma^r must be the identity
-    acc = kops.eye(b.dim)
+    acc = kops.eye(n)
     for _ in range(r):
         acc = kops.matmul(acc, sigma)
-    if not kops.mat_eq(acc, kops.eye(b.dim)):
+    if not kops.mat_eq(acc, kops.eye(n)):
         raise ValueError("sigma^r is not the identity")
-    if (b.ctx.order - 1) % r != 0 and r != b.ctx.p:
-        # adjoin the missing roots of unity, split there, and descend:
-        # the support idempotent of any zero divisor has 0/1 components,
-        # hence lives in the base field
-        ord_t = 1
-        acc_q = b.ctx.order % r
-        while acc_q != 1:
-            acc_q = acc_q * b.ctx.order % r
-            ord_t += 1
-        try:
-            K = field_ctx(b.ctx.p, b.ctx.d * ord_t)
-        except Exception as exc:
-            raise MissingRootOfUnity(str(exc)) from exc
-        from .gf import embed_field
-
-        emb = embed_field(b.ctx, K)
-        kopsK = KOps(K)
-
-        def lift(arr):
-            out = kopsK.zeros(arr.shape[:-1])
-            flat_in = arr.reshape(-1, kops.d)
-            flat_out = out.reshape(-1, kopsK.d)
-            for i in range(flat_in.shape[0]):
-                el = emb(b.ctx.elem([int(v) for v in flat_in[i]]))
-                flat_out[i] = np.array(el.coeffs, dtype=np.int64)
-            return out
-
-        bK = Algebra(K, lift(b.structure), lift(b.identity))
-        res = split_by_automorphism(bK, lift(sigma), r)
-        if isinstance(res, NoSplit):
-            return res
-        opsK = _Ops(K, bK.mult, bK.identity, _universal_exponent(K, b.dim))
-        eK = opsK.idem(res.vec)
-        # descend: components of the support idempotent are 0/1
-        inv = {}
-        for a in b.ctx.elements():
-            inv[emb(a).coeffs] = a.coeffs
-        down = kops.zeros((b.dim,))
-        for i in range(b.dim):
-            key = tuple(int(v) for v in eK[i])
-            if key not in inv:
-                raise InvalidSystem("idempotent failed to descend to the base field")
-            down[i] = np.array(inv[key], dtype=np.int64)
-        return ZeroDivisor(down)
-    ops = _Ops(b.ctx, b.mult, b.identity, _universal_exponent(b.ctx, b.dim))
-    basis = kops.eye(b.dim)
-    res = _split_with_automorphism(ops, basis, list(range(b.dim)), b.identity, sigma, r)
-    return res
+    # components of A are extensions of degree <= n
+    return _split_ideal(alg, kops.eye(n), range(n), alg.identity(), sigma, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -897,13 +684,6 @@ def _perm_power(tau: tuple, e: int) -> tuple:
     return out
 
 
-def _level_ops(sys: IdealSystem, s: int, e_B) -> _Ops:
-    """Element ops local to one ideal: the unit is the ideal's idempotent,
-    so powers and comparisons are componentwise on its support only."""
-    alg = sys.algebra(s)
-    return _Ops(sys.ctx, alg.mult, e_B, sys.ctx.order - 1)
-
-
 def _sigma_matrix_from_perm(sys: IdealSystem, ideal: Ideal, tau: tuple):
     alg = sys.algebra(ideal.level)
     imgs = np.stack([alg.apply_perm(tau, row) for row in ideal.basis])
@@ -920,60 +700,12 @@ def _split_ideal_with_zero_divisor(sys, s, idx, z, rule, detail):
 
 
 def _split_level_ideal(sys: IdealSystem, s: int, idx: int, sigma_mat, r: int, rule: str, detail: dict):
-    """Run the splitting engine on an ideal, extending scalars if needed."""
+    """Run the splitting engine on an ideal of a split level."""
     ideal = sys.levels[s][idx]
-    ops = _level_ops(sys, s, ideal.idem)
-    try:
-        res = _split_with_automorphism(ops, ideal.basis, list(ideal.pivots), ideal.idem, sigma_mat, r)
-    except MissingRootOfUnity:
-        res = _split_in_extension(sys, s, idx, sigma_mat, r)
+    res = _split_ideal(sys.algebra(s), ideal.basis, ideal.pivots, ideal.idem, sigma_mat, r, 1)
     if isinstance(res, NoSplit):
         raise InvalidSystem("split algebras always admit a split under a nontrivial automorphism")
     return _split_ideal_with_zero_divisor(sys, s, idx, res.vec, rule, detail)
-
-
-def _split_in_extension(sys: IdealSystem, s: int, idx: int, sigma_mat, r: int):
-    """Adjoin the r-th roots of unity, split there, descend the idempotent."""
-    from .gf import embed_field
-
-    ctx = sys.ctx
-    ord_t = 1
-    acc = ctx.order % r
-    while acc != 1:
-        acc = acc * ctx.order % r
-        ord_t += 1
-    K = field_ctx(ctx.p, ctx.d * ord_t)
-    fK = lift_poly(sys.f, K)
-    algK = build_levels(fK, s, dim_cap=DIM_CAP)[s - 1]
-    emb = embed_field(ctx, K)
-    # embedding on digit vectors is F_p-linear: build the (d, dK) matrix
-    E = np.zeros((ctx.d, K.d), dtype=np.int64)
-    for t in range(ctx.d):
-        basis_el = [0] * ctx.d
-        basis_el[t] = 1
-        E[t] = np.array(emb(ctx.elem(basis_el)).coeffs, dtype=np.int64)
-
-    def lift_vec(v):
-        return (v.astype(np.int64) @ E) % ctx.p
-
-    ideal = sys.levels[s][idx]
-    basisK = lift_vec(ideal.basis)
-    idemK = lift_vec(ideal.idem)
-    sigK = lift_vec(sigma_mat)
-    opsK = _Ops(K, algK.mult, algK.identity(), K.order - 1)
-    res = _split_with_automorphism(opsK, basisK, list(ideal.pivots), idemK, sigK, r)
-    if isinstance(res, NoSplit):
-        return res
-    eK = opsK.idem(res.vec)
-    # e has 0/1 component values, so its digit vectors lie in the image of E
-    pops = KOps(field_ctx(ctx.p, 1))
-    sol = pops.solve_right_many(E.T[..., None], eK.reshape(-1, K.d).T[..., None])
-    if sol is None:
-        raise InvalidSystem("extension idempotent failed to descend")
-    down = sol[:, :, 0].T.reshape(eK.shape[:-1] + (ctx.d,)) % ctx.p
-    if not np.array_equal((down @ E) % ctx.p, eK):
-        raise InvalidSystem("descended idempotent does not lift back")
-    return ZeroDivisor(down)
 
 
 def _rule_r5(sys: IdealSystem):
@@ -1230,8 +962,6 @@ def iks_factor(f: Poly, m: int, dim_cap: int = DIM_CAP, stage_hook=None):
 
 def _project_factor(g: Poly, base: FieldCtx) -> Poly:
     """Map a factor with base-field values back to the base context."""
-    from .gf import embed_field
-
     emb = embed_field(base, g.ctx)
     table = {}
     for a in base.elements():
@@ -1256,12 +986,7 @@ def prime_degree_factor(f: Poly, r: int, ell: int, dim_cap: int = DIM_CAP):
         raise NotPrimeDegree(f"degree {n} is not prime")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    s_val = 1
-    rem = n - 1
-    for q in range(2, r + 1):
-        while rem % q == 0:
-            s_val *= q
-            rem //= q
+    s_val = smooth_divisor(n - 1, r)
     if ell * (s_val - 1) ** 2 < n:
         raise SmoothDivisorTooSmall(f"largest {r}-smooth divisor {s_val} < sqrt(n/ell)+1")
     ell_p = 2 * ell + 1

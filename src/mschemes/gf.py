@@ -67,6 +67,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def smooth_divisor(n: int, r: int) -> int:
+    """Largest divisor of n whose prime factors are all <= r."""
+    if n < 1 or r < 2:
+        raise ValueError("need n >= 1 and r >= 2")
+    out = 1
+    rem = n
+    q = 2
+    while q <= r and q * q <= rem:
+        while rem % q == 0:
+            out *= q
+            rem //= q
+        q += 1
+    if rem > 1 and rem <= r:
+        out *= rem
+    return out
+
+
 def _poly_trim(cs):
     cs = list(cs)
     while cs and cs[-1] == 0:

@@ -283,8 +283,9 @@ class LevelAlgebra:
                             out[:, :, ft] += int(fv[ft]) * M.astype(np.int64)
         return out % p
 
-    def power(self, u, e: int):
-        result = self.identity()
+    def power(self, u, e: int, unit=None):
+        """u^e by square-and-multiply; u^0 is `unit` (default: the identity)."""
+        result = self.identity() if unit is None else unit.copy()
         base = u
         while e:
             if e & 1:
@@ -385,8 +386,12 @@ def build_cauchy(f: Poly, s: int, ops: KOps):
 
 def build_levels(f: Poly, m: int, dim_cap: int) -> list:
     """LevelAlgebra list for s = 1..m (index s-1)."""
-    ops = KOps(f.ctx)
     n = f.degree
+    if m > n:
+        from .factor import ZeroAlgebra
+
+        raise ZeroAlgebra(f"no essential {m}-tuples on {n} points")
+    ops = KOps(f.ctx)
     dims = []
     dim = 1
     for s in range(1, m + 1):

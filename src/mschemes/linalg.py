@@ -175,29 +175,6 @@ class KOps:
                 basis[bi, pc] = self.neg(R[ri, fc])
         return basis
 
-    def row_space_contains(self, R, pivots, v):
-        """Membership test against an rref basis (R, pivots)."""
-        v = v % self.p
-        res = v.copy()
-        for ri, pc in enumerate(pivots):
-            coef = res[pc].copy()
-            if coef.any():
-                res = self.sub(res, self.mul(np.broadcast_to(coef, R[ri].shape), R[ri]))
-        return not res.any()
-
-    def intersect_row_spaces(self, A, B):
-        """Canonical basis of rowspace(A) ∩ rowspace(B).
-
-        Uses annihilators under the standard bilinear form: x lies in
-        rowspace(M) iff nullspace(M) annihilates x.
-        """
-        stacked = np.concatenate([self.nullspace(A), self.nullspace(B)], axis=0)
-        if stacked.shape[0] == 0:
-            full = np.zeros((A.shape[1], A.shape[1], self.d), dtype=np.int64)
-            full[:, :, 0] = np.eye(A.shape[1], dtype=np.int64)
-            return full
-        return self.nullspace(stacked)
-
     def solve_right(self, A, b):
         """One solution x of A @ x = b, or None.  Canonical (free vars = 0)."""
         aug = np.concatenate([A, b[:, None, :]], axis=1)

@@ -5,6 +5,7 @@ Exact arithmetic everywhere; the stated wall-clock budgets are asserted
 too since they carry large margins on commodity hardware.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -281,13 +282,26 @@ def test_criterion_11_split_hand_case():
     t0 = time.time()
     failures = []
     ctx = field_ctx(7, 1)
-    b = factor.quotient_algebra(Poly(ctx, [-1, 0, 1]))
-    res = factor.split_by_automorphism(b, np.array([[1, 0], [0, 6]]), 2)
+    res = factor.split_by_automorphism(Poly(ctx, [-1, 0, 1]), np.array([[1, 0], [0, 6]]), 2)
     if not isinstance(res, factor.ZeroDivisor):
         failures.append("no zero divisor")
     elif not np.array_equal(res.vec, np.array([[6], [1]], dtype=np.int64)):
         failures.append(f"got {res.vec.tolist()}")
     _report(11, "x -> -x on F_7[x]/(x^2-1) yields exactly x - 1", failures, time.time() - t0, 10)
+
+
+# sha256 of the newline-joined log_to_json strings of each criterion's run,
+# recorded before the ambient-tensor algebra model was removed: refactors
+# must leave the refinement logs byte-identical, not merely repeatable.
+GOLDEN_LOG_SHA256 = {
+    8: "ce5b85b4e1f8b90d4d8c8318b7f911c3575c5be4ab4503870bcfa97b0b598dbd",
+    9: "888e10b6f66147081d20a6a8c34c6b65fed14b347755408cb436cad9b34b1e68",
+    10: "7e0309277d70ae38bc3907b52a78a5d524ece06ea4198ec5de432b7e3c5cfa2e",
+}
+
+
+def _log_digest(logs):
+    return hashlib.sha256("\n".join(logs).encode()).hexdigest()
 
 
 def test_criterion_12_determinism():
@@ -305,6 +319,9 @@ def test_criterion_12_determinism():
     r10b = factor.log_to_json(_run_criterion10().log)
     if r10a != r10b:
         failures.append("criterion-10 logs differ")
+    for num, logs in ((8, logs_a), (9, res9a), (10, [r10a])):
+        if _log_digest(logs) != GOLDEN_LOG_SHA256[num]:
+            failures.append(f"criterion-{num} logs differ from the golden digest")
     _report(12, "byte-identical refinement logs on repeated runs", failures, time.time() - t0, 900)
 
 

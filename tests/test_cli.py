@@ -30,6 +30,21 @@ def test_factor_prime_degree(capsys):
     assert payload["status"] == "factored"
 
 
+def test_factor_smooth_divisor_too_small_exit_code(capsys):
+    # n = 7: the 2-smooth part of n-1 is 2, below sqrt(7) + 1
+    argv = ["factor", "--p", "29", "--poly", "28,0,0,0,0,0,0,1", "--r", "2", "--l", "1"]
+    code, payload = run_cli(capsys, argv)
+    assert code == 4
+    assert payload["error"] == "SmoothDivisorTooSmall"
+
+
+def test_factor_smoothness_bound_below_two(capsys):
+    argv = ["factor", "--p", "29", "--poly", "28,0,0,0,0,0,0,1", "--r", "1", "--l", "1"]
+    code, payload = run_cli(capsys, argv)
+    assert code == 3
+    assert payload["error"] == "ValueError"
+
+
 def test_factor_stuck_exit_code(capsys):
     # degree-5 stuck-at-m=2 case over F_11
     code, payload = run_cli(capsys, ["factor", "--p", "11", "--poly", "0,1,4,8,8,1", "--m", "2"])

@@ -21,19 +21,17 @@ from mschemes.factor import (
     TrivialAutomorphism,
     ZeroAlgebra,
     ZeroDivisor,
-    embed,
-    essential_part,
     iks_factor,
     log_to_json,
     matching_refinement,
     prime_degree_factor,
-    quotient_algebra,
     refine_step,
     split_by_automorphism,
     supports,
     validate_certificate,
 )
 from mschemes.gf import Poly, field_ctx
+from mschemes.levels import build_levels
 
 
 def poly_of(ctx, coeffs):
@@ -65,120 +63,51 @@ def lagrange_idempotent(f, subset):
     return vec
 
 
-# -- quotient algebra ---------------------------------------------------------
-
-
-def test_quotient_algebra_x3m1():
-    ctx = field_ctx(7, 1)
-    a = quotient_algebra(poly_of(ctx, [-1, 0, 0, 1]))
-    x = a.elem([0, 1, 0])
-    x2 = a.elem([0, 0, 1])
-    assert np.array_equal(a.mult(x, x2), a.elem([1, 0, 0]))  # x * x^2 = 1
-
-
-def test_quotient_algebra_not_split():
-    ctx = field_ctx(7, 1)
-    with pytest.raises(NotSplit):
-        quotient_algebra(poly_of(ctx, [1, 0, 1]))
-
-
-def test_quotient_algebra_f13():
-    ctx = field_ctx(13, 1)
-    a = quotient_algebra(poly_of(ctx, [1, 0, 1]))  # roots +-5
-    assert a.dim == 2
-
-
-# -- essential parts ----------------------------------------------------------
-
-
-def test_essential_part_dimension():
-    ctx = field_ctx(7, 1)
-    a = quotient_algebra(poly_of(ctx, [-1, 0, 0, 1]))
-    e2 = essential_part(a, 2)
-    assert e2.dim == 6
-    # oracle: functions vanishing on the diagonal of a 3-point set: 9 - 3
-    assert e2.ambient_basis.shape[1] == 9
-
-
-def test_essential_part_level1_is_a():
-    ctx = field_ctx(7, 1)
-    a = quotient_algebra(poly_of(ctx, [-1, 0, 0, 1]))
-    e1 = essential_part(a, 1)
-    assert e1.dim == a.dim
-    assert np.array_equal(e1.structure, a.structure)
-
-
-def test_essential_part_zero_algebra():
-    ctx = field_ctx(7, 1)
-    a = quotient_algebra(poly_of(ctx, [-1, 0, 0, 1]))
-    with pytest.raises(ZeroAlgebra):
-        essential_part(a, 4)
+# -- level algebras as the pipeline uses them ---------------------------------
 
 
 def test_essential_identity_and_mult():
-    ctx = field_ctx(7, 1)
-    a = quotient_algebra(poly_of(ctx, [-1, 0, 0, 1]))
-    e2 = essential_part(a, 2)
+    # the level-2 identity is a unit on every basis vector
+    e2 = build_levels(poly_of(field_ctx(7, 1), [-1, 0, 0, 1]), 2, 10**6)[1]
     for i in range(e2.dim):
         v = e2.zero()
         v[i, 0] = 1
-        assert np.array_equal(e2.mult(e2.identity, v), v)
+        assert np.array_equal(e2.mult(e2.identity(), v), v)
 
 
 def test_embed_unital_and_hom():
-    ctx = field_ctx(7, 1)
-    a = quotient_algebra(poly_of(ctx, [-1, 0, 0, 1]))
-    e1 = essential_part(a, 1)
-    e2 = essential_part(a, 2)
-    one1 = fc.AlgElem(e1, e1.identity)
+    e1, e2 = build_levels(poly_of(field_ctx(7, 1), [-1, 0, 0, 1]), 2, 10**6)
     for j in (1, 2):
-        img = embed(one1, j, e2)
-        assert np.array_equal(img.vec, e2.identity)
+        assert np.array_equal(e2.embed_from_below(e1, j, e1.identity()), e2.identity())
     # multiplicativity on sampled pairs
     rng = np.random.RandomState(0)
     for _ in range(5):
-        u = fc.AlgElem(e1, rng.randint(0, 7, size=(3, 1)).astype(np.int64))
-        v = fc.AlgElem(e1, rng.randint(0, 7, size=(3, 1)).astype(np.int64))
-        uv = fc.AlgElem(e1, e1.mult(u.vec, v.vec))
-        lhs = embed(uv, 1, e2)
-        rhs = e2.mult(embed(u, 1, e2).vec, embed(v, 1, e2).vec)
-        assert np.array_equal(lhs.vec, rhs)
+        u = rng.randint(0, 7, size=(3, 1)).astype(np.int64)
+        v = rng.randint(0, 7, size=(3, 1)).astype(np.int64)
+        lhs = e2.embed_from_below(e1, 1, e1.mult(u, v))
+        rhs = e2.mult(e2.embed_from_below(e1, 1, u), e2.embed_from_below(e1, 1, v))
+        assert np.array_equal(lhs, rhs)
 
 
 def test_embed_transparent_product():
-    # iota_1(a) * iota_2(b) evaluated at explicit roots equals a(v1)b(v2)
+    # iota_1(a) * iota_2(b) evaluated at explicit roots equals a(v2) b(v1)
     ctx = field_ctx(7, 1)
     f = poly_of(ctx, [-1, 0, 0, 1])
-    a = quotient_algebra(f)
-    e2 = essential_part(a, 2)
+    e1, e2 = build_levels(f, 2, 10**6)
     roots = brute_roots(f)
-    av = fc.AlgElem(essential_part(a, 1), np.array([[1], [2], [0]], dtype=np.int64))
-    bv = fc.AlgElem(essential_part(a, 1), np.array([[3], [0], [1]], dtype=np.int64))
-    prod = e2.mult(embed(av, 1, e2).vec, embed(bv, 2, e2).vec)
-    amb = np.zeros((9, 1), dtype=np.int64)
-    for i in range(6):
-        if prod[i].any():
-            amb = (amb + int(prod[i, 0]) * e2.ambient_basis[i]) % 7
+    av = np.array([[1], [2], [0]], dtype=np.int64)
+    bv = np.array([[3], [0], [1]], dtype=np.int64)
+    prod = e2.to_tensor(e2.mult(e2.embed_from_below(e1, 1, av), e2.embed_from_below(e1, 2, bv)))
 
     def poly_val(vec, r):
-        acc = ctx.zero()
-        for i in range(3):
-            acc = acc + ctx.elem(int(vec[i, 0])) * r**i
-        return acc
+        return sum((ctx.elem(int(vec[i, 0])) * r**i for i in range(3)), ctx.zero())
 
-    for i1, r1 in enumerate(roots):
-        for i2, r2 in enumerate(roots):
-            # ambient basis x^i (x) x^j evaluated at (r1, r2)
-            total = ctx.zero()
-            for c1 in range(3):
-                for c2 in range(3):
-                    coef = ctx.elem(int(amb[c1 * 3 + c2, 0]))
-                    total = total + coef * r1**c1 * r2**c2
-            if i1 != i2:
-                # identity inserted at slot j: iota_1(a) ignores coordinate 1
-                assert total == poly_val(av.vec, r2) * poly_val(bv.vec, r1)
-            else:
-                assert total.is_zero()
+    for r1, r2 in itertools.permutations(roots, 2):
+        total = ctx.zero()
+        for c1, c2 in itertools.product(range(3), range(2)):
+            total = total + ctx.elem(int(prod[c1, c2, 0])) * r1**c1 * r2**c2
+        # identity inserted at slot j: iota_1(a) ignores coordinate 1
+        assert total == poly_val(av, r2) * poly_val(bv, r1)
 
 
 # -- split_by_automorphism ----------------------------------------------------
@@ -187,18 +116,16 @@ def test_embed_transparent_product():
 def test_split_by_automorphism_hand_case():
     # F_7[x]/(x^2-1), x -> -x must give exactly the zero divisor x - 1
     ctx = field_ctx(7, 1)
-    b = quotient_algebra(poly_of(ctx, [-1, 0, 1]))
     sigma = np.array([[1, 0], [0, 6]])  # 1 -> 1, x -> -x
-    res = split_by_automorphism(b, sigma, 2)
+    res = split_by_automorphism(poly_of(ctx, [-1, 0, 1]), sigma, 2)
     assert isinstance(res, ZeroDivisor)
     assert np.array_equal(res.vec, np.array([[6], [1]], dtype=np.int64))  # x - 1
 
 
 def test_split_by_automorphism_trivial():
     ctx = field_ctx(7, 1)
-    b = quotient_algebra(poly_of(ctx, [-1, 0, 1]))
     with pytest.raises(TrivialAutomorphism):
-        split_by_automorphism(b, np.eye(2, dtype=int), 2)
+        split_by_automorphism(poly_of(ctx, [-1, 0, 1]), np.eye(2, dtype=int), 2)
 
 
 def test_split_by_automorphism_field_nosplit():
@@ -206,34 +133,55 @@ def test_split_by_automorphism_field_nosplit():
     ctx = field_ctx(5, 1)
     squares = sorted({pow(i, 2, 5) for i in range(1, 5)})
     assert squares == [1, 4]
-    n = 2
-    kops = fc.KOps(ctx)
-    structure = kops.zeros((n, n, n))
-    # basis 1, x with x^2 = 2
-    structure[0, 0, 0, 0] = 1
-    structure[0, 1, 1, 0] = 1
-    structure[1, 0, 1, 0] = 1
-    structure[1, 1, 0, 0] = 2
-    identity = kops.zeros((n,))
-    identity[0, 0] = 1
-    b = fc.Algebra(ctx, structure, identity)
-    res = split_by_automorphism(b, np.array([[1, 0], [0, 4]]), 2)
+    res = split_by_automorphism(poly_of(ctx, [-2, 0, 1]), np.array([[1, 0], [0, 4]]), 2)
     assert isinstance(res, NoSplit)
+
+
+def test_split_by_automorphism_not_squarefree():
+    # x -> -x is an automorphism of F_5[x]/(x^2), but x is nilpotent
+    ctx = field_ctx(5, 1)
+    with pytest.raises(NotSplit):
+        split_by_automorphism(poly_of(ctx, [0, 0, 1]), np.array([[1, 0], [0, 4]]), 2)
 
 
 def test_split_zero_divisor_property():
     # returned z is nonzero and multiplication by z is singular
     ctx = field_ctx(7, 1)
-    b = quotient_algebra(poly_of(ctx, [-1, 0, 1]))
-    res = split_by_automorphism(b, np.array([[1, 0], [0, 6]]), 2)
+    f = poly_of(ctx, [-1, 0, 1])
+    res = split_by_automorphism(f, np.array([[1, 0], [0, 6]]), 2)
     z = res.vec
     assert z.any()
+    b = build_levels(f, 1, 10**6)[0]
     m_z = fc.KOps(ctx).zeros((2, 2))
     for i in range(2):
         v = b.zero()
         v[i, 0] = 1
         m_z[i] = b.mult(z, v)
     assert fc.KOps(ctx).rank(m_z) < 2
+
+
+def test_split_by_automorphism_in_extension():
+    # a 5-cycle on the roots 0..4 over F_7: 5 does not divide 6, so the
+    # split happens over F_{7^4} and the idempotent descends to F_7
+    ctx = field_ctx(7, 1)
+    roots = [ctx.elem(i) for i in range(5)]
+    f = poly_of(ctx, [1])
+    for r in roots:
+        f = f * poly_of(ctx, [-r, 1])
+    sigma = np.zeros((5, 5), dtype=np.int64)
+    for i in range(5):
+        # row i: the function v -> (v + 1 mod 5)^i, by Lagrange interpolation
+        img = Poly(ctx, [0])
+        for k, r in enumerate(roots):
+            basis_k = Poly(ctx, [int(v) for v in lagrange_idempotent(f, [r])[:, 0]])
+            img = img + basis_k * roots[(k + 1) % 5] ** i
+        for c, coeff in enumerate(img.coeffs):
+            sigma[i, c] = coeff.index
+    res = split_by_automorphism(f, sigma, 5)
+    assert isinstance(res, ZeroDivisor)
+    z = Poly(ctx, [int(v) for v in res.vec[:, 0]])
+    values = {z(r).index for r in roots}
+    assert values == {0, 1}
 
 
 # -- the pipeline --------------------------------------------------------------
@@ -404,6 +352,15 @@ def test_dim_cap():
     f = poly_of(ctx, [10, 0, 0, 0, 0, 1])
     with pytest.raises(DimCapExceeded):
         IdealSystem(f, 3, dim_cap=10)
+
+
+def test_levels_deeper_than_degree():
+    # no essential 4-tuples on 3 points: a typed error, not an IndexError
+    f = poly_of(field_ctx(7, 1), [-1, 0, 0, 1])
+    with pytest.raises(ZeroAlgebra):
+        build_levels(f, 4, 10**6)
+    with pytest.raises(ZeroAlgebra):
+        IdealSystem(f, 4)
 
 
 def test_stuck_scheme_certificate():

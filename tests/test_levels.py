@@ -43,15 +43,18 @@ def rand_vec(level, seed):
 def test_dims():
     _, _, levels = make_levels(7, [1, 2, 4], 3)
     assert [lv.dim for lv in levels] == [3, 6, 6]
+    _, _, levels = make_levels(13, [5, 8], 1)  # x^2 + 1 over F_13
+    assert [lv.dim for lv in levels] == [2]
 
 
 def test_mult_matches_pointwise():
+    # level 1 is k[x]/(f) itself
     ctx, roots, levels = make_levels(7, [1, 2, 4], 2)
-    lv = levels[1]
-    u, v = rand_vec(lv, 1), rand_vec(lv, 2)
-    w = lv.mult(u, v)
-    for tup in essential_tuples(3, 2):
-        assert evaluate(lv, w, tup, roots) == evaluate(lv, u, tup, roots) * evaluate(lv, v, tup, roots)
+    for lv in levels:
+        u, v = rand_vec(lv, 1), rand_vec(lv, 2)
+        w = lv.mult(u, v)
+        for tup in essential_tuples(3, lv.s):
+            assert evaluate(lv, w, tup, roots) == evaluate(lv, u, tup, roots) * evaluate(lv, v, tup, roots)
 
 
 def test_mult_extension_field():
@@ -78,14 +81,17 @@ def test_mult_batch_matches_mult():
 
 def test_identity_and_power():
     _, roots, levels = make_levels(7, [1, 2, 4], 2)
-    lv = levels[1]
-    u = rand_vec(lv, 5)
-    assert np.array_equal(lv.mult(u, lv.identity()), u % 7)
-    w = lv.power(u, 6)  # componentwise a^6 = 1 on the support
-    for tup in essential_tuples(3, 2):
-        val = evaluate(lv, u, tup, roots)
-        expect = val**6
-        assert evaluate(lv, w, tup, roots) == expect
+    for lv in levels:
+        u = rand_vec(lv, 5)
+        assert np.array_equal(lv.mult(u, lv.identity()), u % 7)
+        assert np.array_equal(lv.power(u, 0), lv.identity())
+        e = lv.idempotent_of(u)
+        assert np.array_equal(lv.power(u, 0, e), e)  # u^0 is the unit passed in
+        w = lv.power(u, 6)  # componentwise a^6 = 1 on the support
+        for tup in essential_tuples(3, lv.s):
+            val = evaluate(lv, u, tup, roots)
+            expect = val**6
+            assert evaluate(lv, w, tup, roots) == expect
 
 
 def test_idempotent_of():
