@@ -69,8 +69,8 @@ def cmd_factor(args) -> int:
             res = factor.prime_degree_factor(f, args.r, args.l, dim_cap=dim_cap)
         else:
             res = factor.iks_factor(f, args.m, dim_cap=dim_cap)
-    except (factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, factor.DimCapExceeded) as exc:
-        # before ValueError: the first two subclass it
+    except (factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, factor.PrimeTooLarge, factor.DimCapExceeded) as exc:
+        # before ValueError: the first three subclass it
         _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
         return EXIT_PRECONDITION
     except (factor.NotSplit, ValueError) as exc:

@@ -82,6 +82,10 @@ class SmoothDivisorTooSmall(ValueError):
     pass
 
 
+class PrimeTooLarge(ValueError):
+    """p is beyond the range where the level kernel's int64 sums are exact."""
+
+
 # ---------------------------------------------------------------------------
 # generic automorphism splitting (the zero-divisor engine)
 
@@ -408,8 +412,9 @@ def split_by_automorphism(f: Poly, sigma, r: int):
         acc = kops.matmul(acc, sigma)
     if not kops.mat_eq(acc, kops.eye(n)):
         raise ValueError("sigma^r is not the identity")
-    # components of A are extensions of degree <= n
-    return _split_ideal(alg, kops.eye(n), range(n), alg.identity(), sigma, r, n)
+    # components of A are k itself when f splits, else extensions of degree <= n
+    t = 1 if is_split_squarefree(g) else n
+    return _split_ideal(alg, kops.eye(n), range(n), alg.identity(), sigma, r, t)
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +600,13 @@ def _rule_r1(sys: IdealSystem):
         for i, below in enumerate(sys.levels[s - 1]):
             for j in range(1, s + 1):
                 emb = sys._embed_idem(s, below, j)
-                for ip, here in enumerate(sys.levels[s]):
-                    key = ("R1", below.uid, here.uid, j)
-                    if key in checks:
-                        continue
-                    u = alg.mult(emb, here.idem)
+                todo = [(ip, h) for ip, h in enumerate(sys.levels[s]) if ("R1", below.uid, h.uid, j) not in checks]
+                if not todo:
+                    continue
+                prods = alg.mult_batch(np.stack([here.idem for _, here in todo]), emb)
+                for (ip, here), u in zip(todo, prods):
                     if not u.any() or np.array_equal(u, here.idem):
-                        checks[key] = True
+                        checks[("R1", below.uid, here.uid, j)] = True
                         continue
                     return sys._split(s, ip, u, "R1", {"below": i, "j": j})
     return NoChange()
@@ -641,7 +646,7 @@ def _rule_r3(sys: IdealSystem):
     checks = sys.shared["checks"]
     for s in range(2, sys.m + 1):
         alg = sys.algebra(s)
-        idems = [h.idem for h in sys.levels[s]]
+        idems = np.stack([h.idem for h in sys.levels[s]])
         for tau in itertools.permutations(range(s)):
             if tau == tuple(range(s)):
                 continue
@@ -653,8 +658,8 @@ def _rule_r3(sys: IdealSystem):
                 if any(np.array_equal(img, e) for e in idems):
                     checks[key] = True
                     continue
-                for ip, other in enumerate(sys.levels[s]):
-                    u = alg.mult(img, other.idem)
+                prods = alg.mult_batch(idems, img)
+                for ip, (other, u) in enumerate(zip(sys.levels[s], prods)):
                     if u.any() and not np.array_equal(u, other.idem):
                         return sys._split(s, ip, u, "R3", {"tau": list(tau), "source": i})
                 raise InvalidSystem("tau-image must overlap some ideal properly")
@@ -769,14 +774,9 @@ def _project_color(sys: IdealSystem, s: int, idx: int, dropped: tuple):
     cache = sys.shared["proj"]
     if key in cache:
         return cache[key]
-    alg = sys.algebra(s)
-    target = None
-    for bi, below in enumerate(sys.levels[s - len(dropped)]):
-        cyl = _composite_embed(sys, s, dropped, below.idem)
-        u = alg.mult(cyl, here.idem)
-        if np.array_equal(u, here.idem):
-            target = bi
-            break
+    cyls = np.stack([_composite_embed(sys, s, dropped, below.idem) for below in sys.levels[s - len(dropped)]])
+    prods = sys.algebra(s).mult_batch(cyls, here.idem)
+    target = next((bi for bi, u in enumerate(prods) if np.array_equal(u, here.idem)), None)
     cache[key] = target
     return target
 
@@ -818,8 +818,8 @@ def matching_refinement(sys: IdealSystem, m: _mscheme.Matching):
         raise NotAMatching("projection is not size-preserving")
     alg = sys.algebra(s)
     kops = alg.ops
-    X1 = np.stack([alg.mult(_composite_embed(sys, s, m.drop_i, row), here.idem) for row in below.basis])
-    X2 = np.stack([alg.mult(_composite_embed(sys, s, m.drop_j, row), here.idem) for row in below.basis])
+    X1 = alg.mult_batch(np.stack([_composite_embed(sys, s, m.drop_i, row) for row in below.basis]), here.idem)
+    X2 = alg.mult_batch(np.stack([_composite_embed(sys, s, m.drop_j, row) for row in below.basis]), here.idem)
     # both embeddings must be isomorphisms onto the matched ideal
     psi = kops.solve_right_many(np.swapaxes(X1, 0, 1), np.swapaxes(X2, 0, 1))
     if psi is None or kops.rank(X1) != below.dim or kops.rank(X2) != below.dim:

@@ -446,8 +446,14 @@ def poly(ctx, coeffs) -> Poly:
 
 
 def poly_from_text(ctx, text: str) -> Poly:
-    """Parse the shared text format: comma-separated ints, constant first."""
-    return Poly(ctx, [int(t) for t in text.split(",") if t.strip() != ""])
+    """Parse the shared text format: comma-separated ints, constant first.
+
+    A nonnegative int c is the element with index c (the residue c mod p
+    when d == 1); a negative int -c is the negative of that element, so -1
+    is -1 in every field.
+    """
+    ints = [int(t) for t in text.split(",") if t.strip() != ""]
+    return Poly(ctx, [ctx.elem(c) if c >= 0 else -ctx.elem(-c) for c in ints])
 
 
 def poly_to_text(f: Poly) -> str:

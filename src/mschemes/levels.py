@@ -10,9 +10,19 @@ ever sees a root.
 
 Elements are dense coefficient vectors over the canonical monomial basis
 (exponent e_j < n-j+1, C-order flattening, trailing digit axis for the
-field).  Multiplication is integer convolution followed by reduction along
-axes s..1; levels that are worth it carry a precomputed reduction matrix
-so batched products become two BLAS-sized matmuls.
+field).  A product is an integer convolution into the product space
+(exponent e_j < 2(n-j+1)-1, `prod_cells` cells) followed by reduction.
+
+The level kernel is the reduction matrix R: row c is the canonical form of
+product-space monomial c, built once by recurrence with the
+multiply-by-x_j matrices.  A level has R when it fits under
+REDUCTION_MATRIX_CAP and every float64 product over R is exact, i.e.
+prod_cells*(p-1)^2 < 2^53 (see `linalg`); then a product is one
+contraction with R, a batch of products two BLAS matmuls, and coordinate
+permutations, embeddings and relative traces are cached operator matrices.
+Other levels (too large, or p beyond the float64 range) reduce each
+product by division along axes s..1 (`reduce_tensor`), which stays exact in
+int64.  Both paths give the same canonical vectors.
 """
 
 from __future__ import annotations
@@ -21,27 +31,20 @@ import numpy as np
 from scipy.signal import convolve as _convolve
 
 from .gf import Poly
-from .linalg import KOps
+from .linalg import FLOAT64_EXACT, INT64_EXACT, KOps, dot_exact
 
 # product-space cells * canonical dim above this skips the reduction matrix
+# (R then takes 8*d^2 bytes per unit of this product)
 REDUCTION_MATRIX_CAP = 6 * 10**7
 
 
 def kconvolve(a, b, ops: KOps):
     """Multivariate convolution of digit tensors (trailing axis = digits)."""
-    p, d = ops.p, ops.d
-    if d == 1:
+    p = ops.p
+    if ops.d == 1:
         return (_convolve(a[..., 0], b[..., 0], method="direct") % p)[..., None]
-    out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape[:-1], b.shape[:-1]))
-    out = np.zeros(out_shape + (d,), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            raw = _convolve(a[..., i], b[..., j], method="direct") % p
-            vec = ops.fold[i, j]
-            for t in range(d):
-                if vec[t]:
-                    out[..., t] += raw * int(vec[t])
-    return out % p
+    # the digit axis convolves too, into theta^0..theta^(2d-2), then folds
+    return (_convolve(a, b, method="direct") % p) @ ops.theta % p
 
 
 class LevelAlgebra:
@@ -57,6 +60,10 @@ class LevelAlgebra:
         self.dim = 1
         for e in self.extents:
             self.dim *= e
+        self.pshape = tuple(2 * e - 1 for e in self.extents)  # product-space extents
+        self.prod_cells = 1
+        for e in self.pshape:
+            self.prod_cells *= e
         self.cauchy = cauchy  # cauchy[j]: dense tensor over axes 0..j (+ digit axis)
         # division terms per axis j: list of (t, coeff tensor over axes < j)
         self.div_terms = []
@@ -79,10 +86,19 @@ class LevelAlgebra:
                 if neg.any():
                     terms.append((t, self._trim(neg)))
             self.div_terms.append(terms)
-        self._mono_cache = {}
+        # the longest float64 sum on the R path is a contraction with R, over
+        # every digit of every product-space cell: prod_cells*d products
+        self.has_matrix = (
+            self.prod_cells * self.dim <= REDUCTION_MATRIX_CAP
+            and dot_exact(p, self.prod_cells * ops.d, FLOAT64_EXACT)
+        )
         self._reduction = None
-        self._conv_index = None
+        self._toeplitz = None
+        self._pair_bins = None
         self._rel_trace_powers = None
+        self._perm_ops = {}
+        self._embed_ops = {}
+        self._trace_op = None
 
     @staticmethod
     def _trim(tensor):
@@ -179,109 +195,135 @@ class LevelAlgebra:
         ck = coeff.reshape(shape)
         return kconvolve(S, ck, self.ops)
 
-    def reduce_monomial(self, exponents, cache=True):
+    def reduce_monomial(self, exponents):
         """Canonical vector of a single (possibly overflowing) monomial."""
         key = tuple(int(e) for e in exponents)
-        if cache:
-            hit = self._mono_cache.get(key)
-            if hit is not None:
-                return hit
-        shape = tuple(e + 1 for e in key) + (self.ops.d,)
-        t = np.zeros(shape, dtype=np.int64)
+        t = np.zeros(tuple(e + 1 for e in key) + (self.ops.d,), dtype=np.int64)
         t[key + (0,)] = 1
-        out = self.reduce_tensor(t)
-        if cache:
-            out.setflags(write=False)
-            self._mono_cache[key] = out
-        return out
+        return self.reduce_tensor(t)
 
     # -- multiplication ----------------------------------------------------------
 
-    @property
-    def prod_cells(self):
-        out = 1
-        for e in self.extents:
-            out *= 2 * e - 1
-        return out
-
-    def _want_matrix(self):
-        return self.prod_cells * self.dim <= REDUCTION_MATRIX_CAP and self.dim >= 64
+    def cells(self):
+        """(dim, s) exponent tuples of the canonical basis, in C order."""
+        return np.indices(self.extents).reshape(self.s, -1).T
 
     def reduction_matrix(self):
-        """(prod_cells, dim) reduction of every product-space monomial.
+        """R as a float64 `KOps.operand`, (prod_cells*d, dim*d): row c is
+        the reduction of product-space monomial c.
 
-        Built once per level; None when the level is too large, in which
-        case products fall back to per-element division.
+        Built once per level; None when the level has no R (see the module
+        docstring), in which case products fall back to per-element division.
         """
-        if self._reduction is None and self._want_matrix():
-            pshape = tuple(2 * e - 1 for e in self.extents)
-            cells = np.indices(pshape).reshape(self.s, -1).T
-            R = np.zeros((self.prod_cells, self.dim, self.ops.d), dtype=np.int64)
-            for idx, exps in enumerate(cells):
-                if all(e < d for e, d in zip(exps, self.extents)):
-                    flat = 0
-                    for e, d in zip(exps, self.extents):
-                        flat = flat * d + int(e)
-                    R[idx, flat, 0] = 1
-                else:
-                    R[idx] = self.reduce_monomial(exps, cache=False)
-            self._reduction = R
+        if self._reduction is None and self.has_matrix:
+            self._reduction = self.ops.operand(self._build_reduction())
         return self._reduction
 
-    def _conv_gather(self):
-        """(prod_cells, dim) index/mask pair for Toeplitz-style batching."""
-        if self._conv_index is None:
-            pshape = tuple(2 * e - 1 for e in self.extents)
-            pcells = np.indices(pshape).reshape(self.s, -1).T  # (P, s)
-            bcells = np.indices(self.extents).reshape(self.s, -1).T  # (N, s)
-            diff = pcells[:, None, :] - bcells[None, :, :]
-            ok = ((diff >= 0) & (diff < np.array(self.extents)[None, None, :])).all(axis=2)
-            flat = np.zeros(diff.shape[:2], dtype=np.int64)
-            for j, d in enumerate(self.extents):
-                flat = flat * d + np.clip(diff[..., j], 0, d - 1)
-            self._conv_index = (flat, ok)
-        return self._conv_index
+    def _build_reduction(self):
+        """R by recurrence: the canonical box is the identity, and each
+        further slab along axis j is the previous one times x_j."""
+        ops, n_dim, d = self.ops, self.dim, self.ops.d
+        T = np.zeros(self.pshape + (n_dim, d), dtype=np.int64)
+        T[tuple(slice(0, e) for e in self.extents)] = ops.eye(n_dim).reshape(self.extents + (n_dim, d))
+        cells = self.cells()
+        for j, e in enumerate(self.extents):
+            if e == 1:
+                continue  # the product space has no cells beyond the box here
+            # x_j maps basis monomial b to b + e_j, which needs reducing only
+            # on the top face b_j = e-1: there x_j^e = sum_t c_t x_j^t with
+            # c_t of degree < e_i in each x_i (i < j), so every monomial of
+            # the right side already has its row in T
+            top = cells[cells[:, j] == e - 1]
+            X_top = np.zeros((top.shape[0], n_dim, d), dtype=np.int64)
+            for t, coeff in self.div_terms[j]:
+                for alpha in np.ndindex(coeff.shape[:-1]):
+                    if coeff[alpha].any():
+                        at = top.copy()
+                        at[:, :j] += np.array(alpha, dtype=np.int64)
+                        at[:, j] = t
+                        X_top += ops.scalar_mul(coeff[alpha], T[tuple(at.T)])
+            X_top %= ops.p
+            region = [slice(0, f) for f in self.pshape[:j]] + [0] + [slice(0, f) for f in self.extents[j + 1:]]
+            for k in range(e, 2 * e - 1):
+                region[j] = k - 1
+                prev = T[tuple(region)]
+                region[j] = k
+                T[tuple(region)] = self._times_x(prev.reshape(-1, n_dim, d), j, X_top).reshape(prev.shape)
+        return T.reshape(self.prod_cells, n_dim, d)
+
+    def _times_x(self, V, j, X_top):
+        """Canonical vectors V (rows, dim, d) times x_j; X_top holds the
+        reduced images of the top-face monomials of axis j."""
+        rows, e, d = V.shape[0], self.extents[j], self.ops.d
+        t = V.reshape((rows,) + self.extents + (d,))
+        out = np.zeros_like(t)
+        src = [slice(None)] * t.ndim
+        dst = [slice(None)] * t.ndim
+        src[j + 1], dst[j + 1] = slice(0, e - 1), slice(1, e)
+        out[tuple(dst)] = t[tuple(src)]
+        top = t.take(e - 1, axis=j + 1).reshape(rows, -1, d)
+        return (out.reshape(V.shape) + self.ops.matmul(top, X_top)) % self.ops.p
+
+    def _monomial_op(self, exps):
+        """`KOps.operand` of the map whose row i is the canonical form of
+        monomial exps[i]: a row of R inside the product space, else reduced."""
+        R, d = self.reduction_matrix(), self.ops.d
+        rows = np.empty((exps.shape[0], self.dim, d), dtype=np.int64)
+        inside = (exps < np.array(self.pshape)).all(axis=1)
+        # the theta^0 row of cell c is its canonical vector
+        rows[inside] = R[np.ravel_multi_index(tuple(exps[inside].T), self.pshape) * d].reshape(-1, self.dim, d)
+        for i in np.flatnonzero(~inside):
+            rows[i] = self.reduce_monomial(exps[i])
+        return self.ops.operand(rows)
+
+    def _toeplitz_index(self):
+        """(dim*d, prod_cells*d) positions, in the flattened (dim+1, d, d)
+        table of theta^a * v[m] padded by a zero row, of the Toeplitz
+        operator of v in `KOps.operand` layout: entry ((i, a), (c, t)) is
+        digit t of theta^a * v[c - i], zero where c - i leaves the box."""
+        if self._toeplitz is None:
+            d = self.ops.d
+            pcells = np.indices(self.pshape).reshape(self.s, -1).T
+            diff = pcells[None, :, :] - self.cells()[:, None, :]  # (dim, prod_cells, s)
+            ext = np.array(self.extents)
+            ok = ((diff >= 0) & (diff < ext)).all(axis=2)
+            shift = np.ravel_multi_index(tuple(np.moveaxis(np.clip(diff, 0, ext - 1), -1, 0)), self.extents)
+            shift = np.where(ok, shift, self.dim)
+            digit = np.arange(d)
+            index = (shift[:, None, :, None] * d + digit[:, None, None]) * d + digit
+            self._toeplitz = index.reshape(self.dim * d, self.prod_cells * d)
+        return self._toeplitz
+
+    def _convolve_bins(self, u, v):
+        """u*v in the product space, (prod_cells, d): the outer product of
+        the digit vectors binned by product cell and power of theta."""
+        p, d = self.ops.p, self.ops.d
+        powers = 2 * d - 1  # theta^0 .. theta^(2d-2)
+        if self._pair_bins is None:
+            cells = self.cells()
+            pair = np.ravel_multi_index(tuple((cells[:, None] + cells[None]).reshape(-1, self.s).T), self.pshape)
+            pair = pair.reshape(self.dim, 1, self.dim, 1)
+            self._pair_bins = (pair * powers + np.add.outer(np.arange(d), np.arange(d))[:, None]).ravel()
+        w = np.bincount(self._pair_bins, weights=np.outer(u, v).ravel(), minlength=self.prod_cells * powers)
+        w = w.astype(np.int64).reshape(self.prod_cells, powers) % p
+        return w if d == 1 else w @ self.ops.theta % p
 
     def mult(self, u, v):
-        conv = kconvolve(self.to_tensor(u), self.to_tensor(v), self.ops)
-        return self.reduce_tensor(conv)
+        if not self.has_matrix:
+            return self.reduce_tensor(kconvolve(self.to_tensor(u), self.to_tensor(v), self.ops))
+        return self.ops.matmul_op(self._convolve_bins(u, v), self.reduction_matrix())
 
     def mult_batch(self, rows, v):
         """Products row * v for every row of `rows` ((B, dim, d))."""
         if rows.shape[0] == 0:
             return rows.copy()
-        R = self.reduction_matrix()
-        if R is None or rows.shape[0] < 8:
+        if not self.has_matrix:
             return np.stack([self.mult(r, v) for r in rows])
-        flat, ok = self._conv_gather()
-        p, d = self.ops.p, self.ops.d
-        B = rows.shape[0]
-        # conv[t][b, cell] = digit t of sum_i rows[b, i] * v[cell - mono_i]
-        conv = [np.zeros((B, self.prod_cells), dtype=np.float64) for _ in range(d)]
-        for j in range(d):
-            Tv_j = np.where(ok, v[flat, j], 0).astype(np.float64)  # (P, N)
-            for i in range(d):
-                raw = (rows[:, :, i].astype(np.float64) @ Tv_j.T) % p
-                if d == 1:
-                    conv[0] += raw
-                else:
-                    vec = self.ops.fold[i, j]
-                    for t in range(d):
-                        if vec[t]:
-                            conv[t] += int(vec[t]) * raw
-        out = np.zeros((B, self.dim, d), dtype=np.int64)
-        for t in range(d):
-            C_t = conv[t] % p
-            for rt in range(d):
-                M = (C_t @ R[:, :, rt].astype(np.float64)) % p  # (B, N)
-                if d == 1:
-                    out[:, :, 0] += M.astype(np.int64)
-                else:
-                    fv = self.ops.fold[t, rt]
-                    for ft in range(d):
-                        if fv[ft]:
-                            out[:, :, ft] += int(fv[ft]) * M.astype(np.int64)
-        return out % p
+        ops, d = self.ops, self.ops.d
+        table = np.zeros((self.dim + 1, d, d))
+        table[:-1] = ops.mul(v[:, None, :], ops.theta[None, :d, :])
+        conv = ops.matmul_op(rows, table.ravel().take(self._toeplitz_index()))
+        return ops.matmul_op(conv, self.reduction_matrix())
 
     def power(self, u, e: int, unit=None):
         """u^e by square-and-multiply; u^0 is `unit` (default: the identity)."""
@@ -303,6 +345,13 @@ class LevelAlgebra:
     def apply_perm(self, tau, vec):
         """Coordinate-permutation action on functions: supports map forward
         under tuples^tau.  tau is 0-based."""
+        if self.has_matrix:
+            tau = tuple(tau)
+            op = self._perm_ops.get(tau)
+            if op is None:
+                # basis monomial b goes to the monomial with exponents b[tau]
+                op = self._perm_ops[tau] = self._monomial_op(self.cells()[:, list(tau)])
+            return self.ops.matmul_op(vec, op)
         t = self.to_tensor(vec)
         axes = list(tau) + [self.s]
         moved = np.transpose(t, axes=axes)
@@ -310,6 +359,11 @@ class LevelAlgebra:
 
     def embed_from_below(self, below: "LevelAlgebra", j: int, vec):
         """iota_j: level s-1 -> level s (1-based slot j gets the fresh slot)."""
+        if self.has_matrix:
+            op = self._embed_ops.get(j)
+            if op is None:
+                op = self._embed_ops[j] = self._monomial_op(np.insert(below.cells(), j - 1, 0, axis=1))
+            return self.ops.matmul_op(vec, op)
         t = below.to_tensor(vec)
         expanded = np.expand_dims(t, axis=j - 1)
         return self.reduce_tensor(np.ascontiguousarray(expanded))
@@ -330,7 +384,7 @@ class LevelAlgebra:
                     ct = below.reduce_tensor(coeff)
                 es.append(ct if i % 2 == 0 else (-ct) % p)
             # Newton: p_t = sum_{i<t} (-1)^(i-1) e_i p_{t-i} + (-1)^(t-1) t e_t
-            ps = [below.scalar_vec(dd)]
+            ps = [below.scalar_vec([dd])]  # the integer dd, not the element of index dd
             for t in range(1, dd):
                 acc = below.zero()
                 for i in range(1, t):
@@ -345,6 +399,13 @@ class LevelAlgebra:
     def rel_trace_last(self, below: "LevelAlgebra", vec):
         """Trace onto level s-1 along the last coordinate: fibre sums."""
         ps = self.rel_trace_powers(below)
+        if self.has_matrix:
+            if self._trace_op is None:
+                # basis monomial (a, t) goes to x^a * q_t on level s-1
+                eye = below.ops.eye(below.dim)
+                rows = np.stack([below.mult_batch(eye, q) for q in ps], axis=1)
+                self._trace_op = self.ops.operand(rows.reshape(self.dim, below.dim, self.ops.d))
+            return self.ops.matmul_op(vec, self._trace_op)
         t = self.to_tensor(vec)
         acc = below.zero()
         for tt in range(self.extents[-1]):
@@ -394,12 +455,21 @@ def build_levels(f: Poly, m: int, dim_cap: int) -> list:
     ops = KOps(f.ctx)
     dims = []
     dim = 1
+    cells = 1
     for s in range(1, m + 1):
         dim *= n - s + 1
+        cells *= 2 * (n - s + 1) - 1
         dims.append(dim)
         if dim > dim_cap:
             from .factor import DimCapExceeded
 
             raise DimCapExceeded(f"level {s} dimension {dim} exceeds cap {dim_cap}")
+    # longest int64 sum of residue products: a convolution over at most
+    # `cells` cells per digit, or a digit fold of at most 2d^2 terms
+    terms = ops.d * max(cells, 2 * ops.d)
+    if not dot_exact(ops.p, terms, INT64_EXACT):
+        from .factor import PrimeTooLarge
+
+        raise PrimeTooLarge(f"p = {ops.p}: {terms} * (p-1)^2 >= 2^63, so int64 level arithmetic could overflow")
     cauchy = build_cauchy(f, m, ops)
     return [LevelAlgebra(f, s, cauchy[:s], ops) for s in range(1, m + 1)]

@@ -1,10 +1,17 @@
 """Vectorized exact linear algebra over F_{p^d}.
 
 Arrays carry field elements in digit form: the trailing axis has length d
-and holds base-p digits (constant term first).  All arithmetic stays in
-int64 with explicit reductions; matrix products go through float64 BLAS,
-which is exact here because every intermediate fits well under 2^53
-(digits < p <= ~3000, accumulation lengths <= ~10^5).
+and holds base-p digits (constant term first).  All arithmetic is integer
+arithmetic with an explicit reduction after every sum of products, so it is
+exact while no such sum leaves its number type.  A sum of k products of
+residues below p stays under k*(p-1)^2 (the delayed-reduction criterion of
+FFLAS-FFPACK):
+
+- float64 BLAS products are exact while k*(p-1)^2 < 2^53, with k the inner
+  length of the product over F_p (d times the length over F_{p^d}, see
+  `operand`); `operand` picks float64 only then and int64 otherwise;
+- int64 sums (convolutions, digit folds, `rref` updates) are exact while
+  k*(p-1)^2 < 2^63; `levels.build_levels` refuses fields beyond that.
 """
 
 from __future__ import annotations
@@ -12,6 +19,15 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldCtx
+
+FLOAT64_EXACT = 2**53
+INT64_EXACT = 2**63
+
+
+def dot_exact(p: int, length: int, limit: int) -> bool:
+    """True when every sum of `length` products of residues below p stays
+    under `limit` (FLOAT64_EXACT or INT64_EXACT)."""
+    return length * (p - 1) ** 2 < limit
 
 
 class KOps:
@@ -41,6 +57,8 @@ class KOps:
             for j in range(d):
                 fold[i, j] = theta_pows[i + j]
         self.fold = fold
+        # theta[k]: theta^k reduced, k < 2d-1; folds a digit-axis convolution
+        self.theta = np.stack(theta_pows)
 
     # -- element containers ------------------------------------------------
 
@@ -75,8 +93,8 @@ class KOps:
         """Elementwise product with broadcasting over leading axes."""
         if self.d == 1:
             return (a * b) % self.p
-        out = np.einsum("...i,...j,ijt->...t", a, b, self.fold)
-        return out % self.p
+        outer = (a[..., :, None] * b[..., None, :]) % self.p
+        return np.einsum("...ij,ijt->...t", outer, self.fold) % self.p
 
     def scalar_mul(self, s, a):
         """Multiply array a by one scalar digit-vector s."""
@@ -92,27 +110,26 @@ class KOps:
     def is_zero(self, a):
         return not a.any()
 
+    def operand(self, B):
+        """B (k, r, d) as the (k*d, r*d) matrix of A -> A @ B on rows with
+        their digits flattened: entry ((i, a), (j, t)) is digit t of
+        theta^a * B[i, j].  float64 when BLAS is exact for its inner length
+        k*d, else int64."""
+        k, r, d = B.shape
+        E = np.einsum("ijc,act->iajt", B, self.fold) % self.p
+        exact = dot_exact(self.p, k * d, FLOAT64_EXACT)
+        return np.ascontiguousarray(E.reshape(k * d, r * d), dtype=np.float64 if exact else np.int64)
+
+    def matmul_op(self, A, op):
+        """(..., k, d) @ B -> (..., r, d) over the field, B given as its
+        `operand`: one matrix product for every d."""
+        flat = A.reshape(A.shape[:-2] + (-1,)).astype(op.dtype)
+        # the remainder in int64: several times faster than float64's
+        return ((flat @ op).astype(np.int64) % self.p).reshape(A.shape[:-2] + (-1, self.d))
+
     def matmul(self, A, B):
         """(m,n,d) @ (n,r,d) -> (m,r,d) over the field."""
-        p, d = self.p, self.d
-        if d == 1:
-            prod = A[..., 0].astype(np.float64) @ B[..., 0].astype(np.float64)
-            return (prod % p).astype(np.int64)[..., None]
-        comps = []
-        Af = A.astype(np.float64)
-        Bf = B.astype(np.float64)
-        raw = np.empty((2 * d - 1,) + (A.shape[0], B.shape[1]), dtype=np.int64)
-        raw[:] = 0
-        for i in range(d):
-            for j in range(d):
-                raw[i + j] += (Af[..., i] @ Bf[..., j]).astype(np.int64) % p
-        out = np.zeros((A.shape[0], B.shape[1], d), dtype=np.int64)
-        for s in range(2 * d - 1):
-            i = min(s, d - 1)
-            j = s - i
-            vec = self.fold[i, j]
-            out += raw[s][..., None] * vec
-        return out % p
+        return self.matmul_op(A, self.operand(B))
 
     # -- row reduction ---------------------------------------------------------
 
@@ -144,7 +161,8 @@ class KOps:
                     update = factors[:, 0:1] * R[r][None, :, 0]
                     R[..., 0] = (R[..., 0] - update) % self.p
                 else:
-                    update = self.mul(factors[:, None, :], R[r][None, :, :])
+                    # the rank-1 update as a matrix product of inner length d
+                    update = self.matmul_op(factors[:, None, :], self.operand(R[r][None]))
                     R = (R - update) % self.p
             pivots.append(c)
             r += 1

@@ -17,6 +17,7 @@ import pytest
 
 from mschemes import assoc, cli, factor, mscheme
 from mschemes.gf import Poly, field_ctx, is_prime
+from mschemes.levels import build_levels
 
 PRIMES_97 = [p for p in range(2, 98) if is_prime(p)]
 
@@ -282,11 +283,19 @@ def test_criterion_11_split_hand_case():
     t0 = time.time()
     failures = []
     ctx = field_ctx(7, 1)
-    res = factor.split_by_automorphism(Poly(ctx, [-1, 0, 1]), np.array([[1, 0], [0, 6]]), 2)
+    f = Poly(ctx, [-1, 0, 1])
+    sigma = np.array([[1, 0], [0, 6]])
+    res = factor.split_by_automorphism(f, sigma, 2)
+    # f splits, so the exponent is 7 - 1; the universal exponent for
+    # residue degrees <= 2 must give the same vector
+    alg = build_levels(f, 1, factor.DIM_CAP)[0]
+    universal = factor._split_ideal(alg, alg.ops.eye(2), range(2), alg.identity(), sigma[..., None], 2, 2)
     if not isinstance(res, factor.ZeroDivisor):
         failures.append("no zero divisor")
     elif not np.array_equal(res.vec, np.array([[6], [1]], dtype=np.int64)):
         failures.append(f"got {res.vec.tolist()}")
+    elif not np.array_equal(universal.vec, res.vec):
+        failures.append("split and universal exponents disagree")
     _report(11, "x -> -x on F_7[x]/(x^2-1) yields exactly x - 1", failures, time.time() - t0, 10)
 
 

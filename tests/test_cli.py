@@ -45,6 +45,32 @@ def test_factor_smoothness_bound_below_two(capsys):
     assert payload["error"] == "ValueError"
 
 
+def test_factor_negative_coefficient_extension(capsys):
+    # x^2 - 1 over F_25: -1 is minus the element 1, not the element of index 24
+    code, payload = run_cli(capsys, ["factor", "--p", "5", "--d", "2", "--poly=-1,0,1"])
+    assert code == 0
+    assert payload["factor"] == [4, 1]  # x - 1
+
+
+# (x-2)(x-3)(x-5) up to m = 3: the longest int64 sum has 15 residue products,
+# so p is refused once 15 (p-1)^2 >= 2^63, i.e. p - 1 > 784150157
+BOUNDARY_POLY = "--poly=-30,31,-10,1"
+
+
+def test_factor_prime_below_int64_bound(capsys):
+    p = 784150117
+    code, payload = run_cli(capsys, ["factor", "--p", str(p), BOUNDARY_POLY, "--m", "3"])
+    assert code == 0
+    assert payload["factor"] == [p - 2, 1]  # x - 2
+
+
+def test_factor_prime_beyond_int64_bound_exit_code(capsys):
+    for p in (784150261, 4294967311):
+        code, payload = run_cli(capsys, ["factor", "--p", str(p), BOUNDARY_POLY, "--m", "3"])
+        assert code == 4
+        assert payload["error"] == "PrimeTooLarge"
+
+
 def test_factor_stuck_exit_code(capsys):
     # degree-5 stuck-at-m=2 case over F_11
     code, payload = run_cli(capsys, ["factor", "--p", "11", "--poly", "0,1,4,8,8,1", "--m", "2"])

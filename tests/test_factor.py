@@ -182,6 +182,9 @@ def test_split_by_automorphism_in_extension():
     z = Poly(ctx, [int(v) for v in res.vec[:, 0]])
     values = {z(r).index for r in roots}
     assert values == {0, 1}
+    # f splits, so the exponent is 7^4 - 1; the universal one for degree-5
+    # residue fields gave this same vector
+    assert res.vec[:, 0].tolist() == [1, 3, 4, 2, 5]
 
 
 # -- the pipeline --------------------------------------------------------------

@@ -229,3 +229,13 @@ def test_poly_text_roundtrip():
     assert poly_to_text(f) == "6,0,0,1"
     g = poly_from_text(ctx, "-1,0,0,1")  # negatives reduced mod p
     assert g == f
+
+
+def test_poly_text_negative_over_extension():
+    # over F_25 a nonnegative int is an element index, and -c is minus element c
+    ctx = field_ctx(5, 2)
+    f = poly_from_text(ctx, "-1,0,1")
+    assert f.coeffs[0].coeffs == (4, 0)
+    assert f == Poly(ctx, [-ctx.one(), 0, 1])
+    assert poly_from_text(ctx, "-7,0,1").coeffs[0] == -ctx.elem(7)
+    assert poly_from_text(ctx, "24,0,1").coeffs[0].coeffs == (4, 4)

@@ -1,6 +1,9 @@
 import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mschemes.factor import _eval_vec, _monomial_values
 from mschemes.gf import Poly, field_ctx
 from mschemes.levels import build_levels
 
@@ -75,8 +78,8 @@ def test_mult_batch_matches_mult():
     got = lv.mult_batch(rows, v)
     for i in range(10):
         assert np.array_equal(got[i], lv.mult(rows[i], v))
-    # force the matrix path by lowering the batch threshold indirectly:
-    assert lv.reduction_matrix() is not None or lv.dim < 64
+    # this dim-60 level has R, so both sides are the matrix path
+    assert lv.reduction_matrix() is not None
 
 
 def test_identity_and_power():
@@ -166,3 +169,79 @@ def test_rel_trace_level3():
             if extra not in base:
                 total = total + evaluate(lv3, u, base + (extra,), roots)
         assert evaluate(lv2, tr, base, roots) == total
+
+
+# -- the level kernel against evaluation at explicit roots ---------------------
+
+
+def check_kernel(roots, levels, seed):
+    """mult, mult_batch, apply_perm, embed_from_below and rel_trace_last of
+    the top level commute with evaluation at every essential tuple."""
+    lv = levels[-1]
+    ops, n, s = lv.ops, len(roots), lv.s
+    tuples = np.array(essential_tuples(n, s), dtype=np.int64).reshape(-1, s)
+    where = {tuple(tup): i for i, tup in enumerate(tuples.tolist())}
+
+    def values(level, vec):
+        tups = np.array(essential_tuples(n, level.s), dtype=np.int64).reshape(-1, level.s)
+        return _eval_vec(level, _monomial_values(level, roots, tups), vec)
+
+    u, v = rand_vec(lv, seed), rand_vec(lv, seed + 1)
+    eu, ev = values(lv, u), values(lv, v)
+    assert np.array_equal(values(lv, lv.mult(u, v)), ops.mul(eu, ev))
+    rows = np.stack([rand_vec(lv, seed + 2 + i) for i in range(3)])
+    batch = lv.mult_batch(rows, v)
+    for row, got in zip(rows, batch):
+        assert np.array_equal(values(lv, got), ops.mul(values(lv, row), ev))
+    for tau in itertools.permutations(range(s)):
+        moved = values(lv, lv.apply_perm(tau, u))
+        for i, tup in enumerate(tuples.tolist()):
+            assert np.array_equal(moved[where[tuple(tup[k] for k in tau)]], eu[i])
+    if s == 1:
+        return
+    below = levels[-2]
+    a = rand_vec(below, seed + 5)
+    ea = values(below, a)
+    below_at = {tup: i for i, tup in enumerate(essential_tuples(n, s - 1))}
+    for j in range(1, s + 1):
+        emb = values(lv, lv.embed_from_below(below, j, a))
+        for i, tup in enumerate(tuples.tolist()):
+            assert np.array_equal(emb[i], ea[below_at[tuple(tup[:j - 1] + tup[j:])]])
+    tr = values(below, lv.rel_trace_last(below, u))
+    sums = np.zeros_like(tr)
+    for i, tup in enumerate(tuples.tolist()):
+        sums[below_at[tuple(tup[:-1])]] += eu[i]
+    assert np.array_equal(tr, sums % ops.p)
+
+
+@st.composite
+def kernel_cases(draw):
+    # 100000007 is past the float64 range, so its levels have no R
+    p, d = draw(st.sampled_from([(5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2), (100000007, 1)]))
+    n = draw(st.integers(2, 5))
+    s = draw(st.integers(1, min(n, 3)))
+    roots = draw(st.lists(st.integers(0, p**d - 1), min_size=n, max_size=n, unique=True))
+    return p, d, roots, s, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kernel_cases())
+def test_kernel_matches_pointwise(case):
+    p, d, root_ints, s, seed = case
+    _, roots, levels = make_levels(p, root_ints, s, d)
+    assert all(lv.has_matrix == (p < 10**8) for lv in levels)
+    check_kernel(roots, levels, seed)
+
+
+def test_kernel_matches_pointwise_past_float64():
+    # (p-1)^2 > 2^53: no level may take the float64 R path, and the int64
+    # division path must still be exact
+    ctx, roots, levels = make_levels(100000007, [3, 10**7, 5 * 10**7, 10**8], 3)
+    assert all(lv.reduction_matrix() is None for lv in levels)
+    lv = levels[2]
+    u = rand_vec(lv, 1)
+    tup = (0, 3, 1)
+    vals = _eval_vec(lv, _monomial_values(lv, roots, np.array([tup])), u)
+    assert ctx.elem([int(x) for x in vals[0]]) == evaluate(lv, u, tup, roots)
+    for s in range(1, 4):
+        check_kernel(roots, levels[:s], 7 * s)
