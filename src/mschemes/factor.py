@@ -304,7 +304,9 @@ def _split_char_order(ops: _Ops, basis, pivots, e_B, sigma_mat):
     rhs = _coords_in(kops, F, fpiv, (-u) % p).reshape(-1)[..., None]
     x = pops.solve_right(A_fp, rhs)
     if x is None:
-        raise InvalidSystem("Artin-Schreier system must be solvable")
+        # no w in F with w^p - w = -u, as on the field F_p[x]/(x^p - x - 1):
+        # z generates a degree-p extension of F there, not a zero divisor
+        return NoSplit()
     w = np.zeros_like(e_B)
     xi = 0
     for a in range(dimF):

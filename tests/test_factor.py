@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -185,6 +186,38 @@ def test_split_by_automorphism_in_extension():
     # f splits, so the exponent is 7^4 - 1; the universal one for degree-5
     # residue fields gave this same vector
     assert res.vec[:, 0].tolist() == [1, 3, 4, 2, 5]
+
+
+def shift_matrix(p):
+    """sigma: x -> x + 1 on k[x]/(f) for deg f = p: row i is (x + 1)^i."""
+    return np.array([[math.comb(i, k) % p for k in range(p)] for i in range(p)])
+
+
+def test_split_by_automorphism_artin_schreier():
+    # r = p = 5: x -> x + 1 cycles the roots 0..4 of x^5 - x, and the
+    # Artin-Schreier solve gives x, which vanishes at exactly one root
+    ctx = field_ctx(5, 1)
+    res = split_by_automorphism(poly_of(ctx, [0, -1, 0, 0, 0, 1]), shift_matrix(5), 5)
+    assert isinstance(res, ZeroDivisor)
+    assert res.vec[:, 0].tolist() == [0, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_split_by_automorphism_artin_schreier_field_nosplit(p):
+    # F_p[x]/(x^p - x - 1) is a field, so x -> x + 1 has no zero divisor
+    ctx = field_ctx(p, 1)
+    res = split_by_automorphism(poly_of(ctx, [-1, -1] + [0] * (p - 2) + [1]), shift_matrix(p), p)
+    assert isinstance(res, NoSplit)
+
+
+def test_iks_factor_matching_in_characteristic():
+    # x^3 - x over F_3: the matching's automorphism has order r = 3 = p
+    res = iks_factor(poly_of(field_ctx(3, 1), [0, -1, 0, 1]), 2)
+    assert isinstance(res, Factor)
+    assert res.g.int_coeffs() == [0, 1]
+    events = res.log[0]["events"]
+    assert [e["rule"] for e in events] == ["R5", "matching", "R4"]
+    assert events[1]["r"] == 3 and events[2]["factor"] == [0, 1]
 
 
 # -- the pipeline --------------------------------------------------------------
