@@ -24,11 +24,11 @@ EXIT_CONJECTURE = 5
 LINNIK_SCAN_CONSTANT = 10
 
 
-def linnik_p1s(s: int, scan_constant: int = LINNIK_SCAN_CONSTANT) -> int:
+def linnik_p1s(s: int) -> int:
     """Least prime congruent to 1 mod s, by incremental scan (cap c*s^2)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    cap = scan_constant * s * s
+    cap = LINNIK_SCAN_CONSTANT * s * s
     n = 1
     while True:
         n += s

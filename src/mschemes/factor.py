@@ -10,13 +10,24 @@ matchings (a certified stuck state).
 Every ideal is tracked by its support idempotent plus a reduced-row-echelon
 basis, so dimensions are exact and all splits are deterministic.  Zero
 divisors are converted to idempotents by powering with |k|-1, which is exact
-on split algebras.  The public automorphism splitter runs the same engine
-and the same extend-scalars-and-descend path on level 1 of any f, and
-handles non-split inputs through a universal exponent.
+on split algebras.
+
+Each split is one move: find a zero divisor inside an ideal with idempotent
+e, then split along its support idempotent.  The zero-divisor engine does
+this for an automorphism of prime order r: through an eigenvector when r
+divides |k|-1, through an Artin-Schreier solve when r = char k, and after
+adjoining the r-th roots of unity (then descending the idempotent)
+otherwise.  One scan (`_scan_scalars`) makes the recurring test of that
+move, whether some val - c*e has a support idempotent properly inside e,
+for R2's fibre counts, the engine's root-of-unity checks and its AMM
+r-th-root digits.  The public automorphism splitter runs the same engine on
+level 1 of any squarefree f, and handles non-split inputs through a
+universal exponent.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -36,6 +47,7 @@ from .gf import (
     is_prime,
     is_split_squarefree,
     lift_poly,
+    multiplicative_order,
     poly_gcd,
     smooth_divisor,
 )
@@ -100,53 +112,42 @@ class ZeroDivisor:
     vec: np.ndarray
 
 
-class _Ops:
-    """Element operations of the splitting engine, local to one ideal: the
-    unit is the ideal's idempotent, so powers and comparisons are
-    componentwise on its support only."""
-
-    def __init__(self, alg: LevelAlgebra, unit, idem_exponent: int):
-        self.alg = alg
-        self.ctx = alg.ctx
-        self.kops = alg.ops
-        self.mult = alg.mult
-        self.identity = unit
-        self.idem_exponent = idem_exponent
-
-    def power(self, u, e: int):
-        return self.alg.power(u, e, self.identity)
-
-    def idem(self, z):
-        return self.power(z, self.idem_exponent)
-
-    def scale(self, u, elem):
-        s = self.kops.scalar(elem)
-        return self.kops.mul(u, np.broadcast_to(s, u.shape))
-
-    @staticmethod
-    def eq(u, v):
-        return np.array_equal(u, v)
-
-    def is_zero(self, u):
-        return not u.any()
+# The engine works inside one ideal of a level: its idempotent e_B is the
+# unit of every power, and `exponent` turns an element into its support
+# idempotent (z^exponent, see _universal_exponent).
 
 
-def _coords_in(kops, basis, pivots, vec):
-    return vec[pivots]
+def _scan_scalars(alg: LevelAlgebra, val, e_B, exponent: int, scalars):
+    """First scalar c, in the order given, at which val - c*e_B vanishes or
+    has a support idempotent properly inside e_B.
+
+    Returns (i, diff, e) for the i-th scalar, with e None when diff = 0, or
+    None when every difference has support exactly e_B.
+    """
+    kops = alg.ops
+    for i, c in enumerate(scalars):
+        diff = (val - kops.scalar_mul(kops.scalar(c), e_B)) % kops.p
+        if not diff.any():
+            return i, diff, None
+        e = alg.power(diff, exponent, e_B)
+        if e.any() and not np.array_equal(e, e_B):
+            return i, diff, e
+    return None
 
 
-def _from_coords(kops, basis, coords):
-    out = np.zeros(basis.shape[1:], dtype=np.int64)
-    for i in range(basis.shape[0]):
-        if coords[i].any():
-            out = (out + kops.mul(np.broadcast_to(coords[i], basis[i].shape), basis[i])) % kops.p
-    return out
+def _powers(x, r: int):
+    """1, x, ..., x^(r-1) for a FieldElem x."""
+    acc = x.ctx.one()
+    for _ in range(r):
+        yield acc
+        acc = acc * x
 
 
-def _algebra_amm(ops: _Ops, u, r: int):
-    """r-th root of u over the algebra; ('root', y) or ('zerodiv', z) or
-    ('opaque', None) when values escape the scalar Sylow tower."""
-    ctx = ops.ctx
+def _algebra_amm(alg: LevelAlgebra, e_B, exponent: int, u, r: int):
+    """r-th root of u over the algebra: the root, or ZeroDivisor when a
+    digit test splits e_B, or NoSplit when values escape the scalar Sylow
+    tower."""
+    ctx, kops = alg.ctx, alg.ops
     q1 = ctx.order - 1
     t, s = 0, q1
     while s % r == 0:
@@ -156,169 +157,110 @@ def _algebra_amm(ops: _Ops, u, r: int):
     h = g**s
     omega = h ** (r ** (t - 1))
     alpha = pow(r, -1, s)
-    x = ops.power(u, alpha)
-    c = ops.power(u, (1 - r * alpha) % q1)
+    x = alg.power(u, alpha, e_B)
+    cc = alg.power(u, (1 - r * alpha) % q1, e_B)
     e_val = 0
-    cc = c
     for i in range(t):
-        val = ops.power(cc, r ** (t - 1 - i))
-        digit = None
-        w = ctx.one()
-        for cand in range(r):
-            diff = (val - ops.scale(ops.identity, w)) % ops.kops.p
-            if ops.is_zero(diff):
-                digit = cand
-                break
-            e_d = ops.idem(diff)
-            if not ops.eq(e_d, ops.identity) and e_d.any():
-                return ("zerodiv", diff)
-            w = w * omega
-        if digit is None:
-            return ("opaque", None)
+        val = alg.power(cc, r ** (t - 1 - i), e_B)
+        hit = _scan_scalars(alg, val, e_B, exponent, _powers(omega, r))
+        if hit is None:
+            return NoSplit()
+        digit, diff, e = hit
+        if e is not None:
+            return ZeroDivisor(diff)
         e_val += digit * r**i
         if digit:
-            cc = ops.scale(cc, h ** ((-digit * r**i) % q1))
+            cc = kops.scalar_mul(kops.scalar(h ** ((-digit * r**i) % q1)), cc)
     if e_val % r:
-        return ("opaque", None)
-    y = ops.scale(x, h ** (e_val // r))
-    return ("root", y)
+        return NoSplit()
+    return kops.scalar_mul(kops.scalar(h ** (e_val // r)), x)
 
 
-def _split_with_automorphism(ops: _Ops, basis, pivots, e_B, sigma_mat, r: int):
+def _split_with_automorphism(alg: LevelAlgebra, basis, pivots, e_B, exponent: int, sigma_mat, r: int):
     """Deterministic zero-divisor search for a prime-order automorphism.
 
     Eigenspace route when r | Q-1, additive (Artin-Schreier) route when
     r = char; returns ZeroDivisor or NoSplit.
     """
-    kops = ops.kops
-    ctx = ops.ctx
+    kops, ctx = alg.ops, alg.ctx
     dim = basis.shape[0]
     if kops.mat_eq(sigma_mat, kops.eye(dim)):
         raise TrivialAutomorphism("automorphism is the identity")
     if r == ctx.p:
-        return _split_char_order(ops, basis, pivots, e_B, sigma_mat)
+        return _split_char_order(alg, basis, pivots, e_B, exponent, sigma_mat)
     if (ctx.order - 1) % r != 0:
         raise MissingRootOfUnity(f"{r}-th roots of unity missing from the field")
     zeta = find_nonresidue(r, ctx) ** ((ctx.order - 1) // r)
     z = None
     for j in range(1, r):
-        lam = zeta**j
-        M = (sigma_mat - kops.scalar_mul(np.array(lam.coeffs, dtype=np.int64), kops.eye(dim))) % kops.p
+        M = (sigma_mat - kops.scalar_mul(kops.scalar(zeta**j), kops.eye(dim))) % kops.p
         ker = kops.nullspace(np.swapaxes(M, 0, 1))
         if ker.shape[0]:
-            z = _from_coords(kops, basis, ker[0])
+            z = kops.matmul(ker[:1], basis)[0]
             break
     if z is None:
         raise TrivialAutomorphism("no nontrivial eigenspace")
-    e_z = ops.idem(z)
-    if not ops.eq(e_z, e_B):
+    e_z = alg.power(z, exponent, e_B)
+    if not np.array_equal(e_z, e_B):
         return ZeroDivisor((e_B - e_z) % kops.p)
-    u = ops.power(z, r)
-    v_chk = ops.power(u, (ctx.order - 1) // r)
-    if not ops.eq(v_chk, e_B):
-        w = ctx.one()
-        for _ in range(r):
-            diff = (v_chk - ops.scale(e_B, w)) % kops.p
-            if ops.is_zero(diff):
-                return NoSplit()
-            e_d = ops.idem(diff)
-            if not ops.eq(e_d, e_B) and e_d.any():
-                return ZeroDivisor(diff)
-            w = w * zeta
-        return NoSplit()
-    kind, payload = _algebra_amm(ops, u, r)
-    if kind == "zerodiv":
-        return ZeroDivisor(payload)
-    if kind == "opaque":
-        return NoSplit()
-    y = payload
-    w_elem = ops.mult(y, ops.power(z, ops.idem_exponent - 1))
-    wp = ctx.one()
-    for _ in range(r):
-        diff = (w_elem - ops.scale(e_B, wp)) % kops.p
-        if ops.is_zero(diff):
-            return NoSplit()
-        e_d = ops.idem(diff)
-        if not ops.eq(e_d, e_B) and e_d.any():
-            return ZeroDivisor(diff)
-        wp = wp * zeta
-    raise RuntimeError("w is an r-th root of unity; some factor must be singular")
+    u = alg.power(z, r, e_B)
+    v_chk = alg.power(u, (ctx.order - 1) // r, e_B)
+    if not np.array_equal(v_chk, e_B):
+        hit = _scan_scalars(alg, v_chk, e_B, exponent, _powers(zeta, r))
+        return NoSplit() if hit is None or hit[2] is None else ZeroDivisor(hit[1])
+    y = _algebra_amm(alg, e_B, exponent, u, r)
+    if not isinstance(y, np.ndarray):
+        return y
+    w_elem = alg.mult(y, alg.power(z, exponent - 1, e_B))
+    hit = _scan_scalars(alg, w_elem, e_B, exponent, _powers(zeta, r))
+    if hit is None:
+        raise RuntimeError("w is an r-th root of unity; some factor must be singular")
+    return NoSplit() if hit[2] is None else ZeroDivisor(hit[1])
 
 
-def _split_char_order(ops: _Ops, basis, pivots, e_B, sigma_mat):
+def _split_char_order(alg: LevelAlgebra, basis, pivots, e_B, exponent: int, sigma_mat):
     """Order-p automorphism in characteristic p: either the fixed/moved
     support splits, or an Artin-Schreier solve produces an element with
     values 0..p-1 along every orbit."""
-    kops = ops.kops
-    ctx = ops.ctx
-    p = ctx.p
+    kops = alg.ops
+    p = alg.ctx.p
     dim = basis.shape[0]
-
-    def apply_sigma(vec):
-        coords = _coords_in(kops, basis, pivots, vec)
-        img = kops.matmul(coords[None, :, :], sigma_mat)[0]
-        return _from_coords(kops, basis, img)
-
+    # row i of sigma_mat @ basis is sigma(basis[i]); the caller has ruled
+    # out sigma = 1, so some row moves
     acc = e_B.copy()
-    moved_any = False
-    for i in range(dim):
-        d_elem = (apply_sigma(basis[i]) - basis[i]) % kops.p
-        if ops.is_zero(d_elem):
+    for d_elem in (kops.matmul(sigma_mat, basis) - basis) % p:
+        if not d_elem.any():
             continue
-        moved_any = True
-        e_i = ops.idem(d_elem)
-        acc = ops.mult(acc, (e_B - e_i) % kops.p)
-        if ops.is_zero(acc):
+        acc = alg.mult(acc, (e_B - alg.power(d_elem, exponent, e_B)) % p)
+        if not acc.any():
             break
-    if not moved_any:
-        raise TrivialAutomorphism("automorphism is the identity")
-    moved = (e_B - acc) % kops.p
-    if not ops.eq(moved, e_B):
+    moved = (e_B - acc) % p
+    if not np.array_equal(moved, e_B):
         return ZeroDivisor(moved)
     # solve (sigma - 1) z = e_B in coordinates
-    M = (sigma_mat - kops.eye(dim)) % kops.p
-    e_co = _coords_in(kops, basis, pivots, e_B)
-    sol = kops.solve_right(np.swapaxes(M, 0, 1), e_co)
+    M = np.swapaxes((sigma_mat - kops.eye(dim)) % p, 0, 1)
+    sol = kops.solve_right(M, e_B[pivots])
     if sol is None:
         raise InvalidSystem("sigma - 1 must reach the identity on moved support")
-    z = _from_coords(kops, basis, sol)
-    u = (ops.power(z, p) - z) % kops.p
-    # fixed subalgebra F = ker(sigma - 1), as rows in ambient coordinates
-    kerF = kops.nullspace(np.swapaxes(M, 0, 1))
-    F = np.stack([_from_coords(kops, basis, kerF[i]) for i in range(kerF.shape[0])])
-    F, fpiv = kops.rref(F)
-    dimF = F.shape[0]
-    d = kops.d
+    z = kops.matmul(sol[None], basis)[0]
+    u = (alg.power(z, p, e_B) - z) % p
+    # fixed subalgebra F = ker(sigma - 1), as rows in ambient coordinates,
+    # and its F_p-basis theta^t * F[a], (a, t) in C order
+    F, fpiv = kops.rref(kops.matmul(kops.nullspace(M), basis))
+    els = kops.mul(F[:, None], kops.theta[None, : kops.d, None]).reshape((-1,) + e_B.shape)
     # Frobenius-minus-identity as an F_p-linear map on F
-    pops = KOps(field_ctx(p, 1))
-    cols = []
-    for a in range(dimF):
-        for t in range(d):
-            theta_t = [0] * d
-            theta_t[t] = 1
-            el = ops.scale(F[a], ctx.elem(theta_t))
-            img = (ops.power(el, p) - el) % p
-            co = _coords_in(kops, F, fpiv, img)  # (dimF, d)
-            cols.append(co.reshape(-1))
+    cols = [((alg.power(el, p, e_B) - el) % p)[fpiv].reshape(-1) for el in els]
     A_fp = np.stack(cols, axis=1)[..., None]  # (dimF*d, dimF*d, 1)
-    rhs = _coords_in(kops, F, fpiv, (-u) % p).reshape(-1)[..., None]
-    x = pops.solve_right(A_fp, rhs)
+    rhs = ((-u) % p)[fpiv].reshape(-1)[..., None]
+    x = KOps(field_ctx(p, 1)).solve_right(A_fp, rhs)
     if x is None:
         # no w in F with w^p - w = -u, as on the field F_p[x]/(x^p - x - 1):
         # z generates a degree-p extension of F there, not a zero divisor
         return NoSplit()
-    w = np.zeros_like(e_B)
-    xi = 0
-    for a in range(dimF):
-        for t in range(d):
-            if x[xi, 0]:
-                theta_t = [0] * d
-                theta_t[t] = 1
-                w = (w + int(x[xi, 0]) * ops.scale(F[a], ctx.elem(theta_t))) % p
-            xi += 1
+    w = (x[:, 0] @ els.reshape(len(els), -1)).reshape(e_B.shape) % p
     z2 = (z + w) % p
-    e2 = ops.idem(z2)
-    if ops.eq(e2, e_B) or ops.is_zero(e2):
+    e2 = alg.power(z2, exponent, e_B)
+    if np.array_equal(e2, e_B) or not e2.any():
         raise InvalidSystem("Artin-Schreier element must vanish once per orbit")
     return ZeroDivisor(z2)
 
@@ -339,30 +281,21 @@ def _split_in_extension(f: Poly, s: int, basis, pivots, idem, sigma_mat, r: int,
     the base field (1 when f splits), which fixes the idempotent exponent.
     """
     ctx = f.ctx
-    ord_t = 1
-    acc = ctx.order % r
-    while acc != 1:
-        acc = acc * ctx.order % r
-        ord_t += 1
-    K = field_ctx(ctx.p, ctx.d * ord_t)
+    K = field_ctx(ctx.p, ctx.d * multiplicative_order(ctx.order, r))
     algK = build_levels(lift_poly(f, K), s, dim_cap=DIM_CAP)[s - 1]
     emb = embed_field(ctx, K)
-    # embedding on digit vectors is F_p-linear: build the (d, dK) matrix
-    E = np.zeros((ctx.d, K.d), dtype=np.int64)
-    for i in range(ctx.d):
-        basis_el = [0] * ctx.d
-        basis_el[i] = 1
-        E[i] = np.array(emb(ctx.elem(basis_el)).coeffs, dtype=np.int64)
+    # embedding on digit vectors is F_p-linear: row i of E is the image of theta^i
+    E = np.array([emb(ctx.elem([0] * i + [1])).coeffs for i in range(ctx.d)], dtype=np.int64)
 
     def lift_vec(v):
         return (v.astype(np.int64) @ E) % ctx.p
 
     idemK = lift_vec(idem)
-    opsK = _Ops(algK, idemK, _universal_exponent(K, t))
-    res = _split_with_automorphism(opsK, lift_vec(basis), list(pivots), idemK, lift_vec(sigma_mat), r)
+    exponent = _universal_exponent(K, t)
+    res = _split_with_automorphism(algK, lift_vec(basis), list(pivots), idemK, exponent, lift_vec(sigma_mat), r)
     if isinstance(res, NoSplit):
         return res
-    eK = opsK.idem(res.vec)
+    eK = algK.power(res.vec, exponent, idemK)
     # e has 0/1 component values, so its digit vectors lie in the image of E
     pops = KOps(field_ctx(ctx.p, 1))
     sol = pops.solve_right_many(E.T[..., None], eK.reshape(-1, K.d).T[..., None])
@@ -377,9 +310,9 @@ def _split_in_extension(f: Poly, s: int, basis, pivots, idem, sigma_mat, r: int,
 def _split_ideal(alg: LevelAlgebra, basis, pivots, idem, sigma_mat, r: int, t: int):
     """Split an ideal of a level under sigma, extending scalars when the
     r-th roots of unity are missing; t as in _split_in_extension."""
-    ops = _Ops(alg, idem, _universal_exponent(alg.ctx, t))
+    exponent = _universal_exponent(alg.ctx, t)
     try:
-        return _split_with_automorphism(ops, basis, list(pivots), idem, sigma_mat, r)
+        return _split_with_automorphism(alg, basis, list(pivots), idem, exponent, sigma_mat, r)
     except MissingRootOfUnity:
         return _split_in_extension(alg.f, alg.s, basis, pivots, idem, sigma_mat, r, t)
 
@@ -463,17 +396,7 @@ class IdealSystem:
     ordered refinement log.  Refinement returns new systems sharing the
     immutable per-level machinery."""
 
-    def __init__(self, f: Poly, m: int, dim_cap: int = DIM_CAP, _clone=None):
-        if _clone is not None:
-            other = _clone
-            self.f = other.f
-            self.ctx = other.ctx
-            self.m = other.m
-            self.algebras = other.algebras
-            self.levels = {s: list(other.levels[s]) for s in other.levels}
-            self.log = list(other.log)
-            self.shared = other.shared
-            return
+    def __init__(self, f: Poly, m: int, dim_cap: int = DIM_CAP):
         if not f.is_monic():
             f = f.monic()
         if not is_split_squarefree(f):
@@ -496,7 +419,10 @@ class IdealSystem:
             self.levels[s] = [ideal]
 
     def clone(self):
-        return IdealSystem(self.f, self.m, _clone=self)
+        new = copy.copy(self)
+        new.levels = {s: list(ideals) for s, ideals in self.levels.items()}
+        new.log = list(self.log)
+        return new
 
     def algebra(self, s: int) -> LevelAlgebra:
         return self.algebras[s - 1]
@@ -617,6 +543,7 @@ def _rule_r1(sys: IdealSystem):
 def _rule_r2(sys: IdealSystem):
     checks = sys.shared["checks"]
     n = sys.f.degree
+    exponent = sys.ctx.order - 1  # support idempotents of a split level
     for s in range(2, sys.m + 1):
         below_alg = sys.algebra(s - 1)
         for ip, here in enumerate(sys.levels[s]):
@@ -627,19 +554,12 @@ def _rule_r2(sys: IdealSystem):
                     if key in checks:
                         continue
                     t_elem = below_alg.mult(tr, below.idem)
-                    split_u = None
-                    for c in range(min(n, sys.ctx.p - 1) + 1):
-                        diff = (t_elem - c * below.idem) % below_alg.ops.p
-                        if not diff.any():
-                            break  # constant fibre count c
-                        e_d = below_alg.idempotent_of(diff)
-                        if np.array_equal(e_d, below.idem):
-                            continue  # c is not a value of the fibre count
-                        split_u = (below.idem - e_d) % below_alg.ops.p
-                        break
-                    if split_u is None:
+                    hit = _scan_scalars(below_alg, t_elem, below.idem, exponent, range(min(n, sys.ctx.p - 1) + 1))
+                    if hit is None or hit[2] is None:
+                        # a constant fibre count, or one taking no value 0..n
                         checks[key] = True
                         continue
+                    split_u = (below.idem - hit[2]) % below_alg.ops.p
                     return sys._split(s - 1, i, split_u, "R2", {"here": ip, "j": j})
     return NoChange()
 
@@ -666,6 +586,10 @@ def _rule_r3(sys: IdealSystem):
                         return sys._split(s, ip, u, "R3", {"tau": list(tau), "source": i})
                 raise InvalidSystem("tau-image must overlap some ideal properly")
     return NoChange()
+
+
+def _least_prime_divisor(n: int) -> int:
+    return next(q for q in range(2, n + 1) if n % q == 0)
 
 
 def _perm_order(tau: tuple) -> int:
@@ -730,7 +654,7 @@ def _rule_r5(sys: IdealSystem):
                     checks[key] = True
                     continue
                 order = _perm_order(tau)
-                r = min(p for p in range(2, order + 1) if order % p == 0 and is_prime(p))
+                r = _least_prime_divisor(order)
                 sig_perm = _perm_power(tau, order // r)
                 sigma = _sigma_matrix_from_perm(sys, here, sig_perm)
                 return _split_level_ideal(sys, s, i, sigma, r, "R5", {"tau": list(tau), "r": r})
@@ -829,19 +753,15 @@ def matching_refinement(sys: IdealSystem, m: _mscheme.Matching):
     psi = np.swapaxes(psi, 0, 1)  # rows: psi(basis_i) in below-coordinates
     if kops.mat_eq(psi, kops.eye(below.dim)):
         raise TrivialAutomorphism("matching induced the identity map")
-    order = 1
-    acc = psi
-    while not kops.mat_eq(acc, kops.eye(below.dim)):
-        acc = kops.matmul(acc, psi)
-        order += 1
-        if order > ORDER_CAP:
+    powers = [psi]  # psi^1 .. psi^order
+    while not kops.mat_eq(powers[-1], kops.eye(below.dim)):
+        if len(powers) >= ORDER_CAP:
             raise InvalidSystem("automorphism order exceeds cap")
-    r = min(q for q in range(2, order + 1) if order % q == 0 and is_prime(q))
-    acc = kops.eye(below.dim)
-    for _ in range(order // r):
-        acc = kops.matmul(acc, psi)
+        powers.append(kops.matmul(powers[-1], psi))
+    order = len(powers)
+    r = _least_prime_divisor(order)
     res = _split_level_ideal(
-        sys, s - k, l1, acc, r, "matching",
+        sys, s - k, l1, powers[order // r - 1], r, "matching",
         {"matching_level": s, "matching_ideal": m.color, "drop_i": list(m.drop_i), "drop_j": list(m.drop_j), "r": r},
     )
     new_sys = res.system

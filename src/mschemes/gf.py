@@ -6,8 +6,8 @@ choice in this package is taken in ascending canonical-index order, so all
 operations are deterministic.  Moduli for extension fields are the first
 irreducible monic polynomial in that same order.
 
-Fields here are deliberately small (the magnitude cap defaults to 2**63-1
-but practical use stays far below); nothing in this module allocates
+Fields here are deliberately small (the magnitude cap is 2**63-1 but
+practical use stays far below); nothing in this module allocates
 per-field tables, so contexts are cheap and immutable.
 """
 
@@ -91,17 +91,6 @@ def _poly_trim(cs):
     return cs
 
 
-def _poly_mul_mod_p(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_divmod_mod_p(a, b, p):
     a = list(a)
     db, da = len(b) - 1, len(a) - 1
@@ -148,7 +137,7 @@ class FieldCtx:
     arithmetic mod p.
     """
 
-    __slots__ = ("p", "d", "order", "modulus", "_red_rows")
+    __slots__ = ("p", "d", "order", "modulus", "red_rows")
 
     def __init__(self, p, d, modulus):
         self.p = p
@@ -166,7 +155,7 @@ class FieldCtx:
                 if top:
                     cur = [(c - top * m) % p for c, m in zip(cur, modulus[:-1])]
                 rows.append(tuple(cur))
-        self._red_rows = tuple(rows)
+        self.red_rows = tuple(rows)
 
     def zero(self):
         return FieldElem(self, (0,) * self.d)
@@ -264,7 +253,7 @@ class FieldElem:
                 for j, b in enumerate(other.coeffs):
                     prod[i + j] = (prod[i + j] + a * b) % p
         out = list(prod[:d])
-        for i, row in enumerate(ctx._red_rows):
+        for i, row in enumerate(ctx.red_rows):
             c = prod[d + i]
             if c:
                 for j, r in enumerate(row):
@@ -309,14 +298,14 @@ class FieldElem:
 
 
 @lru_cache(maxsize=None)
-def field_ctx(p: int, d: int, magnitude_cap: int = MAGNITUDE_CAP) -> FieldCtx:
+def field_ctx(p: int, d: int) -> FieldCtx:
     """Context for F_{p^d} with the canonical (first irreducible) modulus."""
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if d < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**d > magnitude_cap:
-        raise Overflow(f"p^d = {p**d} exceeds magnitude cap {magnitude_cap}")
+    if p**d > MAGNITUDE_CAP:
+        raise Overflow(f"p^d = {p**d} exceeds magnitude cap {MAGNITUDE_CAP}")
     if d == 1:
         return FieldCtx(p, 1, (0, 1))
     for idx in range(p**d):
@@ -441,10 +430,6 @@ class Poly:
         return f"Poly({self.int_coeffs()} over F_{self.ctx.p}^{self.ctx.d})"
 
 
-def poly(ctx, coeffs) -> Poly:
-    return Poly(ctx, coeffs)
-
-
 def poly_from_text(ctx, text: str) -> Poly:
     """Parse the shared text format: comma-separated ints, constant first.
 
@@ -493,22 +478,18 @@ def is_split_squarefree(f: Poly) -> bool:
     return (xq - (x % f)).is_zero()
 
 
-def default_scan_cap(ctx: FieldCtx) -> int:
-    return math.ceil(2 * math.log2(ctx.order) ** 2)
-
-
-def find_nonresidue(r: int, ctx: FieldCtx, scan_cap: int | None = None) -> FieldElem:
+def find_nonresidue(r: int, ctx: FieldCtx) -> FieldElem:
     """First element (canonical order) that is not an r-th power.
 
-    Requires r prime with r | Q-1; the scan is capped (default
-    2*(log2 Q)^2) and raises ScanCapExceeded past the cap.
+    Requires r prime with r | Q-1; the scan is capped at 2*(log2 Q)^2
+    elements and raises ScanCapExceeded past the cap.
     """
     if not is_prime(r):
         raise ValueError("r must be prime")
     q1 = ctx.order - 1
     if q1 % r != 0:
         raise NoNonresidue(f"{r} does not divide {ctx.order} - 1; every element is an {r}-th power")
-    cap = default_scan_cap(ctx) if scan_cap is None else scan_cap
+    cap = math.ceil(2 * math.log2(ctx.order) ** 2)
     e = q1 // r
     tested = 0
     for idx in range(1, ctx.order):
@@ -521,7 +502,7 @@ def find_nonresidue(r: int, ctx: FieldCtx, scan_cap: int | None = None) -> Field
     raise RuntimeError("unreachable: nonresidue exists when r | Q-1")
 
 
-def rth_root(a: FieldElem, r: int, scan_cap: int | None = None) -> FieldElem | None:
+def rth_root(a: FieldElem, r: int) -> FieldElem | None:
     """Canonically-least r-th root of a, or None if a is not an r-th power.
 
     Deterministic: discrete reduction against a scanned nonresidue for
@@ -541,9 +522,9 @@ def rth_root(a: FieldElem, r: int, scan_cap: int | None = None) -> FieldElem | N
         return a ** pow(r, -1, q1)
     if a ** (q1 // r) != ctx.one():
         return None
-    root = _amm_root(a, r, scan_cap)
+    root = _amm_root(a, r)
     # canonical-least among the r roots root * zeta^j
-    g = find_nonresidue(r, ctx, scan_cap)
+    g = find_nonresidue(r, ctx)
     zeta = g ** (q1 // r)
     best = root
     cur = root
@@ -554,7 +535,7 @@ def rth_root(a: FieldElem, r: int, scan_cap: int | None = None) -> FieldElem | N
     return best
 
 
-def _amm_root(a: FieldElem, r: int, scan_cap=None) -> FieldElem:
+def _amm_root(a: FieldElem, r: int) -> FieldElem:
     """One r-th root of a (a known to be an r-th power, r | Q-1, r != char)."""
     ctx = a.ctx
     q1 = ctx.order - 1
@@ -562,7 +543,7 @@ def _amm_root(a: FieldElem, r: int, scan_cap=None) -> FieldElem:
     while s % r == 0:
         s //= r
         t += 1
-    g = find_nonresidue(r, ctx, scan_cap)
+    g = find_nonresidue(r, ctx)
     h = g**s  # order exactly r^t
     alpha = pow(r, -1, s)
     x = a**alpha  # x^r * c = a with the correction c in the r-Sylow part
@@ -591,7 +572,16 @@ def _amm_root(a: FieldElem, r: int, scan_cap=None) -> FieldElem:
     return x * d
 
 
-def extension_for_levels(q_ctx: FieldCtx, m: int, magnitude_cap: int = MAGNITUDE_CAP) -> FieldCtx:
+def multiplicative_order(a: int, n: int) -> int:
+    """Least k >= 1 with a^k = 1 mod n, for a coprime to n."""
+    k, acc = 1, a % n
+    while acc != 1:
+        acc = acc * a % n
+        k += 1
+    return k
+
+
+def extension_for_levels(q_ctx: FieldCtx, m: int) -> FieldCtx:
     """Smallest extension of F_q whose multiplicative group admits s-th
     nonresidues and primitive s-th roots of unity for every prime s <= m
     (s = char handled by Frobenius, so exempt)."""
@@ -602,16 +592,10 @@ def extension_for_levels(q_ctx: FieldCtx, m: int, magnitude_cap: int = MAGNITUDE
     for s in range(2, m + 1):
         if not is_prime(s) or s == q_ctx.p:
             continue
-        # multiplicative order of q mod s
-        ord_s = 1
-        acc = q % s
-        while acc != 1:
-            acc = acc * q % s
-            ord_s += 1
-        d = d * ord_s // math.gcd(d, ord_s)
+        d = math.lcm(d, multiplicative_order(q, s))
     total = q_ctx.d * d
-    if q_ctx.p**total > magnitude_cap:
-        raise Overflow(f"q^d = {q_ctx.p**total} exceeds magnitude cap {magnitude_cap}")
+    if q_ctx.p**total > MAGNITUDE_CAP:
+        raise Overflow(f"q^d = {q_ctx.p**total} exceeds magnitude cap {MAGNITUDE_CAP}")
     return field_ctx(q_ctx.p, total)
 
 

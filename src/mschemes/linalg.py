@@ -37,28 +37,12 @@ class KOps:
         self.ctx = ctx
         self.p = ctx.p
         self.d = ctx.d
-        # fold[i, j, t]: coefficient of theta^t in theta^(i+j) after reduction
-        d, p = ctx.d, ctx.p
-        fold = np.zeros((d, d, d), dtype=np.int64)
-        theta_pows = [np.zeros(d, dtype=np.int64) for _ in range(2 * d - 1)]
-        for i in range(d):
-            theta_pows[i][i] = 1
-        for i in range(d, 2 * d - 1):
-            prev = theta_pows[i - 1]
-            shifted = np.zeros(d + 1, dtype=np.int64)
-            shifted[1:] = prev
-            top = shifted[d]
-            vec = shifted[:d].copy()
-            if top:
-                red = np.array([(-c) % p for c in ctx.modulus[:d]], dtype=np.int64)
-                vec = (vec + top * red) % p
-            theta_pows[i] = vec
-        for i in range(d):
-            for j in range(d):
-                fold[i, j] = theta_pows[i + j]
-        self.fold = fold
         # theta[k]: theta^k reduced, k < 2d-1; folds a digit-axis convolution
-        self.theta = np.stack(theta_pows)
+        d = ctx.d
+        red = np.array(ctx.red_rows, dtype=np.int64).reshape(d - 1, d)
+        self.theta = np.concatenate([np.eye(d, dtype=np.int64), red])
+        # fold[i, j, t]: coefficient of theta^t in theta^(i+j) after reduction
+        self.fold = self.theta[np.add.outer(np.arange(d), np.arange(d))]
 
     # -- element containers ------------------------------------------------
 
@@ -72,19 +56,10 @@ class KOps:
         e = self.ctx.elem(elem)
         return np.array(e.coeffs, dtype=np.int64)
 
-    def one_scalar(self):
-        return self.scalar(1)
-
     def to_elem(self, vec):
         return self.ctx.elem([int(v) for v in vec])
 
     # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -106,9 +81,6 @@ class KOps:
         """Inverse of a nonzero scalar digit-vector."""
         e = self.to_elem(s)
         return self.scalar(e.inverse())
-
-    def is_zero(self, a):
-        return not a.any()
 
     def operand(self, B):
         """B (k, r, d) as the (k*d, r*d) matrix of A -> A @ B on rows with

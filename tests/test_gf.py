@@ -58,8 +58,9 @@ def test_field_ctx_not_prime():
 
 
 def test_field_ctx_overflow():
+    # 2^64 is past the 2^63 - 1 magnitude cap
     with pytest.raises(Overflow):
-        field_ctx(2, 10, magnitude_cap=1000)
+        field_ctx(2, 64)
 
 
 @pytest.mark.parametrize("p,d", SMALL_ORDERS)
@@ -207,8 +208,9 @@ def test_extension_for_levels():
 
 
 def test_extension_for_levels_overflow():
+    # q = 2^31 - 1 has order 4 mod 5, so m = 5 needs q^4 > 2^63 - 1
     with pytest.raises(Overflow):
-        extension_for_levels(field_ctx(13, 1), 12, magnitude_cap=10**6)
+        extension_for_levels(field_ctx(2**31 - 1, 1), 5)
 
 
 def test_embed_field_is_hom():
