@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Walk through the exact field layer: contexts, nonresidues, r-th roots."""
 
-from mschemes.gf import Poly, extension_for_levels, field_ctx, find_nonresidue, rth_root
+from mschemes.factor import rth_root
+from mschemes.gf import Poly, extension_for_levels, field_ctx, find_nonresidue
 
 print("== field contexts ==")
 f7 = field_ctx(7, 1)

@@ -223,8 +223,6 @@ def intersection_tensor(s: Scheme) -> IntersectionTensor:
                 reps[h] = (x, y)
         if all(r is not None for r in reps):
             break
-    else:
-        pass
     for h in range(G):
         a, b = reps[h]
         codes = m[a, :].astype(np.int64) * G + m[:, b]

@@ -22,7 +22,13 @@ move, whether some val - c*e has a support idempotent properly inside e,
 for R2's fibre counts, the engine's root-of-unity checks and its AMM
 r-th-root digits.  The public automorphism splitter runs the same engine on
 level 1 of any squarefree f, and handles non-split inputs through a
-universal exponent.
+universal exponent; `rth_root` runs its AMM routine on a field, as level 1
+of k[x]/(x).
+
+Matchings of the induced scheme are read from R1's incidence: R1 records,
+for each lower ideal, each ideal of the level above and each coordinate,
+whether the ideal lies in that cylinder or is orthogonal to it, so
+projections along several coordinates need no further products.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from . import mscheme as _mscheme
 from .assoc import TheoremContradiction
 from .gf import (
     FieldCtx,
+    FieldElem,
     Poly,
     embed_field,
     extension_for_levels,
@@ -174,6 +181,36 @@ def _algebra_amm(alg: LevelAlgebra, e_B, exponent: int, u, r: int):
     if e_val % r:
         return NoSplit()
     return kops.scalar_mul(kops.scalar(h ** (e_val // r)), x)
+
+
+def rth_root(a: FieldElem, r: int) -> FieldElem | None:
+    """Canonically-least r-th root of a, or None if a is not an r-th power.
+
+    Deterministic: `_algebra_amm` on the field as level 1 of k[x]/(x) for
+    r | Q-1 (every nonzero element there is a unit, so no digit test finds a
+    zero divisor), the inverse Frobenius power for r = char, and the direct
+    power map otherwise.
+    """
+    ctx = a.ctx
+    if a.is_zero():
+        raise ValueError("expected a nonzero element")
+    if not is_prime(r):
+        raise ValueError("r must be prime")
+    p, q1 = ctx.p, ctx.order - 1
+    if r == p:
+        # x -> x^p is an automorphism; unique root.
+        return a ** (p ** (ctx.d - 1))
+    if q1 % r != 0:
+        return a ** pow(r, -1, q1)
+    if a ** (q1 // r) != ctx.one():
+        return None
+    alg = build_levels(Poly(ctx, [0, 1]), 1, DIM_CAP)[0]
+    y = _algebra_amm(alg, alg.identity(), q1, np.array([a.coeffs], dtype=np.int64), r)
+    assert isinstance(y, np.ndarray)
+    root = ctx.elem(y[0].tolist())
+    # canonical-least among the r roots root * zeta^j
+    zeta = find_nonresidue(r, ctx) ** (q1 // r)
+    return min((root * z for z in _powers(zeta, r)), key=lambda b: b.index)
 
 
 def _split_with_automorphism(alg: LevelAlgebra, basis, pivots, e_B, exponent: int, sigma_mat, r: int):
@@ -410,7 +447,7 @@ class IdealSystem:
         self.algebras = build_levels(f, m, dim_cap)
         self.levels = {}
         self.log = []
-        self.shared = {"uid": itertools.count(), "checks": {}, "embeds": {}, "perms": {}, "traces": {}, "proj": {}}
+        self.shared = {"uid": itertools.count(), "checks": {}, "embeds": {}, "perms": {}, "traces": {}}
         for s in range(1, m + 1):
             alg = self.algebras[s - 1]
             kops = alg.ops
@@ -534,7 +571,9 @@ def _rule_r1(sys: IdealSystem):
                 prods = alg.mult_batch(np.stack([here.idem for _, here in todo]), emb)
                 for (ip, here), u in zip(todo, prods):
                     if not u.any() or np.array_equal(u, here.idem):
-                        checks[("R1", below.uid, here.uid, j)] = True
+                        # True when here lies in the cylinder of below along
+                        # j, False when the two are orthogonal
+                        checks[("R1", below.uid, here.uid, j)] = bool(u.any())
                         continue
                     return sys._split(s, ip, u, "R1", {"below": i, "j": j})
     return NoChange()
@@ -693,18 +732,23 @@ def _composite_embed(sys: IdealSystem, s: int, dropped: tuple, vec):
 
 
 def _project_color(sys: IdealSystem, s: int, idx: int, dropped: tuple):
-    """Index of the unique lower ideal whose cylinder contains this one."""
-    here = sys.levels[s][idx]
-    below_uids = tuple(i.uid for i in sys.levels[s - len(dropped)])
-    key = ("proj", here.uid, dropped, below_uids)
-    cache = sys.shared["proj"]
-    if key in cache:
-        return cache[key]
-    cyls = np.stack([_composite_embed(sys, s, dropped, below.idem) for below in sys.levels[s - len(dropped)]])
-    prods = sys.algebra(s).mult_batch(cyls, here.idem)
-    target = next((bi for bi, u in enumerate(prods) if np.array_equal(u, here.idem)), None)
-    cache[key] = target
-    return target
+    """Index of the lower ideal whose cylinder along `dropped` contains this
+    one, or None when R1 has not recorded one.
+
+    The cylinder is the `_composite_embed` of the lower ideal, which inserts
+    the dropped coordinates in ascending order, so the projection peels them
+    off in descending order, one level at a time, through R1's incidence.
+    At R1 stability every ideal lies in exactly one cylinder of each level
+    below.
+    """
+    checks = sys.shared["checks"]
+    for j in reversed(dropped):
+        here = sys.levels[s][idx]
+        s -= 1
+        idx = next((bi for bi, b in enumerate(sys.levels[s]) if checks.get(("R1", b.uid, here.uid, j))), None)
+        if idx is None:
+            return None
+    return idx
 
 
 def _detect_matchings(sys: IdealSystem):
@@ -713,9 +757,7 @@ def _detect_matchings(sys: IdealSystem):
         for l, here in enumerate(sys.levels[s]):
             for k in range(1, s):
                 drops = list(itertools.combinations(range(1, s + 1), k))
-                proj = {}
-                for dcom in drops:
-                    proj[dcom] = _project_color(sys, s, l, dcom)
+                proj = {d: _project_color(sys, s, l, d) for d in drops}
                 for d1, d2 in itertools.combinations(drops, 2):
                     l1, l2 = proj[d1], proj[d2]
                     if l1 is None or l1 != l2:
@@ -730,6 +772,11 @@ def matching_refinement(sys: IdealSystem, m: _mscheme.Matching):
     and split with it; a level-1 split yields a factor."""
     s = m.level
     k = len(m.drop_i)
+    if not 2 <= s <= sys.m:
+        raise NotAMatching("no such level")
+    for drop in (m.drop_i, m.drop_j):
+        if not 0 < len(drop) < s or tuple(drop) not in itertools.combinations(range(1, s + 1), len(drop)):
+            raise NotAMatching("index tuples must be strictly increasing in 1..level, of size 1..level-1")
     if m.drop_i == m.drop_j or len(m.drop_i) != len(m.drop_j):
         raise NotAMatching("index tuples must differ and have equal size")
     if not (0 <= m.color < len(sys.levels[s])):

@@ -502,76 +502,6 @@ def find_nonresidue(r: int, ctx: FieldCtx) -> FieldElem:
     raise RuntimeError("unreachable: nonresidue exists when r | Q-1")
 
 
-def rth_root(a: FieldElem, r: int) -> FieldElem | None:
-    """Canonically-least r-th root of a, or None if a is not an r-th power.
-
-    Deterministic: discrete reduction against a scanned nonresidue for
-    r | Q-1, the inverse Frobenius power for r = char, and the direct
-    power map otherwise.
-    """
-    ctx = a.ctx
-    if a.is_zero():
-        raise ValueError("expected a nonzero element")
-    if not is_prime(r):
-        raise ValueError("r must be prime")
-    p, q1 = ctx.p, ctx.order - 1
-    if r == p:
-        # x -> x^p is an automorphism; unique root.
-        return a ** (p ** (ctx.d - 1))
-    if q1 % r != 0:
-        return a ** pow(r, -1, q1)
-    if a ** (q1 // r) != ctx.one():
-        return None
-    root = _amm_root(a, r)
-    # canonical-least among the r roots root * zeta^j
-    g = find_nonresidue(r, ctx)
-    zeta = g ** (q1 // r)
-    best = root
-    cur = root
-    for _ in range(r - 1):
-        cur = cur * zeta
-        if cur.index < best.index:
-            best = cur
-    return best
-
-
-def _amm_root(a: FieldElem, r: int) -> FieldElem:
-    """One r-th root of a (a known to be an r-th power, r | Q-1, r != char)."""
-    ctx = a.ctx
-    q1 = ctx.order - 1
-    t, s = 0, q1
-    while s % r == 0:
-        s //= r
-        t += 1
-    g = find_nonresidue(r, ctx)
-    h = g**s  # order exactly r^t
-    alpha = pow(r, -1, s)
-    x = a**alpha  # x^r * c = a with the correction c in the r-Sylow part
-    c = a ** ((1 - r * alpha) % q1)
-    omega = h ** (r ** (t - 1))  # primitive r-th root of unity
-    # digits of log_h(c) in base r; the lowest digit is 0 since c is an r-th power
-    e_digits = []
-    cc = c
-    for i in range(t):
-        exp = r ** (t - 1 - i)
-        val = cc**exp
-        # val is in <omega>; find its digit
-        w = ctx.one()
-        for dig in range(r):
-            if val == w:
-                e_digits.append(dig)
-                break
-            w = w * omega
-        else:
-            raise RuntimeError("AMM digit extraction failed")
-        cc = cc * h ** ((-e_digits[-1] * r**i) % (q1))
-    e_val = sum(dig * r**i for i, dig in enumerate(e_digits))
-    if e_val % r != 0:
-        raise RuntimeError("element is not an r-th power in the Sylow subgroup")
-    d = h ** (e_val // r)
-    return x * d
-
-
 def multiplicative_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k = 1 mod n, for a coprime to n."""
     k, acc = 1, a % n

@@ -21,6 +21,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .gf import is_prime
+
 WORK_CAP = 10**7
 
 
@@ -378,30 +380,27 @@ class Matching:
         return len(img_i) == len(idx) and np.array_equal(img_i, img_j)
 
 
+def _color_matchings(pi: MCollection, s: int, color: int, idx):
+    """Matchings of one color (its tuple codes idx), in (k, drop_i, drop_j)
+    order."""
+    size = len(idx)
+    for k in range(1, s):
+        drops = list(itertools.combinations(range(1, s + 1), k))
+        images = {d: np.unique(multi_proj_table(pi.n, s, d)[idx]) for d in drops}
+        for di, dj in itertools.combinations(drops, 2):
+            if len(images[di]) == size and np.array_equal(images[di], images[dj]):
+                yield Matching(s, color, di, dj)
+
+
 def find_matchings(pi: MCollection) -> list:
     """All matchings, scanned in (level, color, k, drop_i, drop_j) order."""
     out = []
-    n = pi.n
     for s in range(2, pi.m + 1):
         colors = pi.levels[s]
-        index_sets = {}
-        for k in range(1, s):
-            for dropped in itertools.combinations(range(1, s + 1), k):
-                index_sets[dropped] = multi_proj_table(n, s, dropped)
         order = np.argsort(colors, kind="stable")
         bounds = np.searchsorted(colors[order], np.arange(pi.num_colors(s) + 1))
         for c in range(pi.num_colors(s)):
-            idx = order[bounds[c]:bounds[c + 1]]
-            size = len(idx)
-            images = {}
-            for k in range(1, s):
-                drops = list(itertools.combinations(range(1, s + 1), k))
-                for d in drops:
-                    img = np.unique(index_sets[d][idx])
-                    images[d] = img
-                for di, dj in itertools.combinations(drops, 2):
-                    if len(images[di]) == size and np.array_equal(images[di], images[dj]):
-                        out.append(Matching(s, c, di, dj))
+            out.extend(_color_matchings(pi, s, c, order[bounds[c]:bounds[c + 1]]))
     for m in out:
         assert m.verify(pi)
     return out
@@ -448,15 +447,7 @@ def _color_image(pi: MCollection, s: int, color: int, tau) -> int:
 
 
 def _derived_matching(pi: MCollection, s: int, color: int):
-    idx = np.nonzero(pi.levels[s] == color)[0]
-    size = len(idx)
-    for k in range(1, s):
-        drops = list(itertools.combinations(range(1, s + 1), k))
-        images = {d: np.unique(multi_proj_table(pi.n, s, d)[idx]) for d in drops}
-        for di, dj in itertools.combinations(drops, 2):
-            if len(images[di]) == size and np.array_equal(images[di], images[dj]):
-                return Matching(s, color, di, dj)
-    return None
+    return next(_color_matchings(pi, s, color, np.nonzero(pi.levels[s] == color)[0]), None)
 
 
 def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) -> Matching:
@@ -513,7 +504,6 @@ def prime_matching(pi: MCollection, ell: int) -> Matching:
     """Matching in a homogeneous antisymmetric m-scheme on a prime number of
     points, via a small-intersection witness on the level-2 scheme."""
     from . import assoc
-    from .gf import is_prime
 
     if ell < 2:
         raise PreconditionFailed("ell must be >= 2")
@@ -601,8 +591,6 @@ def nonexistence_check(pi: MCollection, report: PropertyReport | None = None):
     n, m = pi.n, pi.m
     r = None
     for cand in range(2, m + 1):
-        from .gf import is_prime
-
         if is_prime(cand) and n % cand == 0:
             r = cand
             break

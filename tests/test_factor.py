@@ -349,10 +349,70 @@ def test_matching_refinement_thin_level2():
     assert isinstance(res, Factor)  # exercised inside the driver
 
 
-def test_matching_refinement_bad_indices():
+@pytest.mark.parametrize(
+    "matching",
+    [
+        mscheme.Matching(2, 0, (1,), (1,)),
+        mscheme.Matching(5, 0, (1,), (2,)),
+        mscheme.Matching(2, 0, (1,), (3,)),
+        mscheme.Matching(2, 0, (1, 2), (2, 1)),
+    ],
+    ids=["equal-drops", "level-above-m", "drop-above-level", "drop-too-long-and-unsorted"],
+)
+def test_matching_refinement_bad_indices(matching):
     sys = fresh_system(7, [-1, 0, 0, 1], 2)
     with pytest.raises(NotAMatching):
-        matching_refinement(sys, mscheme.Matching(2, 0, (1,), (1,)))
+        matching_refinement(sys, matching)
+
+
+def project_by_products(sys, s, idx, dropped):
+    """Oracle for `_project_color`: multiply every lower cylinder along
+    `dropped` by the ideal's idempotent and take the first that keeps it."""
+    here = sys.levels[s][idx]
+    lower = sys.levels[s - len(dropped)]
+    cyls = np.stack([fc._composite_embed(sys, s, dropped, b.idem) for b in lower])
+    prods = sys.algebra(s).mult_batch(cyls, here.idem)
+    return next((bi for bi, u in enumerate(prods) if np.array_equal(u, here.idem)), None)
+
+
+@pytest.mark.parametrize(
+    "p,coeffs,m,deepest",
+    [
+        (7, [-1, 0, 0, 1], 3, 2),  # criterion 8 at m = 3
+        (11, [0, 2, 8, 1], 3, 2),  # criterion 8 at m = 3
+        (11, [0, 9, 6, 2, 4, 1], 4, 3),  # criterion 8 at m = 4, stable at level 3
+        (11, [0, 1, 4, 8, 8, 1], 2, 2),  # stuck: x(x+4)(x+6)(x+7)(x+9)
+        (31, [-2, 5, -10, 10, -5, 1], None, 3),  # (x-1)^5 - 1: roots 1 + mu_5, prime-degree driver
+    ],
+    ids=["x3-1-F7-m3", "cubic-F11-m3", "quintic-F11-m4", "stuck-quintic-F11-m2", "orbit-quintic-F31"],
+)
+def test_detect_matchings_reads_r1_incidence(monkeypatch, p, coeffs, m, deepest):
+    # at every stable point, R1's incidence gives the projections the
+    # product scan gives, for every drop set, and the matchings are those
+    # of the induced collection
+    detect = fc._detect_matchings
+    levels_seen = []
+
+    def checked(sys):
+        out = detect(sys)
+        for s in range(2, sys.m + 1):
+            for idx in range(len(sys.levels[s])):
+                for k in range(1, s):
+                    for dropped in itertools.combinations(range(1, s + 1), k):
+                        want = project_by_products(sys, s, idx, dropped)
+                        assert want is not None
+                        assert fc._project_color(sys, s, idx, dropped) == want
+        assert out == mscheme.find_matchings(supports(sys, brute_roots(sys.f)))
+        levels_seen.append(sys.m)
+        return out
+
+    monkeypatch.setattr(fc, "_detect_matchings", checked)
+    f = poly_of(field_ctx(p, 1), coeffs)
+    if m is None:
+        prime_degree_factor(f, 2, 1)
+    else:
+        iks_factor(f, m)
+    assert levels_seen and max(levels_seen) == deepest
 
 
 def test_prime_degree_factor_x5m1_f11():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mschemes import gf
+from mschemes.factor import rth_root
 from mschemes.gf import (
     FieldMismatch,
     NoNonresidue,
@@ -17,7 +18,6 @@ from mschemes.gf import (
     poly_from_text,
     poly_gcd,
     poly_to_text,
-    rth_root,
 )
 
 SMALL_ORDERS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2), (2, 4), (3, 3)]
