@@ -20,13 +20,13 @@ print("  axioms:", "ok" if verify_scheme(s) is None else "violated")
 print("  identity suite:", "ok" if verify_identities(s) is None else "failed")
 
 print("\nsmall-intersection search at ell = 2:")
-res = small_intersection_search(s, 2)
+res = small_intersection_search(t, 2)
 w = res.witness
 print(f"  witness u={w.u} v={w.v} w={w.w} w'={w.w_prime} with counts {w.c1} <= {w.c2} < 2")
 print(f"  theorem hypothesis held: {res.hypothesis_held}")
 
 print("\ndeviation of intersection numbers from (p+1)/e^2, cyclotomic (13, 4):")
-rep = cyclotomic_deviation_report(13, 4)
+rep = cyclotomic_deviation_report(intersection_tensor(cyclotomic_scheme(13, 4)))
 print(f"  max |c - (p+1)/e^2| = {rep.max_deviation} <= sqrt(13) + {rep.slack}: {rep.bound_ok}")
 for row in rep.rows[:6]:
     print("   ", row)

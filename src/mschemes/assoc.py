@@ -339,12 +339,11 @@ def auto_profile(t: IntersectionTensor, ell: int) -> BoundsProfile:
     return BoundsProfile(k, Fraction(1), Fraction(kmax, k), Fraction(1), c, ell)
 
 
-def small_intersection_search(s: Scheme, ell: int, profile: BoundsProfile | None = None) -> SmallIntersectionResult:
+def small_intersection_search(t: IntersectionTensor, ell: int, profile: BoundsProfile | None = None) -> SmallIntersectionResult:
     """Lexicographically-first nontrivial (u, v, w, w') with
     0 < c^w_{u* v} <= c^{w'}_{u* v} < ell, plus the hypothesis verdict."""
     if ell < 2:
         raise BadEll("ell must be >= 2")
-    t = intersection_tensor(s)
     G = t.num_colors
     if profile is None:
         profile = auto_profile(t, ell)
@@ -435,14 +434,16 @@ class DeviationReport:
     bound_ok: bool
 
 
-def cyclotomic_deviation_report(p: int, e: int) -> DeviationReport:
-    """Exact c^t_{rs} for nontrivial triples with deviation from (p+1)/e^2.
+def cyclotomic_deviation_report(t: IntersectionTensor) -> DeviationReport:
+    """Exact c^t_{rs} for nontrivial triples with deviation from (p+1)/e^2,
+    for the tensor of the cyclotomic scheme in (p, e): p is the sum of the
+    valencies and e the number of nontrivial relations.
 
     The bound side uses slack e for the unspecified O(1): the report
     states whether max |c - (p+1)/e^2| <= sqrt(p) + e, decided exactly.
     """
-    s = cyclotomic_scheme(p, e)
-    t = intersection_tensor(s)
+    p = int(t.n_g.sum())
+    e = t.num_colors - 1
     target = Fraction(p + 1, e * e)
     rows = []
     max_dev = Fraction(0)

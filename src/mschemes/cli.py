@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 
 from . import assoc, factor, mscheme
@@ -46,16 +45,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
     _sys.stdout.write(text)
 
 
-def _cap(args, name: str, env: str, default: int) -> int:
-    """Flag wins, then environment variable, then the default."""
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    if env in os.environ:
-        return int(os.environ[env])
-    return default
-
-
 def cmd_factor(args) -> int:
     try:
         ctx = field_ctx(args.p, args.d)
@@ -63,12 +52,11 @@ def cmd_factor(args) -> int:
     except Exception as exc:
         _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
         return EXIT_INVALID
-    dim_cap = _cap(args, "dim_cap", "MSCHEMES_DIM_CAP", factor.DIM_CAP)
     try:
         if args.r is not None and is_prime(f.degree):
-            res = factor.prime_degree_factor(f, args.r, args.l, dim_cap=dim_cap)
+            res = factor.prime_degree_factor(f, args.r, args.l, dim_cap=args.dim_cap)
         else:
-            res = factor.iks_factor(f, args.m, dim_cap=dim_cap)
+            res = factor.iks_factor(f, args.m, dim_cap=args.dim_cap)
     except (factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, factor.PrimeTooLarge, factor.DimCapExceeded) as exc:
         # before ValueError: the first three subclass it
         _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
@@ -105,7 +93,7 @@ def cmd_scheme_report(args) -> int:
     identities = assoc.check_tensor_identities(t)
     witnesses = {}
     for ell in (2, 3, 4):
-        res = assoc.small_intersection_search(s, ell)
+        res = assoc.small_intersection_search(t, ell)
         witnesses[str(ell)] = (
             None
             if res.witness is None
@@ -115,7 +103,7 @@ def cmd_scheme_report(args) -> int:
                 "hypothesis_held": res.hypothesis_held,
             }
         )
-    dev = assoc.cyclotomic_deviation_report(args.p, args.e)
+    dev = assoc.cyclotomic_deviation_report(t)
     payload = {
         "status": "ok",
         "n": s.n,
@@ -147,36 +135,33 @@ def _parse_generators(text: str) -> list:
 
 
 def cmd_orbit_scan(args) -> int:
-    work_cap = _cap(args, "work_cap", "MSCHEMES_WORK_CAP", mscheme.WORK_CAP)
-    names = None
+    catalog = mscheme.load_catalog()
     if args.catalog:
-        catalog = mscheme.load_catalog()
-        if args.catalog != "all":
-            if args.catalog not in catalog:
-                _emit({"status": "error", "error": "UnknownGroup", "message": args.catalog}, args.json)
-                return EXIT_INVALID
-            names = [args.catalog]
-        else:
-            names = sorted(catalog)
-    elif args.gens:
-        try:
-            gens = _parse_generators(args.gens)
-            pi = mscheme.orbit_mscheme(gens, args.m, work_cap=work_cap)
-        except (ValueError, mscheme.WorkCapExceeded) as exc:
-            _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
+        if args.catalog != "all" and args.catalog not in catalog:
+            _emit({"status": "error", "error": "UnknownGroup", "message": args.catalog}, args.json)
             return EXIT_INVALID
-        payload = _scan_one("custom", pi)
-        _emit(payload, args.json)
-        return EXIT_OK
-    else:
+        names = sorted(catalog) if args.catalog == "all" else [args.catalog]
+    elif not args.gens:
         _emit({"status": "error", "error": "MissingInput", "message": "need --catalog or --gens"}, args.json)
         return EXIT_INVALID
+    try:
+        if args.catalog:
+            pis = [mscheme.catalog_mscheme(name, min(args.m, catalog[name][0]), work_cap=args.work_cap)
+                   for name in names]
+        else:
+            pi = mscheme.orbit_mscheme(_parse_generators(args.gens), args.m, work_cap=args.work_cap)
+    except mscheme.WorkCapExceeded as exc:
+        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
+        return EXIT_PRECONDITION
+    except ValueError as exc:
+        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
+        return EXIT_INVALID
+    if not args.catalog:
+        _emit(_scan_one("custom", pi), args.json)
+        return EXIT_OK
     entries = []
     failures = 0
-    catalog = mscheme.load_catalog()
-    for name in names:
-        degree, _ = catalog[name]
-        pi = mscheme.catalog_mscheme(name, min(args.m, degree), work_cap=work_cap)
+    for name, pi in zip(names, pis):
         entry = _scan_one(name, pi)
         entries.append(entry)
         if entry["homogeneous"] and entry["antisymmetric"] and pi.m >= 4 and not entry["matchings"]:
@@ -239,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--m", type=int, default=4)
     p_factor.add_argument("--r", type=int, default=None)
     p_factor.add_argument("--l", type=int, default=2)
-    p_factor.add_argument("--dim-cap", dest="dim_cap", type=int, default=None)
+    p_factor.add_argument("--dim-cap", dest="dim_cap", type=int, default=factor.DIM_CAP)
     p_factor.add_argument("--json", type=str, default=None)
     p_factor.set_defaults(func=cmd_factor)
 
@@ -253,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--catalog", type=str, default=None, help="group name or 'all'")
     p_orb.add_argument("--gens", type=str, default=None, help="semicolon-separated image lists")
     p_orb.add_argument("--m", type=int, default=4)
-    p_orb.add_argument("--work-cap", dest="work_cap", type=int, default=None)
+    p_orb.add_argument("--work-cap", dest="work_cap", type=int, default=mscheme.WORK_CAP)
     p_orb.add_argument("--json", type=str, default=None)
     p_orb.set_defaults(func=cmd_orbit_scan)
 

@@ -84,44 +84,6 @@ def smooth_divisor(n: int, r: int) -> int:
     return out
 
 
-def _poly_trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _poly_divmod_mod_p(a, b, p):
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(da - db + 1, 0)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        c = a[-1] * inv_lead % p
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-        a = _poly_trim(a)
-    return q, a
-
-
-def _poly_irreducible_mod_p(cs, p):
-    """Trial division by all lower-degree monic polynomials (desk scale)."""
-    d = len(cs) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for deg in range(1, d // 2 + 1):
-        for idx in range(p**deg):
-            div = _digits(idx, p, deg) + [1]
-            _, r = _poly_divmod_mod_p(cs, div, p)
-            if not r:
-                return False
-    return True
-
-
 def _digits(idx, p, length):
     out = []
     for _ in range(length):
@@ -310,7 +272,7 @@ def field_ctx(p: int, d: int) -> FieldCtx:
         return FieldCtx(p, 1, (0, 1))
     for idx in range(p**d):
         cand = _digits(idx, p, d) + [1]
-        if _poly_irreducible_mod_p(cand, p):
+        if _is_irreducible(Poly(field_ctx(p, 1), cand)):
             return FieldCtx(p, d, tuple(cand))
     raise RuntimeError("unreachable: irreducible polynomial always exists")
 
@@ -465,6 +427,18 @@ def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
         base = (base * base) % mod
         e >>= 1
     return result
+
+
+def _is_irreducible(g: Poly) -> bool:
+    """g monic of degree d is irreducible iff gcd(g, x^(Q^i) - x) = 1 for
+    every i <= d/2, Q the order of its field."""
+    x = Poly(g.ctx, [0, 1])
+    h = x
+    for _ in range(g.degree // 2):
+        h = poly_powmod(h, g.ctx.order, g)
+        if poly_gcd(g, h - x).degree > 0:
+            return False
+    return True
 
 
 def is_split_squarefree(f: Poly) -> bool:

@@ -125,7 +125,7 @@ class KOps:
             if pr != r:
                 R[[r, pr]] = R[[pr, r]]
             inv = self.inv_scalar(R[r, c])
-            R[r] = self.scalar_mul(inv, R[r]) if self.d == 1 else self.mul(R[r], np.broadcast_to(inv, R[r].shape))
+            R[r] = self.scalar_mul(inv, R[r])
             factors = R[:, c, :].copy()
             factors[r] = 0
             if factors.any():
@@ -167,15 +167,8 @@ class KOps:
 
     def solve_right(self, A, b):
         """One solution x of A @ x = b, or None.  Canonical (free vars = 0)."""
-        aug = np.concatenate([A, b[:, None, :]], axis=1)
-        R, pivots = self.rref(aug)
-        cols = A.shape[1]
-        if cols in pivots:
-            return None
-        x = self.zeros((cols,))
-        for ri, pc in enumerate(pivots):
-            x[pc] = R[ri, cols]
-        return x
+        X = self.solve_right_many(A, b[:, None])
+        return None if X is None else X[:, 0]
 
     def solve_right_many(self, A, B):
         """Solutions X of A @ X = B columnwise; None if any is inconsistent."""

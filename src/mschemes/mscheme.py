@@ -95,15 +95,6 @@ def encode_tuples(a: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def proj_table(n: int, s: int, i: int) -> np.ndarray:
-    """code -> code of the tuple with 1-based coordinate i dropped."""
-    t = tuple_table(n, s)
-    out = encode_tuples(np.delete(t, i - 1, axis=1), n)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def multi_proj_table(n: int, s: int, dropped: tuple) -> np.ndarray:
     """code -> code with all 1-based coordinates in `dropped` removed."""
     t = tuple_table(n, s)
@@ -243,7 +234,7 @@ def check_properties(pi: MCollection) -> PropertyReport:
         # P1
         ok = True
         for i in range(1, s + 1):
-            pc = below[proj_table(n, s, i)]
+            pc = below[multi_proj_table(n, s, (i,))]
             mn, mx = _group_minmax(colors, pc, t_s)
             bad = np.nonzero(mn != mx)[0]
             if bad.size:
@@ -262,7 +253,7 @@ def check_properties(pi: MCollection) -> PropertyReport:
         # P2
         ok = True
         for i in range(1, s + 1):
-            pr = proj_table(n, s, i).astype(np.int64)
+            pr = multi_proj_table(n, s, (i,)).astype(np.int64)
             key = colors * falling(n, s - 1) + pr
             uniq, counts = np.unique(key, return_counts=True)
             up = uniq // falling(n, s - 1)
@@ -380,27 +371,30 @@ class Matching:
         return len(img_i) == len(idx) and np.array_equal(img_i, img_j)
 
 
-def _color_matchings(pi: MCollection, s: int, color: int, idx):
-    """Matchings of one color (its tuple codes idx), in (k, drop_i, drop_j)
-    order."""
-    size = len(idx)
+def _level_matchings(pi: MCollection, s: int) -> list:
+    """Matchings of level s, in (color, k, drop_i, drop_j) order."""
+    colors = pi.levels[s].astype(np.int64)
+    t = pi.num_colors(s)
+    pairs, hits = [], []
     for k in range(1, s):
+        width = falling(pi.n, s - k)
         drops = list(itertools.combinations(range(1, s + 1), k))
-        images = {d: np.unique(multi_proj_table(pi.n, s, d)[idx]) for d in drops}
+        # projected codes keyed by color, sorted: each color fills the same
+        # positions in every image, so where one image of a color is
+        # injective, two images are equal sets iff they agree there
+        images = {d: np.sort(colors * width + multi_proj_table(pi.n, s, d)) for d in drops}
+        injective = {d: np.bincount(img[1:][img[1:] == img[:-1]] // width, minlength=t) == 0
+                     for d, img in images.items()}
         for di, dj in itertools.combinations(drops, 2):
-            if len(images[di]) == size and np.array_equal(images[di], images[dj]):
-                yield Matching(s, color, di, dj)
+            a, b = images[di], images[dj]
+            pairs.append((di, dj))
+            hits.append(injective[di] & (np.bincount(a[a != b] // width, minlength=t) == 0))
+    return [Matching(s, int(c), *pairs[j]) for c, j in zip(*np.nonzero(np.array(hits).T))]
 
 
 def find_matchings(pi: MCollection) -> list:
     """All matchings, scanned in (level, color, k, drop_i, drop_j) order."""
-    out = []
-    for s in range(2, pi.m + 1):
-        colors = pi.levels[s]
-        order = np.argsort(colors, kind="stable")
-        bounds = np.searchsorted(colors[order], np.arange(pi.num_colors(s) + 1))
-        for c in range(pi.num_colors(s)):
-            out.extend(_color_matchings(pi, s, c, order[bounds[c]:bounds[c + 1]]))
+    out = [m for s in range(2, pi.m + 1) for m in _level_matchings(pi, s)]
     for m in out:
         assert m.verify(pi)
     return out
@@ -447,7 +441,7 @@ def _color_image(pi: MCollection, s: int, color: int, tau) -> int:
 
 
 def _derived_matching(pi: MCollection, s: int, color: int):
-    return next(_color_matchings(pi, s, color, np.nonzero(pi.levels[s] == color)[0]), None)
+    return next((m for m in _level_matchings(pi, s) if m.color == color), None)
 
 
 def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) -> Matching:
@@ -462,7 +456,7 @@ def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) 
         tau = tuple(list(range(i - 1)) + list(range(i, s)) + [i - 1])
         color = _color_image(pi, s, color, tau)
     size_p = pi.color_size(s, color)
-    proj = proj_table(n, s, s)
+    proj = multi_proj_table(n, s, (s,))
     idx = np.nonzero(pi.levels[s] == color)[0]
     img = np.unique(proj[idx])
     size_q = len(img)
@@ -481,8 +475,8 @@ def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) 
         nxt = cur_level + 1
         if nxt > pi.m:
             raise DepthExhausted(f"needed level {nxt} > m={pi.m}")
-        pt1 = proj_table(n, nxt, nxt - 1)
-        pt2 = proj_table(n, nxt, nxt)
+        pt1 = multi_proj_table(n, nxt, (nxt - 1,))
+        pt2 = multi_proj_table(n, nxt, (nxt,))
         cur = pi.levels[cur_level]
         mask = (cur[pt1] == cur_color) & (cur[pt2] == cur_color)
         inside = np.unique(pi.levels[nxt][mask])
@@ -531,29 +525,18 @@ def prime_matching(pi: MCollection, ell: int) -> Matching:
         if m is None:
             raise AssertionError("thin level-2 colors must be matchings")
         return m
-    res = assoc.small_intersection_search(scheme, ell)
+    res = assoc.small_intersection_search(t, ell)
     if res.witness is None:
         raise PreconditionFailed("no small-intersection witness (requires ell < k)")
     w = res.witness
     m2 = scheme.matrix
-    quad = None
-    for beta in range(n):
-        for gamma in range(n):
-            if m2[beta, gamma] != w.w:
-                continue
-            for alpha in range(n):
-                if m2[alpha, beta] != w.u or m2[alpha, gamma] != w.v:
-                    continue
-                for gamma2 in range(n):
-                    if m2[alpha, gamma2] == w.v and m2[beta, gamma2] == w.w_prime:
-                        quad = (beta, alpha, gamma, gamma2)
-                        break
-                if quad:
-                    break
-            if quad:
-                break
-        if quad:
-            break
+    quad = next(
+        ((beta, alpha, gamma, gamma2)
+         for beta in range(n) for gamma in range(n) if m2[beta, gamma] == w.w
+         for alpha in range(n) if m2[alpha, beta] == w.u and m2[alpha, gamma] == w.v
+         for gamma2 in range(n) if m2[alpha, gamma2] == w.v and m2[beta, gamma2] == w.w_prime),
+        None,
+    )
     if quad is None:
         raise AssertionError("witness tuple must exist by the counting argument")
     p4 = pi.color_of_tuple(quad)

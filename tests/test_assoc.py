@@ -142,8 +142,8 @@ def test_identity_suite_on_constructed(p, e):
 
 
 def test_small_intersection_13_6():
-    s = cyclotomic_scheme(13, 6)
-    res = small_intersection_search(s, 2)
+    t = intersection_tensor(cyclotomic_scheme(13, 6))
+    res = small_intersection_search(t, 2)
     # |G| = 7 >= 2(k-1)/(l-1)+2 = 4 and the witness indeed exists, but the
     # reported hypothesis also demands ell < k (here 2 < 2 fails)
     assert 7 >= 2 * (2 - 1) // (2 - 1) + 2
@@ -151,7 +151,6 @@ def test_small_intersection_13_6():
     assert res.witness is not None
     assert res.witness.c1 == 1 and res.witness.c2 == 1
     # oracle: brute-force lexicographic first witness
-    t = intersection_tensor(s)
     adj = t.adjoint
     expected = None
     for u in range(1, 7):
@@ -177,7 +176,7 @@ def test_small_intersection_13_6():
 
 
 def test_small_intersection_5_2_hypothesis_fails():
-    res = small_intersection_search(cyclotomic_scheme(5, 2), 2)
+    res = small_intersection_search(intersection_tensor(cyclotomic_scheme(5, 2)), 2)
     assert not res.hypothesis_held  # |G| = 3 < 4
     assert res.witness is not None  # exists anyway by exhaustion
     assert res.witness.c1 == 1 and res.witness.c2 == 1
@@ -185,12 +184,12 @@ def test_small_intersection_5_2_hypothesis_fails():
 
 def test_small_intersection_bad_ell():
     with pytest.raises(BadEll):
-        small_intersection_search(cyclotomic_scheme(5, 2), 1)
+        small_intersection_search(intersection_tensor(cyclotomic_scheme(5, 2)), 1)
 
 
 def test_thin_scheme_no_contradiction():
     # valency 1: profile invariant 1 < ell < k fails, so no witness is owed
-    res = small_intersection_search(cyclotomic_scheme(13, 12), 2)
+    res = small_intersection_search(intersection_tensor(cyclotomic_scheme(13, 12)), 2)
     assert not res.hypothesis_held
     assert res.witness is None
 
@@ -241,18 +240,21 @@ def test_level2_to_scheme_not_homogeneous():
 
 
 def test_deviation_13_4():
-    rep = cyclotomic_deviation_report(13, 4)
+    rep = cyclotomic_deviation_report(intersection_tensor(cyclotomic_scheme(13, 4)))
+    assert (rep.p, rep.e) == (13, 4)
     assert rep.bound_ok  # max deviation <= sqrt(13) + 4
     assert len(rep.rows) == 64
 
 
 def test_deviation_5_2_row_count():
-    rep = cyclotomic_deviation_report(5, 2)
+    rep = cyclotomic_deviation_report(intersection_tensor(cyclotomic_scheme(5, 2)))
+    assert (rep.p, rep.e) == (5, 2)
     assert len(rep.rows) == 8
 
 
 def test_deviation_7_1_complete():
-    rep = cyclotomic_deviation_report(7, 1)
+    rep = cyclotomic_deviation_report(intersection_tensor(cyclotomic_scheme(7, 1)))
+    assert (rep.p, rep.e) == (7, 1)
     assert len(rep.rows) == 1
     r, s2, t3, cnt, dev = rep.rows[0]
     assert cnt == 5  # complete-graph count n-2

@@ -1,6 +1,8 @@
 import json
 
-from mschemes import cli
+import pytest
+
+from mschemes import assoc, cli
 from mschemes.cli import linnik_p1s, main, smooth_divisor
 from mschemes.gf import is_prime
 
@@ -88,6 +90,21 @@ def test_scheme_report_13_6(capsys):
     assert payload["identity_suite"] == "ok"
 
 
+def test_scheme_report_verifies_at_most_twice(capsys, monkeypatch):
+    # once for cyclotomic_scheme's valency check, once for the report's tensor
+    calls = []
+    verify = assoc.verify_scheme
+
+    def counting(s):
+        calls.append(s)
+        return verify(s)
+
+    monkeypatch.setattr(assoc, "verify_scheme", counting)
+    code, _ = run_cli(capsys, ["scheme-report", "--p", "13", "--e", "6"])
+    assert code == 0
+    assert len(calls) <= 2
+
+
 def test_scheme_report_bad_e(capsys):
     code, payload = run_cli(capsys, ["scheme-report", "--p", "13", "--e", "5"])
     assert code == 3
@@ -129,6 +146,20 @@ def test_orbit_scan_custom_gens(capsys):
 def test_orbit_scan_bad_gens(capsys):
     code, payload = run_cli(capsys, ["orbit-scan", "--gens", "1,1,0", "--m", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--catalog", "Z13", "--m", "5", "--work-cap", "10000"],  # level 4 has 17160 tuples
+        ["--gens", "1,2,3,4,0", "--m", "3", "--work-cap", "10"],  # level 2 has 20 tuples
+    ],
+    ids=["catalog", "gens"],
+)
+def test_orbit_scan_work_cap(capsys, source):
+    code, payload = run_cli(capsys, ["orbit-scan"] + source)
+    assert code == 4
+    assert payload["error"] == "WorkCapExceeded"
 
 
 def test_linnik_examples(capsys):
@@ -190,8 +221,8 @@ def test_cli_json_deterministic(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("MSCHEMES_DIM_CAP", "5")
-    code, payload = run_cli(capsys, ["factor", "--p", "11", "--poly", "10,0,0,0,0,1", "--m", "3"])
+def test_dim_cap_flag(capsys):
+    argv = ["factor", "--p", "11", "--poly", "10,0,0,0,0,1", "--m", "3", "--dim-cap", "5"]
+    code, payload = run_cli(capsys, argv)
     assert code == 4
     assert payload["error"] == "DimCapExceeded"

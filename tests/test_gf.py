@@ -52,6 +52,20 @@ def test_field_ctx_f4_modulus():
     assert ctx.order == 4
 
 
+@pytest.mark.parametrize("p,d", [(2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 3), (11, 2)])
+def test_field_ctx_modulus_is_first_irreducible(p, d):
+    # oracle: trial division by every monic polynomial of degree <= d/2,
+    # over candidates in canonical-index order (constant term fastest)
+    base = field_ctx(p, 1)
+
+    def irreducible(f):
+        return all(not (f % g).is_zero() for k in range(1, d // 2 + 1) for g in all_monic(base, k))
+
+    cands = (list(reversed(t)) + [1] for t in itertools.product(range(p), repeat=d))
+    first = next(cs for cs in cands if irreducible(Poly(base, cs)))
+    assert field_ctx(p, d).modulus == tuple(first)
+
+
 def test_field_ctx_not_prime():
     with pytest.raises(NotPrime):
         field_ctx(4, 1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -160,6 +161,27 @@ def test_all_returned_matchings_verify():
         pi = catalog_mscheme(name, 3)
         for m in find_matchings(pi):
             assert m.verify(pi)
+
+
+@pytest.mark.parametrize("name", ["Z5", "D5", "Z6", "Z7", "A4", "F21"])
+def test_find_matchings_matches_definition(name):
+    # orbit colors merged at random, so some merged colors stay matchings
+    # and others project non-injectively; oracle: verify on every
+    # (level, color, k, drop_i, drop_j) in scan order
+    base = catalog_mscheme(name, 4)
+    rng = np.random.default_rng(sorted(load_catalog()).index(name))
+    merge = {s: rng.integers(0, max(1, base.num_colors(s) * 2 // 3), size=base.num_colors(s)) for s in base.levels}
+    pi = MCollection(base.n, {s: np.unique(merge[s][base.levels[s]], return_inverse=True)[1] for s in base.levels})
+    expected = [
+        Matching(s, c, di, dj)
+        for s in range(2, pi.m + 1)
+        for c in range(pi.num_colors(s))
+        for k in range(1, s)
+        for di, dj in itertools.combinations(itertools.combinations(range(1, s + 1), k), 2)
+        if Matching(s, c, di, dj).verify(pi)
+    ]
+    assert expected
+    assert find_matchings(pi) == expected
 
 
 def test_matching_chase_trigger_case():
