@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import NotPrime, is_prime
+from .gf import NotPrime, is_prime, multiplicative_order
 
 
 class NotAScheme(ValueError):
@@ -101,32 +101,44 @@ class SmallIntersectionResult:
 
 
 class Scheme:
-    """Color partition of X x X; color 0 must be the identity relation."""
+    """Color partition of X x X; color 0 must be the identity relation.
+    first[g] is the row-major flat index of the first pair of color g."""
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.int32)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        a = np.asarray(matrix)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("color matrix must be square")
-        colors = np.unique(m)
+        if a.size == 0:
+            raise ValueError("color matrix must be nonempty")
+        m = a.astype(np.int32)
+        if not np.array_equal(m, a):
+            raise ValueError("color ids must be int32 integers")
+        colors, first = np.unique(m, return_index=True)
         if colors[0] != 0 or colors[-1] != len(colors) - 1:
             raise ValueError("color ids must be dense 0..d")
         self.n = m.shape[0]
         self.num_colors = len(colors)
         m.setflags(write=False)
+        first.setflags(write=False)
         self.matrix = m
+        self.first = first
         self._adjoint = None
+
+    def transpose_map(self):
+        """(adj, mixed): adj[g] is the color of the transpose of g's first
+        pair, and mixed marks each pair (x, y) with m[y, x] != adj[m[x, y]]."""
+        m = self.matrix
+        adj = m.T.flat[self.first]
+        return adj, m.T != adj[m]
 
     @property
     def adjoint(self):
         """g -> g* (transpose class map); requires transpose closure."""
         if self._adjoint is None:
-            adj = np.empty(self.num_colors, dtype=np.int32)
-            t = self.matrix.T
-            for g in range(self.num_colors):
-                vals = np.unique(t[self.matrix == g])
-                if len(vals) != 1:
-                    raise NotAScheme(f"transpose of color {g} is not a single color")
-                adj[g] = vals[0]
+            adj, mixed = self.transpose_map()
+            if mixed.any():
+                g = _first_flagged(self.matrix, mixed)[0]
+                raise NotAScheme(f"transpose of color {g} is not a single color")
             self._adjoint = adj
         return self._adjoint
 
@@ -141,8 +153,29 @@ class Scheme:
         return f"Scheme(n={self.n}, colors={self.num_colors})"
 
 
+def _first_flagged(m, flagged):
+    """Least color with a flagged pair, and the flat index of its first one."""
+    g = int(m[flagged].min())
+    return g, int(np.flatnonzero(flagged & (m == g))[0])
+
+
+def _pair_codes(m, G, x, y):
+    """codes[..., z] = m[x, z]*G + m[z, y] in m's dtype, which must hold G*G;
+    x and y are index arrays of one length, or a row x and y = slice(None)."""
+    return m[x, :] * G + m[:, y].T
+
+
+def _pair_counts(m, G, x, y):
+    """c[i, f, g] = #{z : m[x[i], z] = f, m[z, y[i]] = g}."""
+    codes = _pair_codes(m.astype(np.int64), G, x, y)
+    k = len(codes)
+    codes += np.arange(k)[:, None] * (G * G)
+    return np.bincount(codes.ravel(), minlength=k * G * G).reshape(k, G, G)
+
+
 def verify_scheme(s: Scheme):
-    """None if the three axioms hold, else a Violation witness."""
+    """None if the three axioms hold, else a Violation witness naming the
+    least failing color, its first pair and its first failing pair."""
     m = s.matrix
     n, G = s.n, s.num_colors
     # axiom 1: color 0 is exactly the diagonal
@@ -157,39 +190,26 @@ def verify_scheme(s: Scheme):
         x, y = map(int, zero_off[0])
         return Violation(1, None, None, None, (x, y), (x, y), "off-diagonal pair in color 0")
     # axiom 2: transpose closure
-    t = m.T
-    for g in range(G):
-        mask = m == g
-        vals = np.unique(t[mask])
-        if len(vals) != 1:
-            pos = np.argwhere(mask)
-            seen = {}
-            for x, y in pos:
-                v = int(t[x, y])
-                if v in seen:
-                    continue
-                seen[v] = (int(x), int(y))
-                if len(seen) == 2:
-                    (p1, p2) = list(seen.values())
-                    return Violation(2, g, None, None, p1, p2, "transpose class is mixed")
-    # axiom 3: pair-independent intersection numbers
-    codes = m[:, None, :].astype(np.int64) * G + m.T[None, :, :]
-    sorted_codes = np.sort(codes.reshape(n * n, n), axis=1)
-    flat_colors = m.reshape(n * n)
-    for h in range(G):
-        idx = np.nonzero(flat_colors == h)[0]
-        rows = sorted_codes[idx]
-        same = (rows == rows[0]).all(axis=1)
-        if not same.all():
-            bad = idx[int(np.nonzero(~same)[0][0])]
-            rep = idx[0]
-            h1 = np.bincount(sorted_codes[rep], minlength=G * G)
-            h2 = np.bincount(sorted_codes[bad], minlength=G * G)
-            code = int(np.nonzero(h1 != h2)[0][0])
-            f, g = code // G, code % G
-            pair1 = (int(rep // n), int(rep % n))
-            pair2 = (int(bad // n), int(bad % n))
-            return Violation(3, int(f), int(g), h, pair1, pair2, "intersection count differs")
+    mixed = s.transpose_map()[1]
+    if mixed.any():
+        g, bad = _first_flagged(m, mixed)
+        return Violation(2, g, None, None, divmod(int(s.first[g]), n), divmod(bad, n),
+                         "transpose class is mixed")
+    # axiom 3: every pair meets the sorted path colors of its color's first
+    # pair, checked one row x at a time; int32 sorts twice as fast as int64
+    mc = m if G * G <= np.iinfo(np.int32).max else m.astype(np.int64)
+    ref = np.sort(_pair_codes(mc, G, *np.divmod(s.first, n)), axis=1)
+    bad = np.empty((n, n), dtype=bool)
+    for x in range(n):
+        row = np.sort(_pair_codes(mc, G, x, slice(None)), axis=1)
+        bad[x] = (row != ref[m[x]]).any(axis=1)
+    if bad.any():
+        h, b = _first_flagged(m, bad)
+        xs, ys = np.divmod([s.first[h], b], n)
+        c = _pair_counts(m, G, xs, ys)
+        f, g = divmod(int(np.flatnonzero(c[0] != c[1])[0]), G)
+        pair1, pair2 = zip(map(int, xs), map(int, ys))
+        return Violation(3, f, g, h, pair1, pair2, "intersection count differs")
     return None
 
 
@@ -212,21 +232,7 @@ def intersection_tensor(s: Scheme) -> IntersectionTensor:
     bad = verify_scheme(s)
     if bad is not None:
         raise NotAScheme(f"axiom {bad.axiom} fails: {bad.message}")
-    m = s.matrix
-    n, G = s.n, s.num_colors
-    c = np.zeros((G, G, G), dtype=np.int64)
-    reps = [None] * G
-    for x in range(n):
-        for y in range(n):
-            h = m[x, y]
-            if reps[h] is None:
-                reps[h] = (x, y)
-        if all(r is not None for r in reps):
-            break
-    for h in range(G):
-        a, b = reps[h]
-        codes = m[a, :].astype(np.int64) * G + m[:, b]
-        c[h] = np.bincount(codes, minlength=G * G).reshape(G, G)
+    c = _pair_counts(s.matrix, s.num_colors, *np.divmod(s.first, s.n))
     return IntersectionTensor(c, s.adjoint.copy())
 
 
@@ -278,23 +284,7 @@ def verify_identities(s: Scheme):
 
 
 def least_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    phi = p - 1
-    primes = []
-    t, q = phi, 2
-    while q * q <= t:
-        if t % q == 0:
-            primes.append(q)
-            while t % q == 0:
-                t //= q
-        q += 1
-    if t > 1:
-        primes.append(t)
-    for g in range(2, p):
-        if all(pow(g, phi // q, p) != 1 for q in primes):
-            return g
-    raise RuntimeError("unreachable: primitive root exists")
+    return next(g for g in range(1, p) if multiplicative_order(g, p) == p - 1)
 
 
 def cyclotomic_scheme(p: int, e: int) -> Scheme:
@@ -304,28 +294,19 @@ def cyclotomic_scheme(p: int, e: int) -> Scheme:
     if e < 1 or (p - 1) % e != 0:
         raise EDoesNotDivide(f"{e} does not divide {p - 1}")
     alpha = least_primitive_root(p)
+    # alpha^j lies in coset (j - 1) % e + 1
     label = np.zeros(p, dtype=np.int32)
-    k = (p - 1) // e
-    for i in range(1, e + 1):
-        base = pow(alpha, i, p)
-        step = pow(alpha, e, p)
-        x = base
-        for _ in range(k):
-            label[x] = i
-            x = x * step % p
+    label[[pow(alpha, j, p) for j in range(1, p)]] = np.arange(p - 1) % e + 1
     diff = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-    s = Scheme(label[diff])
-    t = intersection_tensor(s)
-    if len(set(int(v) for v in t.n_g[1:])) != 1 or int(t.n_g[1]) != k:
+    # row 0's color counts, the valencies n_g
+    if (np.bincount(label)[1:] != (p - 1) // e).any():
         raise AssertionError("cyclotomic valencies must all equal (p-1)/e")
-    return s
+    return Scheme(label[diff])
 
 
 def complete_scheme(n: int) -> Scheme:
     m = np.ones((n, n), dtype=np.int32)
     np.fill_diagonal(m, 0)
-    if n == 1:
-        m = np.zeros((1, 1), dtype=np.int32)
     return Scheme(m)
 
 
@@ -442,6 +423,8 @@ def cyclotomic_deviation_report(t: IntersectionTensor) -> DeviationReport:
     The bound side uses slack e for the unspecified O(1): the report
     states whether max |c - (p+1)/e^2| <= sqrt(p) + e, decided exactly.
     """
+    if t.num_colors < 2:
+        raise TooSmall("need at least one nontrivial relation")
     p = int(t.n_g.sum())
     e = t.num_colors - 1
     target = Fraction(p + 1, e * e)
@@ -473,4 +456,4 @@ def scheme_to_json(s: Scheme) -> str:
 def scheme_from_json(text: str) -> Scheme:
     data = json.loads(text)
     n = data["n"]
-    return Scheme(np.array(data["colors"], dtype=np.int32).reshape(n, n))
+    return Scheme(np.array(data["colors"]).reshape(n, n))

@@ -121,6 +121,7 @@ class MCollection:
         self.m = max(levels)
         self.levels = {}
         self.sizes = {}
+        self._runs = {}  # level -> (codes stably sorted by color, offset of each color)
         for s in range(1, self.m + 1):
             if s not in levels:
                 raise ValueError(f"missing level {s}")
@@ -134,6 +135,9 @@ class MCollection:
             lv.setflags(write=False)
             self.levels[s] = lv
             self.sizes[s] = np.bincount(lv, minlength=t)
+            order = np.argsort(lv, kind="stable")
+            order.setflags(write=False)
+            self._runs[s] = order, np.concatenate(([0], np.cumsum(self.sizes[s])))
 
     def num_colors(self, s: int) -> int:
         return len(self.sizes[s])
@@ -141,13 +145,20 @@ class MCollection:
     def color_size(self, s: int, c: int) -> int:
         return int(self.sizes[s][c])
 
+    def codes_of_color(self, s: int, c: int) -> np.ndarray:
+        """Tuple codes of color c at level s, ascending."""
+        if not 0 <= c < self.num_colors(s):
+            raise IndexError(f"level {s} has no color {c}")
+        order, bounds = self._runs[s]
+        return order[bounds[c]:bounds[c + 1]]
+
     def color_of_tuple(self, tup) -> int:
         s = len(tup)
         code = int(encode_tuples(np.array([tup]), self.n)[0])
         return int(self.levels[s][code])
 
     def tuples_of_color(self, s: int, c: int) -> np.ndarray:
-        return tuple_table(self.n, s)[self.levels[s] == c]
+        return tuple_table(self.n, s)[self.codes_of_color(s, c)]
 
     def __eq__(self, other):
         return (
@@ -239,7 +250,7 @@ def check_properties(pi: MCollection) -> PropertyReport:
             bad = np.nonzero(mn != mx)[0]
             if bad.size:
                 c = int(bad[0])
-                idx = np.nonzero(colors == c)[0]
+                idx = pi.codes_of_color(s, c)
                 pcs = pc[idx]
                 u = tuple(int(v) for v in tuple_table(n, s)[idx[0]])
                 other = idx[int(np.nonzero(pcs != pcs[0])[0][0])]
@@ -365,7 +376,7 @@ class Matching:
         n, s = pi.n, self.level
         if self.drop_i == self.drop_j or len(self.drop_i) != len(self.drop_j):
             return False
-        idx = np.nonzero(pi.levels[s] == self.color)[0]
+        idx = pi.codes_of_color(s, self.color)
         img_i = np.unique(multi_proj_table(n, s, self.drop_i)[idx])
         img_j = np.unique(multi_proj_table(n, s, self.drop_j)[idx])
         return len(img_i) == len(idx) and np.array_equal(img_i, img_j)
@@ -406,8 +417,8 @@ def subdegree(pi: MCollection, level_p: int, color_p: int, level_q: int, color_q
     k = level_p - level_q
     if k < 1 or level_q < 1:
         raise NotAProjection("Q must live at a lower level")
-    idx = np.nonzero(pi.levels[level_p] == color_p)[0]
-    q_codes = np.nonzero(pi.levels[level_q] == color_q)[0]
+    idx = pi.codes_of_color(level_p, color_p)
+    q_codes = pi.codes_of_color(level_q, color_q)
     for dropped in itertools.combinations(range(1, level_p + 1), k):
         img = np.unique(multi_proj_table(n, level_p, dropped)[idx])
         if np.array_equal(img, q_codes):
@@ -433,7 +444,7 @@ def _level_antisymmetric(pi: MCollection, s: int) -> bool:
 
 def _color_image(pi: MCollection, s: int, color: int, tau) -> int:
     colors = pi.levels[s]
-    idx = np.nonzero(colors == color)[0]
+    idx = pi.codes_of_color(s, color)
     img = np.unique(colors[act_table(pi.n, s, tau)[idx]])
     if len(img) != 1:
         raise ValueError("collection is not invariant; color image undefined")
@@ -457,7 +468,7 @@ def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) 
         color = _color_image(pi, s, color, tau)
     size_p = pi.color_size(s, color)
     proj = multi_proj_table(n, s, (s,))
-    idx = np.nonzero(pi.levels[s] == color)[0]
+    idx = pi.codes_of_color(s, color)
     img = np.unique(proj[idx])
     size_q = len(img)
     if size_p % size_q:
@@ -541,10 +552,10 @@ def prime_matching(pi: MCollection, ell: int) -> Matching:
         raise AssertionError("witness tuple must exist by the counting argument")
     p4 = pi.color_of_tuple(quad)
     v_color = w.v - 1  # level-2 color id of v
-    idx = np.nonzero(pi.levels[4] == p4)[0]
+    idx = pi.codes_of_color(4, p4)
     img13 = np.unique(multi_proj_table(n, 4, (1, 3))[idx])
     img14 = np.unique(multi_proj_table(n, 4, (1, 4))[idx])
-    v_codes = np.nonzero(pi.levels[2] == v_color)[0]
+    v_codes = pi.codes_of_color(2, v_color)
     assert np.array_equal(img13, v_codes) and np.array_equal(img14, v_codes)
     size_p = pi.color_size(4, p4)
     size_v = len(v_codes)

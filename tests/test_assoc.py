@@ -1,13 +1,20 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mschemes import assoc, mscheme
 from mschemes.assoc import (
     BadEll,
+    NotAScheme,
     EDoesNotDivide,
     NotHomogeneous,
     Scheme,
     TooSmall,
+    Violation,
     check_tensor_identities,
     complete_scheme,
     cyclotomic_deviation_report,
@@ -39,6 +46,60 @@ def brute_tensor(s):
                 for g in range(G):
                     c[h, f, g] = sum(1 for z in range(n) if m[a, z] == f and m[z, b] == g)
     return c
+
+
+def verify_scheme_by_cube(s):
+    """Oracle for `verify_scheme`: sort the (n, n, n) cube of path codes
+    m[x, z]*G + m[z, y] and compare each color's rows with its first row."""
+    m = s.matrix
+    n, G = s.n, s.num_colors
+    diag = np.diag(m)
+    if (diag != 0).any():
+        x = int(np.nonzero(diag != 0)[0][0])
+        return Violation(1, None, None, None, (x, x), (x, x), "diagonal pair not in color 0")
+    off = m.copy()
+    np.fill_diagonal(off, -1)
+    zero_off = np.argwhere(off == 0)
+    if len(zero_off):
+        x, y = map(int, zero_off[0])
+        return Violation(1, None, None, None, (x, y), (x, y), "off-diagonal pair in color 0")
+    t = m.T
+    for g in range(G):
+        mask = m == g
+        if len(np.unique(t[mask])) != 1:
+            seen = {}
+            for x, y in np.argwhere(mask):
+                seen.setdefault(int(t[x, y]), (int(x), int(y)))
+                if len(seen) == 2:
+                    return Violation(2, g, None, None, *seen.values(), "transpose class is mixed")
+    codes = m[:, None, :].astype(np.int64) * G + m.T[None, :, :]
+    sorted_codes = np.sort(codes.reshape(n * n, n), axis=1)
+    flat_colors = m.reshape(n * n)
+    for h in range(G):
+        idx = np.nonzero(flat_colors == h)[0]
+        rows = sorted_codes[idx]
+        same = (rows == rows[0]).all(axis=1)
+        if not same.all():
+            bad = idx[int(np.nonzero(~same)[0][0])]
+            rep = idx[0]
+            h1 = np.bincount(sorted_codes[rep], minlength=G * G)
+            h2 = np.bincount(sorted_codes[bad], minlength=G * G)
+            code = int(np.nonzero(h1 != h2)[0][0])
+            pair1 = (int(rep // n), int(rep % n))
+            pair2 = (int(bad // n), int(bad % n))
+            return Violation(3, code // G, code % G, h, pair1, pair2, "intersection count differs")
+    return None
+
+
+def adjoint_by_classes(s):
+    """Oracle for `Scheme.adjoint`: the transposes of each color, one color at a time."""
+    adj = []
+    for g in range(s.num_colors):
+        vals = np.unique(s.matrix.T[s.matrix == g])
+        if len(vals) != 1:
+            return f"transpose of color {g} is not a single color"
+        adj.append(int(vals[0]))
+    return adj
 
 
 def test_cyclotomic_13_4():
@@ -88,14 +149,106 @@ def test_cyclotomic_generator_independence():
                 assert pairing.setdefault(a, b) == b
 
 
-def test_verify_scheme_path_violation():
-    m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    v = verify_scheme(Scheme(m))
-    assert v is not None and v.axiom == 3
+@pytest.mark.parametrize(
+    "m,expected",
+    [
+        ([[0, 1], [1, 1]], Violation(1, None, None, None, (1, 1), (1, 1), "diagonal pair not in color 0")),
+        ([[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+         Violation(1, None, None, None, (0, 2), (0, 2), "off-diagonal pair in color 0")),
+        ([[0, 1, 1], [1, 0, 2], [2, 1, 0]], Violation(2, 1, None, None, (0, 1), (0, 2), "transpose class is mixed")),
+        # the path 0 - 1 - 2: point 1 has two neighbours, point 0 one
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], Violation(3, 1, 1, 0, (0, 0), (1, 1), "intersection count differs")),
+    ],
+    ids=["diagonal", "off-diagonal", "mixed-transpose", "count"],
+)
+def test_verify_scheme_violations(m, expected):
+    s = Scheme(m)
+    assert verify_scheme(s) == expected == verify_scheme_by_cube(s)
+    with pytest.raises(NotAScheme, match=f"axiom {expected.axiom} fails"):
+        intersection_tensor(s)
+
+
+def _dense(m):
+    return np.unique(m, return_inverse=True)[1].reshape(m.shape)
+
+
+@st.composite
+def colour_matrices(draw):
+    """Random small colour matrices, and cyclotomic schemes with a few
+    entries (and optionally their transposes) recoloured."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        m = rng.integers(0, draw(st.integers(1, 5)), size=(n, n))
+        if draw(st.booleans()):
+            np.fill_diagonal(m, -1)
+        if draw(st.booleans()):
+            m = np.minimum(m, m.T)
+        return _dense(m)
+    p, e = draw(st.sampled_from([(5, 2), (7, 2), (7, 3), (11, 5), (13, 4), (13, 6), (17, 8)]))
+    m = cyclotomic_scheme(p, e).matrix.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = (int(v) for v in rng.integers(0, p, 2))
+        m[x, y] = rng.integers(0, e + 2)
+        if draw(st.booleans()):
+            m[y, x] = m[x, y]
+    return _dense(m)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(colour_matrices())
+def test_verify_scheme_matches_cube(m):
+    s = Scheme(m)
+    v = verify_scheme(s)
+    assert v == verify_scheme_by_cube(s)
+    try:
+        adj = [int(g) for g in s.adjoint]
+    except NotAScheme as exc:
+        adj = str(exc)
+    assert adj == adjoint_by_classes(s)
+    if v is None:
+        t = intersection_tensor(s)
+        assert np.array_equal(t.c, brute_tensor(s)) and list(t.adjoint) == adj
+
+
+def test_verify_scheme_memory_is_quadratic():
+    # the cube of path codes at n = 251 took 362 MB
+    s = cyclotomic_scheme(251, 2)
+    tracemalloc.start()
+    try:
+        assert verify_scheme(s) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_verify_scheme_one_point():
     assert verify_scheme(complete_scheme(1)) is None
+
+
+def test_scheme_copies_its_input():
+    a = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    s = Scheme(a)
+    a[0, 1] = 7
+    assert s.matrix[0, 1] == 1 and not s.matrix.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "m",
+    [np.array([[0, 1], [1, 0.5]]), np.array([[0, 2**32 + 1], [1, 0]], dtype=np.int64)],
+    ids=["fraction", "wraps-in-int32"],
+)
+def test_scheme_refuses_non_integral(m):
+    with pytest.raises(ValueError, match="integers"):
+        Scheme(m)
+    with pytest.raises(ValueError, match="integers"):
+        scheme_from_json(json.dumps({"n": 2, "colors": m.ravel().tolist()}))
+
+
+def test_scheme_refuses_empty():
+    with pytest.raises(ValueError, match="nonempty"):
+        Scheme(np.zeros((0, 0)))
 
 
 def test_tensor_cyclotomic_13_6():
@@ -260,6 +413,11 @@ def test_deviation_7_1_complete():
     assert cnt == 5  # complete-graph count n-2
     assert dev == 3
     assert rep.bound_ok
+
+
+def test_deviation_one_color_too_small():
+    with pytest.raises(TooSmall):
+        cyclotomic_deviation_report(intersection_tensor(complete_scheme(1)))
 
 
 def test_adjoint_is_transpose_class():

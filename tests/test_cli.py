@@ -90,8 +90,9 @@ def test_scheme_report_13_6(capsys):
     assert payload["identity_suite"] == "ok"
 
 
-def test_scheme_report_verifies_at_most_twice(capsys, monkeypatch):
-    # once for cyclotomic_scheme's valency check, once for the report's tensor
+def test_scheme_report_verifies_once(capsys, monkeypatch):
+    # the report's tensor is the only caller: cyclotomic_scheme checks the
+    # valencies from the color counts of row 0
     calls = []
     verify = assoc.verify_scheme
 
@@ -102,7 +103,7 @@ def test_scheme_report_verifies_at_most_twice(capsys, monkeypatch):
     monkeypatch.setattr(assoc, "verify_scheme", counting)
     code, _ = run_cli(capsys, ["scheme-report", "--p", "13", "--e", "6"])
     assert code == 0
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_scheme_report_bad_e(capsys):

@@ -137,6 +137,16 @@ def test_subdegree_not_a_projection():
         subdegree(pi, 3, c3, 2, other)
 
 
+def test_codes_of_color_matches_level_scan():
+    pi = catalog_mscheme("D5", 4)
+    for s in pi.levels:
+        for c in range(pi.num_colors(s)):
+            assert np.array_equal(pi.codes_of_color(s, c), np.flatnonzero(pi.levels[s] == c))
+        for c in (-1, pi.num_colors(s)):
+            with pytest.raises(IndexError):
+                pi.codes_of_color(s, c)
+
+
 def test_find_matchings_z5():
     pi = catalog_mscheme("Z5", 3)
     ms = find_matchings(pi)
