@@ -320,14 +320,13 @@ def auto_profile(t: IntersectionTensor, ell: int) -> BoundsProfile:
     return BoundsProfile(k, Fraction(1), Fraction(kmax, k), Fraction(1), c, ell)
 
 
-def small_intersection_search(t: IntersectionTensor, ell: int, profile: BoundsProfile | None = None) -> SmallIntersectionResult:
+def small_intersection_search(t: IntersectionTensor, ell: int) -> SmallIntersectionResult:
     """Lexicographically-first nontrivial (u, v, w, w') with
     0 < c^w_{u* v} <= c^{w'}_{u* v} < ell, plus the hypothesis verdict."""
     if ell < 2:
         raise BadEll("ell must be >= 2")
     G = t.num_colors
-    if profile is None:
-        profile = auto_profile(t, ell)
+    profile = auto_profile(t, ell)
     hypothesis = profile.valid_for(t) and Fraction(G) >= profile.group_size_bound()
     adj = t.adjoint
     witness = None

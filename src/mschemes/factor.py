@@ -17,10 +17,12 @@ e, then split along its support idempotent.  The zero-divisor engine does
 this for an automorphism of prime order r: through an eigenvector when r
 divides |k|-1, through an Artin-Schreier solve when r = char k, and after
 adjoining the r-th roots of unity (then descending the idempotent)
-otherwise.  One scan (`_scan_scalars`) makes the recurring test of that
-move, whether some val - c*e has a support idempotent properly inside e,
-for R2's fibre counts, the engine's root-of-unity checks and its AMM
-r-th-root digits.  The public automorphism splitter runs the same engine on
+otherwise.  R5's coordinate permutations and a matching's pair of
+embeddings reach it the same way: `_split_with_order` powers the
+automorphism's matrix on the ideal down to prime order r.  One scan
+(`_scan_scalars`) makes the recurring test of that move, whether some
+val - c*e has a support idempotent properly inside e, for R2's fibre
+counts, the engine's root-of-unity checks and its AMM r-th-root digits.  The public automorphism splitter runs the same engine on
 level 1 of any squarefree f, and handles non-split inputs through a
 universal exponent; `rth_root` runs its AMM routine on a field, as level 1
 of k[x]/(x).
@@ -82,10 +84,6 @@ class InvalidSystem(ValueError):
 
 
 class TrivialAutomorphism(ValueError):
-    pass
-
-
-class MissingRootOfUnity(RuntimeError):
     pass
 
 
@@ -217,7 +215,7 @@ def _split_with_automorphism(alg: LevelAlgebra, basis, pivots, e_B, exponent: in
     """Deterministic zero-divisor search for a prime-order automorphism.
 
     Eigenspace route when r | Q-1, additive (Artin-Schreier) route when
-    r = char; returns ZeroDivisor or NoSplit.
+    r = char (the caller ensures one holds); returns ZeroDivisor or NoSplit.
     """
     kops, ctx = alg.ops, alg.ctx
     dim = basis.shape[0]
@@ -225,8 +223,6 @@ def _split_with_automorphism(alg: LevelAlgebra, basis, pivots, e_B, exponent: in
         raise TrivialAutomorphism("automorphism is the identity")
     if r == ctx.p:
         return _split_char_order(alg, basis, pivots, e_B, exponent, sigma_mat)
-    if (ctx.order - 1) % r != 0:
-        raise MissingRootOfUnity(f"{r}-th roots of unity missing from the field")
     zeta = find_nonresidue(r, ctx) ** ((ctx.order - 1) // r)
     z = None
     for j in range(1, r):
@@ -347,11 +343,10 @@ def _split_in_extension(f: Poly, s: int, basis, pivots, idem, sigma_mat, r: int,
 def _split_ideal(alg: LevelAlgebra, basis, pivots, idem, sigma_mat, r: int, t: int):
     """Split an ideal of a level under sigma, extending scalars when the
     r-th roots of unity are missing; t as in _split_in_extension."""
-    exponent = _universal_exponent(alg.ctx, t)
-    try:
-        return _split_with_automorphism(alg, basis, list(pivots), idem, exponent, sigma_mat, r)
-    except MissingRootOfUnity:
+    ctx = alg.ctx
+    if r != ctx.p and (ctx.order - 1) % r:
         return _split_in_extension(alg.f, alg.s, basis, pivots, idem, sigma_mat, r, t)
+    return _split_with_automorphism(alg, basis, list(pivots), idem, _universal_exponent(ctx, t), sigma_mat, r)
 
 
 def split_by_automorphism(f: Poly, sigma, r: int):
@@ -501,7 +496,8 @@ class IdealSystem:
         ideal = self.levels[s][idx]
         rest = (ideal.idem - u) % kops.p
         rows_u = alg.mult_batch(ideal.basis, u)
-        rows_r = alg.mult_batch(ideal.basis, rest)
+        # b * e = b on the ideal, so the rows of (e - u) * I need no product
+        rows_r = (ideal.basis - rows_u) % kops.p
         b_u, p_u = kops.rref(rows_u)
         b_r, p_r = kops.rref(rows_r)
         if b_u.shape[0] + b_r.shape[0] != ideal.dim or not b_u.shape[0] or not b_r.shape[0]:
@@ -631,51 +627,37 @@ def _least_prime_divisor(n: int) -> int:
     return next(q for q in range(2, n + 1) if n % q == 0)
 
 
-def _perm_order(tau: tuple) -> int:
-    order = 1
-    seen = [False] * len(tau)
-    for start in range(len(tau)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = tau[x]
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
-def _perm_power(tau: tuple, e: int) -> tuple:
-    out = tuple(range(len(tau)))
-    for _ in range(e):
-        out = tuple(tau[i] for i in out)
-    return out
-
-
 def _sigma_matrix_from_perm(sys: IdealSystem, ideal: Ideal, tau: tuple):
     alg = sys.algebra(ideal.level)
     imgs = np.stack([alg.apply_perm(tau, row) for row in ideal.basis])
     return imgs[:, ideal.pivots, :]
 
 
-def _split_ideal_with_zero_divisor(sys, s, idx, z, rule, detail):
+def _split_with_order(sys: IdealSystem, s: int, idx: int, sigma, rule: str, detail: dict):
+    """Split levels[s][idx] with the automorphism sigma (row i: its image
+    of basis row i, in basis coordinates): the engine runs on
+    sigma^(order/r) for r the least prime dividing sigma's order, and r is
+    added to the log entry."""
     alg = sys.algebra(s)
-    u = alg.idempotent_of(z)
+    kops = alg.ops
     ideal = sys.levels[s][idx]
-    if not u.any() or np.array_equal(u, ideal.idem):
-        raise InvalidSystem("zero divisor must cut the ideal properly")
-    return sys._split(s, idx, u, rule, detail)
-
-
-def _split_level_ideal(sys: IdealSystem, s: int, idx: int, sigma_mat, r: int, rule: str, detail: dict):
-    """Run the splitting engine on an ideal of a split level."""
-    ideal = sys.levels[s][idx]
-    res = _split_ideal(sys.algebra(s), ideal.basis, ideal.pivots, ideal.idem, sigma_mat, r, 1)
+    eye = kops.eye(ideal.dim)
+    if kops.mat_eq(sigma, eye):
+        raise TrivialAutomorphism("automorphism is the identity")
+    powers = [sigma]  # sigma^1 .. sigma^order
+    while not kops.mat_eq(powers[-1], eye):
+        if len(powers) >= ORDER_CAP:
+            raise InvalidSystem("automorphism order exceeds cap")
+        powers.append(kops.matmul(powers[-1], sigma))
+    order = len(powers)
+    r = _least_prime_divisor(order)
+    res = _split_ideal(alg, ideal.basis, ideal.pivots, ideal.idem, powers[order // r - 1], r, 1)
     if isinstance(res, NoSplit):
         raise InvalidSystem("split algebras always admit a split under a nontrivial automorphism")
-    return _split_ideal_with_zero_divisor(sys, s, idx, res.vec, rule, detail)
+    u = alg.idempotent_of(res.vec)
+    if not u.any() or np.array_equal(u, ideal.idem):
+        raise InvalidSystem("zero divisor must cut the ideal properly")
+    return sys._split(s, idx, u, rule, {**detail, "r": r})
 
 
 def _rule_r5(sys: IdealSystem):
@@ -692,11 +674,9 @@ def _rule_r5(sys: IdealSystem):
                 if not np.array_equal(img, here.idem):
                     checks[key] = True
                     continue
-                order = _perm_order(tau)
-                r = _least_prime_divisor(order)
-                sig_perm = _perm_power(tau, order // r)
-                sigma = _sigma_matrix_from_perm(sys, here, sig_perm)
-                return _split_level_ideal(sys, s, i, sigma, r, "R5", {"tau": list(tau), "r": r})
+                # a non-identity tau moves every essential tuple, so its
+                # matrix on the ideal has the permutation's order
+                return _split_with_order(sys, s, i, _sigma_matrix_from_perm(sys, here, tau), "R5", {"tau": list(tau)})
     return NoChange()
 
 
@@ -798,23 +778,11 @@ def matching_refinement(sys: IdealSystem, m: _mscheme.Matching):
     if psi is None or kops.rank(X1) != below.dim or kops.rank(X2) != below.dim:
         raise NotAMatching("embeddings are not isomorphisms onto the ideal")
     psi = np.swapaxes(psi, 0, 1)  # rows: psi(basis_i) in below-coordinates
-    if kops.mat_eq(psi, kops.eye(below.dim)):
-        raise TrivialAutomorphism("matching induced the identity map")
-    powers = [psi]  # psi^1 .. psi^order
-    while not kops.mat_eq(powers[-1], kops.eye(below.dim)):
-        if len(powers) >= ORDER_CAP:
-            raise InvalidSystem("automorphism order exceeds cap")
-        powers.append(kops.matmul(powers[-1], psi))
-    order = len(powers)
-    r = _least_prime_divisor(order)
-    res = _split_level_ideal(
-        sys, s - k, l1, powers[order // r - 1], r, "matching",
-        {"matching_level": s, "matching_ideal": m.color, "drop_i": list(m.drop_i), "drop_j": list(m.drop_j), "r": r},
+    res = _split_with_order(
+        sys, s - k, l1, psi, "matching",
+        {"matching_level": s, "matching_ideal": m.color, "drop_i": list(m.drop_i), "drop_j": list(m.drop_j)},
     )
-    new_sys = res.system
-    if s - k == 1:
-        return _rule_r4(new_sys)
-    return res
+    return _rule_r4(res.system) if s - k == 1 else res
 
 
 # -- drivers ------------------------------------------------------------------
@@ -889,42 +857,25 @@ def iks_factor(f: Poly, m: int, dim_cap: int = DIM_CAP, stage_hook=None):
         sys = IdealSystem(fk, m_try, dim_cap)
         attempt = {"m": m_try, "field": {"p": k.p, "d": k.d}}
         while True:
-            acted = False
-            for rule in RULE_ORDER:
-                res = refine_step(sys, rule)
-                if isinstance(res, Factor):
-                    attempt["events"] = res.log
-                    attempt["outcome"] = "factor"
-                    full_log.append(attempt)
-                    if stage_hook:
-                        stage_hook(sys)
-                    gg = res.g if res.g.ctx == base else _project_factor(res.g, base)
-                    return Factor(gg, full_log)
-                if isinstance(res, Refined):
-                    sys = res.system
-                    acted = True
-                    if stage_hook:
-                        stage_hook(sys)
+            # one event: the first rule that acts, else the first matching
+            results = (refine_step(sys, rule) for rule in RULE_ORDER)
+            res = next((res for res in results if not isinstance(res, NoChange)), None)
+            if res is None:
+                matchings = _detect_matchings(sys)
+                if not matchings:
                     break
-            if acted:
-                continue
-            matchings = _detect_matchings(sys)
-            if not matchings:
-                attempt["events"] = sys.log
-                attempt["outcome"] = "stuck"
-                full_log.append(attempt)
-                last_sys = sys
-                break
-            res = matching_refinement(sys, matchings[0])
-            if isinstance(res, Factor):
-                attempt["events"] = res.log
-                attempt["outcome"] = "factor"
-                full_log.append(attempt)
-                gg = res.g if res.g.ctx == base else _project_factor(res.g, base)
-                return Factor(gg, full_log)
-            sys = res.system
+                res = matching_refinement(sys, matchings[0])
+            if isinstance(res, Refined):
+                sys = res.system
             if stage_hook:
                 stage_hook(sys)
+            if isinstance(res, Factor):
+                attempt.update(events=res.log, outcome="factor")
+                full_log.append(attempt)
+                return Factor(res.g if res.g.ctx == base else _project_factor(res.g, base), full_log)
+        attempt.update(events=sys.log, outcome="stuck")
+        full_log.append(attempt)
+        last_sys = sys
     cert = _certificate(last_sys, True, [])
     return StuckScheme(last_sys, cert, full_log)
 

@@ -138,16 +138,8 @@ class KOps:
                     R = (R - update) % self.p
             pivots.append(c)
             r += 1
-        keep = np.nonzero(R.any(axis=(1, 2)))[0]
-        R = R[keep]
-        # canonical row order: by pivot column
-        order = np.argsort([self._pivot_col(row) for row in R], kind="stable")
-        return R[order], pivots
-
-    @staticmethod
-    def _pivot_col(row):
-        nz = np.nonzero(row.any(axis=-1))[0]
-        return int(nz[0]) if nz.size else row.shape[0]
+        # rows come out in pivot order, and every row past the rank is zero
+        return R[:len(pivots)], pivots
 
     def rank(self, M):
         R, _ = self.rref(M)

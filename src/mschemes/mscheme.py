@@ -147,6 +147,8 @@ class MCollection:
 
     def codes_of_color(self, s: int, c: int) -> np.ndarray:
         """Tuple codes of color c at level s, ascending."""
+        if s not in self._runs:
+            raise IndexError(f"no level {s}: levels are 1..{self.m}")
         if not 0 <= c < self.num_colors(s):
             raise IndexError(f"level {s} has no color {c}")
         order, bounds = self._runs[s]
@@ -377,9 +379,11 @@ class Matching:
         if self.drop_i == self.drop_j or len(self.drop_i) != len(self.drop_j):
             return False
         idx = pi.codes_of_color(s, self.color)
-        img_i = np.unique(multi_proj_table(n, s, self.drop_i)[idx])
-        img_j = np.unique(multi_proj_table(n, s, self.drop_j)[idx])
-        return len(img_i) == len(idx) and np.array_equal(img_i, img_j)
+        img_i = np.sort(multi_proj_table(n, s, self.drop_i)[idx])
+        img_j = np.sort(multi_proj_table(n, s, self.drop_j)[idx])
+        # injective iff the sorted image strictly increases; then the two
+        # images are the same set iff the sorted arrays agree
+        return bool((img_i[1:] > img_i[:-1]).all()) and np.array_equal(img_i, img_j)
 
 
 def _level_matchings(pi: MCollection, s: int) -> list:
@@ -462,6 +466,8 @@ def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) 
         raise NotAntisymmetric("level 2 has a coordinate-permutation-fixed color")
     n = pi.n
     s = t_level
+    if not 1 <= i <= s:
+        raise PreconditionFailed(f"coordinate {i} is outside 1..{s}")
     # normalize: move coordinate i to the last slot via invariance
     if i != s:
         tau = tuple(list(range(i - 1)) + list(range(i, s)) + [i - 1])

@@ -246,6 +246,49 @@ def test_refine_step_r4_already_split():
     assert out.g == poly_of(ctx, [-1, 1])  # x - 1, least candidate
 
 
+def test_split_makes_one_product(monkeypatch):
+    # the rows of (e - u) * I are basis - basis * u, so one mult_batch call
+    # gives both parts; oracle: row-reduce the second product directly
+    ctx = field_ctx(7, 1)
+    f = poly_of(ctx, [-1, 0, 0, 1])
+    sys = IdealSystem(f, 2)
+    alg = sys.algebra(1)
+    u = lagrange_idempotent(f, [ctx.elem(2)])
+    batch = type(alg).mult_batch
+    calls = []
+    monkeypatch.setattr(type(alg), "mult_batch", lambda self, rows, v: calls.append(len(rows)) or batch(self, rows, v))
+    new = sys._split(1, 0, u, "seed", {}).system
+    monkeypatch.undo()
+    assert calls == [3]
+    rest = new.levels[1][1]
+    want, pivots = alg.ops.rref(alg.mult_batch(sys.levels[1][0].basis, rest.idem))
+    assert np.array_equal(rest.basis, want) and rest.pivots == tuple(pivots)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_sigma_matrix_has_permutation_order(s):
+    # R5 powers the matrix of tau instead of the permutation: on the full
+    # level every non-identity tau moves every essential tuple, so both
+    # have the same order
+    sys = fresh_system(5, [-1, 0, 0, 0, 1], s)
+    full = sys.levels[s][0]
+    kops = sys.algebra(s).ops
+    ident = tuple(range(s))
+    for tau in itertools.permutations(range(s)):
+        if tau == ident:
+            continue
+        order, cur = 1, tau
+        while cur != ident:
+            cur = tuple(tau[i] for i in cur)
+            order += 1
+        sigma = fc._sigma_matrix_from_perm(sys, full, tau)
+        acc = sigma
+        for k in range(1, order):
+            assert not kops.mat_eq(acc, kops.eye(full.dim)), (tau, k)
+            acc = kops.matmul(acc, sigma)
+        assert kops.mat_eq(acc, kops.eye(full.dim)), tau
+
+
 def test_refine_step_stable_nochange():
     sys = fresh_system(7, [-1, 0, 0, 1], 2)
     assert isinstance(refine_step(sys, "R4"), NoChange)
@@ -495,6 +538,39 @@ def test_transparent_stage_soundness():
     for pi in stages:
         rep = mscheme.check_properties(pi)
         assert rep is not None
+
+
+@pytest.mark.parametrize(
+    "p,coeffs,m,matching_factor",
+    [
+        (7, [-1, 0, 0, 1], 2, True),  # a level-2 matching splits level 1
+        (11, [0, 9, 6, 2, 4, 1], 4, True),  # a level-3 matching splits level 1
+        (11, [0, 1, 4, 8, 8, 1], 2, False),  # stuck
+        (5, [-1, 0, 0, 0, 1], 3, False),  # R4 reads the factor after R2
+    ],
+    ids=["matching-factor-m2", "matching-factor-m4", "stuck", "r4-factor"],
+)
+def test_stage_hook_fires_once_per_result(monkeypatch, p, coeffs, m, matching_factor):
+    results = []
+    refine, refine_matching = fc.refine_step, fc.matching_refinement
+
+    def counted_step(sys, rule):
+        res = refine(sys, rule)
+        if not isinstance(res, NoChange):
+            results.append(type(res).__name__)
+        return res
+
+    def counted_matching(sys, matching):
+        res = refine_matching(sys, matching)
+        results.append("matching " + type(res).__name__)
+        return res
+
+    monkeypatch.setattr(fc, "refine_step", counted_step)
+    monkeypatch.setattr(fc, "matching_refinement", counted_matching)
+    hooks = []
+    iks_factor(poly_of(field_ctx(p, 1), coeffs), m, stage_hook=hooks.append)
+    assert results and len(hooks) == len(results)
+    assert ("matching Factor" in results) == matching_factor
 
 
 def test_prime_degree_never_stuck_property():

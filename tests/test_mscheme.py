@@ -147,6 +147,22 @@ def test_codes_of_color_matches_level_scan():
                 pi.codes_of_color(s, c)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pi: pi.codes_of_color(0, 0),
+        lambda pi: pi.codes_of_color(4, 0),
+        lambda pi: subdegree(pi, 4, 0, 1, 0),
+        lambda pi: Matching(9, 0, (1,), (2,)).verify(pi),
+    ],
+    ids=["level-0", "level-4", "subdegree", "matching-verify"],
+)
+def test_codes_of_color_refuses_missing_level(call):
+    pi = catalog_mscheme("Z5", 3)
+    with pytest.raises(IndexError, match="no level"):
+        call(pi)
+
+
 def test_find_matchings_z5():
     pi = catalog_mscheme("Z5", 3)
     ms = find_matchings(pi)
@@ -205,6 +221,13 @@ def test_matching_chase_not_antisymmetric():
     pi = assoc.scheme_to_3scheme(assoc.complete_scheme(5))
     with pytest.raises(NotAntisymmetric):
         matching_chase(pi, 2, 0, 1, 2)
+
+
+@pytest.mark.parametrize("i", [-1, 0, 4, 7])
+def test_matching_chase_refuses_coordinate(i):
+    pi = catalog_mscheme("Z7", 3)
+    with pytest.raises(PreconditionFailed, match="outside 1..3"):
+        matching_chase(pi, 3, 0, i, 4)
 
 
 def test_matching_chase_thin_z13():
