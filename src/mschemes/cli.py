@@ -2,7 +2,9 @@
 number-theory utilities, all emitting deterministic JSON.
 
 Exit codes: 0 success/factored, 2 stuck scheme, 3 invalid input,
-4 precondition violation, 5 conjecture-evidence failure.
+4 precondition violation, 5 conjecture-evidence failure, 6 internal
+invariant failure (an AssertionError, among them a theorem contradiction
+or a matching that fails the batched recheck from raw partitions).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ EXIT_STUCK = 2
 EXIT_INVALID = 3
 EXIT_PRECONDITION = 4
 EXIT_CONJECTURE = 5
+EXIT_INTERNAL = 6
 
 LINNIK_SCAN_CONSTANT = 10
 
@@ -64,6 +67,9 @@ def cmd_factor(args) -> int:
     except (factor.NotSplit, ValueError) as exc:
         _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
         return EXIT_INVALID
+    except AssertionError as exc:  # among them assoc.TheoremContradiction
+        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
+        return EXIT_INTERNAL
     if isinstance(res, factor.Factor):
         payload = {
             "status": "factored",
@@ -144,26 +150,30 @@ def cmd_orbit_scan(args) -> int:
     elif not args.gens:
         _emit({"status": "error", "error": "MissingInput", "message": "need --catalog or --gens"}, args.json)
         return EXIT_INVALID
+    else:
+        names = ["custom"]
     try:
         if args.catalog:
             pis = [mscheme.catalog_mscheme(name, min(args.m, catalog[name][0]), work_cap=args.work_cap)
                    for name in names]
         else:
-            pi = mscheme.orbit_mscheme(_parse_generators(args.gens), args.m, work_cap=args.work_cap)
+            pis = [mscheme.orbit_mscheme(_parse_generators(args.gens), args.m, work_cap=args.work_cap)]
     except mscheme.WorkCapExceeded as exc:
         _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
         return EXIT_PRECONDITION
     except ValueError as exc:
         _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
         return EXIT_INVALID
+    try:
+        entries = [_scan_one(name, pi) for name, pi in zip(names, pis)]
+    except AssertionError as exc:
+        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
+        return EXIT_INTERNAL
     if not args.catalog:
-        _emit(_scan_one("custom", pi), args.json)
+        _emit(entries[0], args.json)
         return EXIT_OK
-    entries = []
     failures = 0
-    for name, pi in zip(names, pis):
-        entry = _scan_one(name, pi)
-        entries.append(entry)
+    for entry, pi in zip(entries, pis):
         if entry["homogeneous"] and entry["antisymmetric"] and pi.m >= 4 and not entry["matchings"]:
             failures += 1
     payload = {"status": "ok", "m": args.m, "entries": entries, "conjecture_failures": failures}

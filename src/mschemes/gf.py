@@ -243,6 +243,8 @@ class FieldElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if self.ctx.d == 1:
+            return FieldElem(self.ctx, (pow(self.coeffs[0], -1, self.ctx.p),))
         return self ** (self.ctx.order - 2)
 
     def __eq__(self, other):

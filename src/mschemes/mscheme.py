@@ -74,23 +74,19 @@ def tuple_table(n: int, s: int) -> np.ndarray:
 
 
 def encode_tuples(a: np.ndarray, n: int) -> np.ndarray:
-    """Mixed-radix codes of essential tuples (rows of a)."""
-    a = np.asarray(a, dtype=np.int64)
-    s = a.shape[1]
-    digits = a.copy()
-    for i in range(1, s):
-        smaller = np.zeros(a.shape[0], dtype=np.int64)
-        for j in range(i):
-            smaller += a[:, j] < a[:, i]
-        digits[:, i] -= smaller
+    """Mixed-radix codes of essential tuples (rows of a).
+
+    Digit i is a[:, i] less the earlier entries below it; the comparisons
+    run in the input dtype and only the code itself is int64.
+    """
+    a = np.asarray(a)
     code = np.zeros(a.shape[0], dtype=np.int64)
-    stride = 1
-    strides = [0] * s
-    for i in range(s - 1, -1, -1):
-        strides[i] = stride
-        stride *= n - i
-    for i in range(s):
-        code += digits[:, i] * strides[i]
+    for i in range(a.shape[1]):
+        col = a[:, i]
+        code *= n - i
+        code += col
+        for j in range(i):
+            code -= a[:, j] < col
     return code
 
 
@@ -375,15 +371,41 @@ class Matching:
 
     def verify(self, pi: MCollection) -> bool:
         """Recheck the two defining equalities from raw partitions."""
-        n, s = pi.n, self.level
-        if self.drop_i == self.drop_j or len(self.drop_i) != len(self.drop_j):
-            return False
-        idx = pi.codes_of_color(s, self.color)
-        img_i = np.sort(multi_proj_table(n, s, self.drop_i)[idx])
-        img_j = np.sort(multi_proj_table(n, s, self.drop_j)[idx])
-        # injective iff the sorted image strictly increases; then the two
-        # images are the same set iff the sorted arrays agree
-        return bool((img_i[1:] > img_i[:-1]).all()) and np.array_equal(img_i, img_j)
+        return bool(verify_matchings(pi, [self])[0])
+
+
+def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
+    """Recheck every matching from raw partitions, one pass per level.
+
+    Keys color*width + proj are taken per drop set over the colors named:
+    drop_i is injective on a color iff the color has as many distinct keys
+    as tuples, and then the two images are equal iff every key of drop_i is
+    among the keys of drop_j and both counts agree.
+    """
+    ok = np.zeros(len(matchings), dtype=bool)
+    color = np.array([m.color for m in matchings], dtype=np.int64)
+    groups = {}  # level -> (drop_i, drop_j) -> positions in matchings
+    for j, m in enumerate(matchings):
+        if m.drop_i != m.drop_j and len(m.drop_i) == len(m.drop_j):
+            groups.setdefault(m.level, {}).setdefault((m.drop_i, m.drop_j), []).append(j)
+    for s, pairs in groups.items():
+        used = np.unique(color[[j for js in pairs.values() for j in js]])
+        runs = [pi.codes_of_color(s, int(c)) for c in used]  # IndexError on a bad level or color
+        sizes = np.array([len(r) for r in runs])
+        codes, owner = np.concatenate(runs), np.repeat(np.arange(len(used)), sizes)
+        keys, distinct = {}, {}
+        for d in {d for pair in pairs for d in pair}:
+            width = falling(pi.n, s - len(d))
+            k = np.sort(owner * width + multi_proj_table(pi.n, s, d)[codes])
+            keys[d] = k[np.concatenate(([True], k[1:] != k[:-1]))]
+            distinct[d] = np.bincount(keys[d] // width, minlength=len(used))
+        for (di, dj), js in pairs.items():
+            a, b = keys[di], keys[dj]
+            shared = a[b[np.searchsorted(b, a).clip(max=len(b) - 1)] == a]
+            found = np.bincount(shared // falling(pi.n, s - len(di)), minlength=len(used))
+            good = (distinct[di] == sizes) & (found == distinct[di]) & (distinct[dj] == distinct[di])
+            ok[js] = good[np.searchsorted(used, color[js])]
+    return ok
 
 
 def _level_matchings(pi: MCollection, s: int) -> list:
@@ -410,8 +432,12 @@ def _level_matchings(pi: MCollection, s: int) -> list:
 def find_matchings(pi: MCollection) -> list:
     """All matchings, scanned in (level, color, k, drop_i, drop_j) order."""
     out = [m for s in range(2, pi.m + 1) for m in _level_matchings(pi, s)]
-    for m in out:
-        assert m.verify(pi)
+    try:
+        ok = verify_matchings(pi, out)
+    except IndexError as exc:  # the search named a level or color that does not exist
+        raise AssertionError(f"matching search returned {exc}") from exc
+    if not ok.all():
+        raise AssertionError(f"matching search returned {out[int(np.argmin(ok))]}, which fails its recheck")
     return out
 
 

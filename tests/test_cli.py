@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mschemes import assoc, cli
+from mschemes import assoc, cli, factor, mscheme
 from mschemes.cli import linnik_p1s, main, smooth_divisor
 from mschemes.gf import is_prime
 
@@ -147,6 +147,28 @@ def test_orbit_scan_custom_gens(capsys):
 def test_orbit_scan_bad_gens(capsys):
     code, payload = run_cli(capsys, ["orbit-scan", "--gens", "1,1,0", "--m", "2"])
     assert code == 3
+
+
+def test_orbit_scan_internal_failure_exit_code(capsys, monkeypatch):
+    # a matching search that returns a wrong matching fails the recheck:
+    # exit 6 with a JSON error, not a traceback
+    search = mscheme._level_matchings
+    monkeypatch.setattr(mscheme, "_level_matchings",
+                        lambda pi, s: search(pi, s) + [mscheme.Matching(s, -1, (1,), (2,))])
+    code, payload = run_cli(capsys, ["orbit-scan", "--catalog", "Z5", "--m", "3"])
+    assert code == 6
+    assert payload["status"] == "error" and payload["error"] == "AssertionError"
+
+
+def test_factor_theorem_contradiction_exit_code(capsys, monkeypatch):
+    def contradiction(*args, **kwargs):
+        raise assoc.TheoremContradiction("prime-degree refinement must never get stuck")
+
+    monkeypatch.setattr(factor, "prime_degree_factor", contradiction)
+    argv = ["factor", "--p", "11", "--poly", "10,0,0,0,0,1", "--r", "2", "--l", "1"]
+    code, payload = run_cli(capsys, argv)
+    assert code == 6
+    assert payload["error"] == "TheoremContradiction"
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,25 @@ def test_field_axioms(p, d):
             assert a * a.inverse() == one
 
 
+def test_prime_field_inverse_exhaustive():
+    for p in filter(gf.is_prime, range(2, 102)):
+        ctx = field_ctx(p, 1)
+        for c in range(1, p):
+            inv = ctx.elem(c).inverse()
+            assert inv == ctx.elem(c) ** (p - 2) and (c * inv.coeffs[0]) % p == 1, (p, c)
+        with pytest.raises(ZeroDivisionError):
+            ctx.zero().inverse()
+
+
+@pytest.mark.parametrize("p, d", [(2, 3), (3, 2), (5, 2), (23, 2)])
+def test_extension_field_inverse_unchanged(p, d):
+    # d > 1 still inverts as a^(q-2)
+    ctx = field_ctx(p, d)
+    for a in ctx.elements():
+        if not a.is_zero():
+            assert a.inverse() == a ** (ctx.order - 2) and a * a.inverse() == ctx.one()
+
+
 def test_poly_gcd_examples():
     ctx = field_ctx(7, 1)
     x2m1 = Poly(ctx, [-1, 0, 1])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mschemes import assoc, mscheme
 from mschemes.mscheme import (
@@ -12,6 +14,7 @@ from mschemes.mscheme import (
     NotAProjection,
     PreconditionFailed,
     WorkCapExceeded,
+    act_table,
     catalog_mscheme,
     check_properties,
     collection_from_json,
@@ -21,11 +24,63 @@ from mschemes.mscheme import (
     find_matchings,
     load_catalog,
     matching_chase,
+    multi_proj_table,
     nonexistence_check,
     prime_matching,
     subdegree,
     tuple_table,
+    verify_matchings,
 )
+
+
+def encode_by_int64(a, n):
+    """Mixed-radix codes the long way: an int64 copy of the tuples, one
+    count of smaller earlier entries per digit, and explicit strides."""
+    a = np.asarray(a, dtype=np.int64)
+    s = a.shape[1]
+    digits = a.copy()
+    for i in range(1, s):
+        smaller = np.zeros(a.shape[0], dtype=np.int64)
+        for j in range(i):
+            smaller += a[:, j] < a[:, i]
+        digits[:, i] -= smaller
+    code = np.zeros(a.shape[0], dtype=np.int64)
+    stride = 1
+    strides = [0] * s
+    for i in range(s - 1, -1, -1):
+        strides[i] = stride
+        stride *= n - i
+    for i in range(s):
+        code += digits[:, i] * strides[i]
+    return code
+
+
+def verify_by_sorting(pi, m):
+    """A matching by definition, one color at a time: drop_i's sorted image
+    strictly increases (it is injective) and equals drop_j's sorted image."""
+    if m.drop_i == m.drop_j or len(m.drop_i) != len(m.drop_j):
+        return False
+    tuples = tuple_table(pi.n, m.level)[pi.codes_of_color(m.level, m.color)]
+
+    def image(dropped):
+        kept = [j for j in range(m.level) if j + 1 not in dropped]
+        return np.sort(encode_by_int64(tuples[:, kept], pi.n))
+
+    img_i, img_j = image(m.drop_i), image(m.drop_j)
+    return bool((img_i[1:] > img_i[:-1]).all()) and np.array_equal(img_i, img_j)
+
+
+def recoloured(base, seed, split):
+    """base with colors merged at random (some merged colors stay matchings,
+    others project non-injectively) and, if split, some tuples moved to a
+    twin color."""
+    rng = np.random.default_rng(seed)
+    levels = {}
+    for s in base.levels:
+        merge = rng.integers(0, max(1, base.num_colors(s) * 2 // 3), size=base.num_colors(s))
+        twin = rng.random(len(base.levels[s])) < 0.1 if split else 0
+        levels[s] = np.unique(2 * merge[base.levels[s]] + twin, return_inverse=True)[1]
+    return MCollection(base.n, levels)
 
 
 def test_encode_matches_lex_position():
@@ -163,6 +218,15 @@ def test_codes_of_color_refuses_missing_level(call):
         call(pi)
 
 
+def test_matching_verify_refuses_color_outside_level():
+    pi = catalog_mscheme("Z5", 3)
+    for c in (-1, pi.num_colors(3)):
+        with pytest.raises(IndexError, match="has no color"):
+            Matching(3, c, (1,), (2,)).verify(pi)
+    assert not Matching(3, 0, (1,), (1,)).verify(pi)
+    assert not Matching(3, 0, (1,), (1, 2)).verify(pi)
+
+
 def test_find_matchings_z5():
     pi = catalog_mscheme("Z5", 3)
     ms = find_matchings(pi)
@@ -191,23 +255,75 @@ def test_all_returned_matchings_verify():
 
 @pytest.mark.parametrize("name", ["Z5", "D5", "Z6", "Z7", "A4", "F21"])
 def test_find_matchings_matches_definition(name):
-    # orbit colors merged at random, so some merged colors stay matchings
-    # and others project non-injectively; oracle: verify on every
-    # (level, color, k, drop_i, drop_j) in scan order
-    base = catalog_mscheme(name, 4)
-    rng = np.random.default_rng(sorted(load_catalog()).index(name))
-    merge = {s: rng.integers(0, max(1, base.num_colors(s) * 2 // 3), size=base.num_colors(s)) for s in base.levels}
-    pi = MCollection(base.n, {s: np.unique(merge[s][base.levels[s]], return_inverse=True)[1] for s in base.levels})
+    # oracle: the sorting verifier on every (level, color, k, drop_i, drop_j)
+    # in scan order
+    pi = recoloured(catalog_mscheme(name, 4), sorted(load_catalog()).index(name), split=False)
     expected = [
         Matching(s, c, di, dj)
         for s in range(2, pi.m + 1)
         for c in range(pi.num_colors(s))
         for k in range(1, s)
         for di, dj in itertools.combinations(itertools.combinations(range(1, s + 1), k), 2)
-        if Matching(s, c, di, dj).verify(pi)
+        if verify_by_sorting(pi, Matching(s, c, di, dj))
     ]
     assert expected
     assert find_matchings(pi) == expected
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(["Z5", "D5", "Z7"]), st.integers(3, 4),
+       st.one_of(st.none(), st.tuples(st.integers(0, 2**16), st.booleans())))
+def test_verify_matchings_matches_sorting(name, m, perturb):
+    # every candidate, in one batch: equal drop sets and drop sets of
+    # different sizes included, so both outcomes occur
+    pi = catalog_mscheme(name, m) if perturb is None else recoloured(catalog_mscheme(name, m), *perturb)
+    cands = [
+        Matching(s, c, di, dj)
+        for s in range(2, pi.m + 1)
+        for c in range(pi.num_colors(s))
+        for di, dj in itertools.combinations_with_replacement(
+            [d for k in range(1, s) for d in itertools.combinations(range(1, s + 1), k)], 2)
+    ]
+    got = verify_matchings(pi, cands)
+    assert got.dtype == bool
+    assert got.tolist() == [verify_by_sorting(pi, c) for c in cands]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_encode_tables_match_int64_oracle(data):
+    n = data.draw(st.integers(1, 9))
+    s = data.draw(st.integers(1, min(n, 5)))
+    tau = data.draw(st.permutations(range(s)))
+    dropped = tuple(sorted(data.draw(st.sets(st.integers(1, s)))))
+    kept = [j for j in range(s) if j + 1 not in dropped]
+    t = tuple_table(n, s).astype(data.draw(st.sampled_from([np.int8, np.int64])))
+    for cols in (tau, kept, [tau[j] for j in kept]):
+        got = encode_tuples(t[:, cols], n)
+        assert got.dtype == np.int64 and np.array_equal(got, encode_by_int64(t[:, cols], n))
+    assert np.array_equal(act_table(n, s, tuple(tau)), encode_by_int64(t[:, tau], n))
+    assert np.array_equal(multi_proj_table(n, s, dropped), encode_by_int64(t[:, kept], n))
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("D5", lambda pi: Matching(3, 0, (1, 2), (1, 3))),  # 10 triples onto 5 points
+        ("Z5", lambda pi: Matching(3, pi.color_of_tuple((0, 1, 2)), (2,), (3,))),  # d=2 vs d=1 pairs
+        ("Z5", lambda pi: Matching(3, pi.num_colors(3), (1,), (2,))),
+        ("Z5", lambda pi: Matching(3, -1, (1,), (2,))),
+    ],
+    ids=["not-injective", "images-differ", "color-out-of-range", "color-minus-one"],
+)
+def test_find_matchings_recheck_bites(monkeypatch, name, bad):
+    # a search that returns one wrong matching must not get past the recheck,
+    # also under python -O
+    pi = catalog_mscheme(name, 3)
+    wrong = bad(pi)
+    search = mscheme._level_matchings
+    monkeypatch.setattr(mscheme, "_level_matchings", lambda pi, s: search(pi, s) + [wrong] * (s == 3))
+    with pytest.raises(AssertionError, match="matching search returned"):
+        find_matchings(pi)
 
 
 def test_matching_chase_trigger_case():
