@@ -1,10 +1,12 @@
 """Command-line front end: factoring, scheme reports, orbit scans, and
 number-theory utilities, all emitting deterministic JSON.
 
-Exit codes: 0 success/factored, 2 stuck scheme, 3 invalid input,
-4 precondition violation, 5 conjecture-evidence failure, 6 internal
-invariant failure (an AssertionError, among them a theorem contradiction
-or a matching that fails the batched recheck from raw partitions).
+Exit codes: 0 success/factored, 2 stuck scheme, 3 invalid input
+(ValueError), 4 unmet precondition or cap (gf.PreconditionFailed),
+5 conjecture-evidence failure, 6 internal invariant failure
+(AssertionError, among them a theorem contradiction or a matching that
+fails the batched recheck from raw partitions).  Every error is reported
+as JSON with status "error".
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from functools import lru_cache
 
 from . import assoc, factor, mscheme
-from .gf import ScanCapExceeded, field_ctx, is_prime, poly_from_text, smooth_divisor
+from .gf import PreconditionFailed, ScanCapExceeded, field_ctx, is_prime, poly_from_text, smooth_divisor
 
 EXIT_OK = 0
 EXIT_STUCK = 2
@@ -22,6 +25,9 @@ EXIT_INVALID = 3
 EXIT_PRECONDITION = 4
 EXIT_CONJECTURE = 5
 EXIT_INTERNAL = 6
+
+# every error class of the package lies in exactly one of these families
+EXIT_CODES = {ValueError: EXIT_INVALID, PreconditionFailed: EXIT_PRECONDITION, AssertionError: EXIT_INTERNAL}
 
 LINNIK_SCAN_CONSTANT = 10
 
@@ -49,52 +55,22 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def cmd_factor(args) -> int:
-    try:
-        ctx = field_ctx(args.p, args.d)
-        f = poly_from_text(ctx, args.poly)
-    except Exception as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_INVALID
-    try:
-        if args.r is not None and is_prime(f.degree):
-            res = factor.prime_degree_factor(f, args.r, args.l, dim_cap=args.dim_cap)
-        else:
-            res = factor.iks_factor(f, args.m, dim_cap=args.dim_cap)
-    except (factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, factor.PrimeTooLarge, factor.DimCapExceeded) as exc:
-        # before ValueError: the first three subclass it
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_PRECONDITION
-    except (factor.NotSplit, ValueError) as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_INVALID
-    except AssertionError as exc:  # among them assoc.TheoremContradiction
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_INTERNAL
+    f = poly_from_text(field_ctx(args.p, args.d), args.poly)
+    if args.r is not None and is_prime(f.degree):
+        res = factor.prime_degree_factor(f, args.r, args.l, dim_cap=args.dim_cap)
+    else:
+        res = factor.iks_factor(f, args.m, dim_cap=args.dim_cap)
     if isinstance(res, factor.Factor):
-        payload = {
-            "status": "factored",
-            "factor": res.g.int_coeffs(),
-            "m_used": res.log[-1]["m"] if res.log else None,
-            "refinement_log": res.log,
-        }
-        _emit(payload, args.json)
-        return EXIT_OK
-    payload = {
-        "status": "stuck",
-        "certificate": {k: v for k, v in res.certificate.items()},
-        "m_used": res.log[-1]["m"] if res.log else None,
-        "refinement_log": res.log,
-    }
+        payload, code = {"status": "factored", "factor": res.g.int_coeffs()}, EXIT_OK
+    else:
+        payload, code = {"status": "stuck", "certificate": res.certificate}, EXIT_STUCK
+    payload.update(m_used=res.log[-1]["m"] if res.log else None, refinement_log=res.log)
     _emit(payload, args.json)
-    return EXIT_STUCK
+    return code
 
 
 def cmd_scheme_report(args) -> int:
-    try:
-        s = assoc.cyclotomic_scheme(args.p, args.e)
-    except Exception as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_INVALID
+    s = assoc.cyclotomic_scheme(args.p, args.e)
     t = assoc.intersection_tensor(s)
     identities = assoc.check_tensor_identities(t)
     witnesses = {}
@@ -152,23 +128,12 @@ def cmd_orbit_scan(args) -> int:
         return EXIT_INVALID
     else:
         names = ["custom"]
-    try:
-        if args.catalog:
-            pis = [mscheme.catalog_mscheme(name, min(args.m, catalog[name][0]), work_cap=args.work_cap)
-                   for name in names]
-        else:
-            pis = [mscheme.orbit_mscheme(_parse_generators(args.gens), args.m, work_cap=args.work_cap)]
-    except mscheme.WorkCapExceeded as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_INVALID
-    try:
-        entries = [_scan_one(name, pi) for name, pi in zip(names, pis)]
-    except AssertionError as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_INTERNAL
+    if args.catalog:
+        pis = [mscheme.catalog_mscheme(name, min(args.m, catalog[name][0]), work_cap=args.work_cap)
+               for name in names]
+    else:
+        pis = [mscheme.orbit_mscheme(_parse_generators(args.gens), args.m, work_cap=args.work_cap)]
+    entries = [_scan_one(name, pi) for name, pi in zip(names, pis)]
     if not args.catalog:
         _emit(entries[0], args.json)
         return EXIT_OK
@@ -204,26 +169,18 @@ def _scan_one(name: str, pi) -> dict:
 
 
 def cmd_linnik(args) -> int:
-    try:
-        value = linnik_p1s(args.s)
-    except (ValueError, ScanCapExceeded) as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_INVALID
-    _emit({"status": "ok", "s": args.s, "prime": value}, args.json)
+    _emit({"status": "ok", "s": args.s, "prime": linnik_p1s(args.s)}, args.json)
     return EXIT_OK
 
 
 def cmd_smooth(args) -> int:
-    try:
-        value = smooth_divisor(args.n, args.r)
-    except ValueError as exc:
-        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
-        return EXIT_INVALID
-    _emit({"status": "ok", "n": args.n, "r": args.r, "smooth_divisor": value}, args.json)
+    _emit({"status": "ok", "n": args.n, "r": args.r, "smooth_divisor": smooth_divisor(args.n, args.r)}, args.json)
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every main call."""
     ap = argparse.ArgumentParser(prog="mschemes", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -267,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        _emit({"status": "error", "error": type(exc).__name__, "message": str(exc)}, args.json)
+        return next(code for family, code in EXIT_CODES.items() if isinstance(exc, family))
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .gf import (
     FieldCtx,
     FieldElem,
     Poly,
+    PreconditionFailed,
     embed_field,
     extension_for_levels,
     field_ctx,
@@ -71,7 +73,7 @@ class NotSplit(ValueError):
     pass
 
 
-class DimCapExceeded(RuntimeError):
+class DimCapExceeded(PreconditionFailed):
     pass
 
 
@@ -79,8 +81,8 @@ class ZeroAlgebra(ValueError):
     pass
 
 
-class InvalidSystem(ValueError):
-    pass
+class InvalidSystem(AssertionError):
+    """A pipeline invariant failed: a bug, never a property of the input."""
 
 
 class TrivialAutomorphism(ValueError):
@@ -91,15 +93,15 @@ class NotAMatching(ValueError):
     pass
 
 
-class NotPrimeDegree(ValueError):
+class NotPrimeDegree(PreconditionFailed):
     pass
 
 
-class SmoothDivisorTooSmall(ValueError):
+class SmoothDivisorTooSmall(PreconditionFailed):
     pass
 
 
-class PrimeTooLarge(ValueError):
+class PrimeTooLarge(PreconditionFailed):
     """p is beyond the range where the level kernel's int64 sums are exact."""
 
 
@@ -181,6 +183,12 @@ def _algebra_amm(alg: LevelAlgebra, e_B, exponent: int, u, r: int):
     return kops.scalar_mul(kops.scalar(h ** (e_val // r)), x)
 
 
+@lru_cache(maxsize=None)
+def _field_algebra(ctx: FieldCtx) -> LevelAlgebra:
+    """The field as level 1 of k[x]/(x), built once per field."""
+    return build_levels(Poly(ctx, [0, 1]), 1, DIM_CAP)[0]
+
+
 def rth_root(a: FieldElem, r: int) -> FieldElem | None:
     """Canonically-least r-th root of a, or None if a is not an r-th power.
 
@@ -202,7 +210,7 @@ def rth_root(a: FieldElem, r: int) -> FieldElem | None:
         return a ** pow(r, -1, q1)
     if a ** (q1 // r) != ctx.one():
         return None
-    alg = build_levels(Poly(ctx, [0, 1]), 1, DIM_CAP)[0]
+    alg = _field_algebra(ctx)
     y = _algebra_amm(alg, alg.identity(), q1, np.array([a.coeffs], dtype=np.int64), r)
     assert isinstance(y, np.ndarray)
     root = ctx.elem(y[0].tolist())
@@ -247,7 +255,7 @@ def _split_with_automorphism(alg: LevelAlgebra, basis, pivots, e_B, exponent: in
     w_elem = alg.mult(y, alg.power(z, exponent - 1, e_B))
     hit = _scan_scalars(alg, w_elem, e_B, exponent, _powers(zeta, r))
     if hit is None:
-        raise RuntimeError("w is an r-th root of unity; some factor must be singular")
+        raise InvalidSystem("w is an r-th root of unity; some factor must be singular")
     return NoSplit() if hit[2] is None else ZeroDivisor(hit[1])
 
 
@@ -435,7 +443,7 @@ class IdealSystem:
             raise NotSplit("pipeline input must be squarefree and fully split")
         if f.ctx.p < f.degree:
             # fibre counts are field scalars; p >= n keeps them faithful
-            raise InvalidSystem("characteristic must be at least deg f for exact fibre counts")
+            raise PreconditionFailed("characteristic must be at least deg f for exact fibre counts")
         self.f = f
         self.ctx = f.ctx
         self.m = m

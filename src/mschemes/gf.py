@@ -35,7 +35,12 @@ class NoNonresidue(ValueError):
     pass
 
 
-class ScanCapExceeded(RuntimeError):
+class PreconditionFailed(RuntimeError):
+    """An unmet hypothesis or a resource cap: the input is well formed, but
+    the requested computation is outside what the method guarantees."""
+
+
+class ScanCapExceeded(PreconditionFailed):
     pass
 
 
@@ -82,6 +87,19 @@ def smooth_divisor(n: int, r: int) -> int:
     if rem > 1 and rem <= r:
         out *= rem
     return out
+
+
+def square_and_multiply(base, e: int, one, mul):
+    """base^e for e >= 0 by binary powering with the product `mul`; base^0 is
+    `one`.  The squaring after the top bit, which nothing uses, is skipped."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 def _digits(idx, p, length):
@@ -231,14 +249,7 @@ class FieldElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return square_and_multiply(self, e, self.ctx.one(), FieldElem.__mul__)
 
     def inverse(self):
         if self.is_zero():
@@ -276,7 +287,7 @@ def field_ctx(p: int, d: int) -> FieldCtx:
         cand = _digits(idx, p, d) + [1]
         if _is_irreducible(Poly(field_ctx(p, 1), cand)):
             return FieldCtx(p, d, tuple(cand))
-    raise RuntimeError("unreachable: irreducible polynomial always exists")
+    raise AssertionError("unreachable: irreducible polynomial always exists")
 
 
 class Poly:
@@ -421,14 +432,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly(base.ctx, [1])
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return square_and_multiply(base % mod, e, Poly(base.ctx, [1]), lambda a, b: (a * b) % mod)
 
 
 def _is_irreducible(g: Poly) -> bool:
@@ -475,7 +479,7 @@ def find_nonresidue(r: int, ctx: FieldCtx) -> FieldElem:
         tested += 1
         if a**e != ctx.one():
             return a
-    raise RuntimeError("unreachable: nonresidue exists when r | Q-1")
+    raise AssertionError("unreachable: nonresidue exists when r | Q-1")
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -524,7 +528,7 @@ def embed_field(src: FieldCtx, dst: FieldCtx):
             gen_img = cand
             break
     else:
-        raise RuntimeError("unreachable: source modulus splits in dst")
+        raise AssertionError("unreachable: source modulus splits in dst")
     powers = [dst.one()]
     for _ in range(src.d - 1):
         powers.append(powers[-1] * gen_img)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import convolve as _convolve
 
-from .gf import Poly
+from .gf import Poly, square_and_multiply
 from .linalg import FLOAT64_EXACT, INT64_EXACT, KOps, dot_exact
 
 # product-space cells * canonical dim above this skips the reduction matrix
@@ -327,14 +327,7 @@ class LevelAlgebra:
 
     def power(self, u, e: int, unit=None):
         """u^e by square-and-multiply; u^0 is `unit` (default: the identity)."""
-        result = self.identity() if unit is None else unit.copy()
-        base = u
-        while e:
-            if e & 1:
-                result = self.mult(result, base)
-            base = self.mult(base, base) if e > 1 else base
-            e >>= 1
-        return result
+        return square_and_multiply(u, e, self.identity() if unit is None else unit.copy(), self.mult)
 
     def idempotent_of(self, z):
         """Support idempotent z^(Q-1); exact on split algebras."""

@@ -21,12 +21,12 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .gf import is_prime
+from .gf import PreconditionFailed, is_prime
 
 WORK_CAP = 10**7
 
 
-class WorkCapExceeded(RuntimeError):
+class WorkCapExceeded(PreconditionFailed):
     pass
 
 
@@ -42,12 +42,8 @@ class NotAntisymmetric(ValueError):
     pass
 
 
-class DepthExhausted(RuntimeError):
+class DepthExhausted(PreconditionFailed):
     """The chase ran out of levels; contradicts the halving argument."""
-
-
-class PreconditionFailed(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

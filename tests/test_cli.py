@@ -1,10 +1,11 @@
+import inspect
 import json
 
 import pytest
 
-from mschemes import assoc, cli, factor, mscheme
+from mschemes import assoc, cli, factor, gf, levels, linalg, mscheme
 from mschemes.cli import linnik_p1s, main, smooth_divisor
-from mschemes.gf import is_prime
+from mschemes.gf import PreconditionFailed, is_prime
 
 
 def run_cli(capsys, argv):
@@ -249,3 +250,85 @@ def test_dim_cap_flag(capsys):
     code, payload = run_cli(capsys, argv)
     assert code == 4
     assert payload["error"] == "DimCapExceeded"
+
+
+def test_every_error_class_has_one_family():
+    families = (ValueError, PreconditionFailed, AssertionError)
+    seen = []
+    for module in (gf, factor, levels, linalg, mscheme, assoc, cli):
+        for name, cls in vars(module).items():
+            if inspect.isclass(cls) and issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                assert sum(issubclass(cls, fam) for fam in families) == 1, f"{module.__name__}.{name}"
+                seen.append(cls)
+    assert PreconditionFailed in seen and factor.InvalidSystem in seen and len(seen) > 20
+
+
+def test_error_family_map():
+    caps = (gf.ScanCapExceeded, factor.DimCapExceeded, mscheme.WorkCapExceeded, factor.PrimeTooLarge,
+            factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, mscheme.DepthExhausted)
+    assert all(issubclass(cls, PreconditionFailed) for cls in caps)
+    assert mscheme.PreconditionFailed is PreconditionFailed
+    assert issubclass(factor.InvalidSystem, AssertionError)
+    # raised both for caller input and inside the pipeline
+    assert all(issubclass(cls, ValueError) for cls in (factor.TrivialAutomorphism, factor.NotAMatching, gf.Overflow))
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_factor_characteristic_below_degree_exit_code(capsys):
+    # x(x+1)(x+theta) splits over F_4, but fibre counts 0..3 do not fit in F_2
+    code, payload = run_cli(capsys, ["factor", "--p", "2", "--d", "2", "--poly", "0,2,3,1"])
+    assert code == 4
+    assert payload["error"] == "PreconditionFailed"
+
+
+def test_factor_scan_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(factor, "find_nonresidue", _raise(gf.ScanCapExceeded("no nonresidue within scan cap")))
+    code, payload = run_cli(capsys, ["factor", "--p", "7", "--poly", "6,0,0,1"])
+    assert code == 4
+    assert payload["error"] == "ScanCapExceeded"
+
+
+def test_factor_invalid_system_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(factor.IdealSystem, "_split", _raise(factor.InvalidSystem("split parts must partition")))
+    code, payload = run_cli(capsys, ["factor", "--p", "7", "--poly", "6,0,0,1"])
+    assert code == 6
+    assert payload["error"] == "InvalidSystem"
+
+
+def test_linnik_scan_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "LINNIK_SCAN_CONSTANT", 0)
+    code, payload = run_cli(capsys, ["linnik", "--s", "8"])
+    assert code == 4
+    assert payload["error"] == "ScanCapExceeded"
+
+
+def test_scheme_report_internal_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(assoc, "check_tensor_identities", _raise(AssertionError("identity suite crashed")))
+    code, payload = run_cli(capsys, ["scheme-report", "--p", "13", "--e", "6"])
+    assert code == 6
+    assert payload["status"] == "error" and payload["error"] == "AssertionError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["linnik", "--s", "0"], ["smooth", "--n", "0", "--r", "3"], ["factor", "--p", "6", "--poly", "1,1"]],
+    ids=["linnik", "smooth", "factor"],
+)
+def test_invalid_input_is_json(capsys, argv):
+    code, payload = run_cli(capsys, argv)
+    assert code == 3
+    assert payload["status"] == "error"
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = cli.build_parser()
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", _raise(AssertionError("parser rebuilt")))
+    assert cli.build_parser() is built
+    code, _ = run_cli(capsys, ["smooth", "--n", "12", "--r", "3"])
+    assert code == 0

@@ -224,6 +224,49 @@ def test_rth_root_roundtrip(p, d):
             assert root.index == min(b.index for b in all_roots)
 
 
+def test_rth_root_builds_one_algebra_per_field(monkeypatch):
+    from mschemes import factor
+
+    calls = []
+    build = factor.build_levels
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(factor, "build_levels", counting)
+    factor._field_algebra.cache_clear()
+    ctx = field_ctx(97, 1)
+    for b in ctx.elements():
+        if not b.is_zero():
+            root = rth_root(b * b, 2)
+            assert root * root == b * b and root.index <= (-root).index
+    assert len(calls) == 1
+
+
+def test_square_and_multiply_skips_final_squaring():
+    for e in range(70):
+        products = []
+
+        def mul(a, b):
+            products.append((a, b))
+            return a * b
+
+        assert gf.square_and_multiply(3, e, 1, mul) == 3**e
+        # one product per set bit, one squaring per bit below the top one
+        assert len(products) == (bin(e).count("1") + e.bit_length() - 1 if e else 0)
+
+
+def test_poly_powmod_matches_repeated_products():
+    ctx = field_ctx(3, 2)
+    mod = Poly(ctx, [1, 2, 0, 1])
+    base = Poly(ctx, [ctx.from_index(5), 1, ctx.from_index(7)])
+    acc = Poly(ctx, [1])
+    for e in range(30):
+        assert gf.poly_powmod(base, e, mod) == acc % mod
+        acc = acc * base
+
+
 def test_rth_root_none_iff_nonpower():
     ctx = field_ctx(13, 1)
     cubes = {(b**3).index for b in ctx.elements() if not b.is_zero()}

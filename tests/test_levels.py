@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mschemes.factor import _eval_vec, _monomial_values
 from mschemes.gf import Poly, field_ctx
-from mschemes.levels import build_levels
+from mschemes.levels import LevelAlgebra, build_levels
 
 
 def make_levels(p, root_ints, m, d=1):
@@ -95,6 +95,24 @@ def test_identity_and_power():
             val = evaluate(lv, u, tup, roots)
             expect = val**6
             assert evaluate(lv, w, tup, roots) == expect
+
+
+def test_power_multiplies_through_mult(monkeypatch):
+    # the benchmark tracer counts products at LevelAlgebra.mult
+    _, _, levels = make_levels(7, [1, 2, 4], 2)
+    lv = levels[1]
+    u = rand_vec(lv, 5)
+    calls = []
+    mult = LevelAlgebra.mult
+
+    def counting(self, a, b):
+        calls.append(self)
+        return mult(self, a, b)
+
+    monkeypatch.setattr(LevelAlgebra, "mult", counting)
+    w = lv.power(u, 6)
+    assert len(calls) == 4  # 6 = 0b110: two products, two squarings
+    assert np.array_equal(w, mult(lv, mult(lv, u, u), mult(lv, mult(lv, u, u), mult(lv, u, u))))
 
 
 def test_idempotent_of():
