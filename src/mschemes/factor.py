@@ -63,7 +63,7 @@ from .gf import (
     smooth_divisor,
 )
 from .levels import LevelAlgebra, build_levels
-from .linalg import KOps
+from .linalg import KOps, PrimeTooLarge  # noqa: F401  (re-exported)
 
 DIM_CAP = 10**6
 ORDER_CAP = 10**6
@@ -99,10 +99,6 @@ class NotPrimeDegree(PreconditionFailed):
 
 class SmoothDivisorTooSmall(PreconditionFailed):
     pass
-
-
-class PrimeTooLarge(PreconditionFailed):
-    """p is beyond the range where the level kernel's int64 sums are exact."""
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +437,18 @@ class IdealSystem:
             f = f.monic()
         if not is_split_squarefree(f):
             raise NotSplit("pipeline input must be squarefree and fully split")
+        self._build(f, m, dim_cap)
+
+    @classmethod
+    def _of_split(cls, f: Poly, m: int, dim_cap: int):
+        """The system of a monic f already known to split into distinct
+        linear factors, such as the lift of a checked polynomial to an
+        extension (lifting keeps the roots)."""
+        sys = cls.__new__(cls)
+        sys._build(f, m, dim_cap)
+        return sys
+
+    def _build(self, f: Poly, m: int, dim_cap: int):
         if f.ctx.p < f.degree:
             # fibre counts are field scalars; p >= n keeps them faithful
             raise PreconditionFailed("characteristic must be at least deg f for exact fibre counts")
@@ -862,7 +870,7 @@ def iks_factor(f: Poly, m: int, dim_cap: int = DIM_CAP, stage_hook=None):
     for m_try in range(2, min(m, g.degree) + 1):
         k = extension_for_levels(base, m_try)
         fk = lift_poly(g, k)
-        sys = IdealSystem(fk, m_try, dim_cap)
+        sys = IdealSystem._of_split(fk, m_try, dim_cap)
         attempt = {"m": m_try, "field": {"p": k.p, "d": k.d}}
         while True:
             # one event: the first rule that acts, else the first matching

@@ -458,11 +458,13 @@ def is_split_squarefree(f: Poly) -> bool:
     return (xq - (x % f)).is_zero()
 
 
+@lru_cache(maxsize=None)
 def find_nonresidue(r: int, ctx: FieldCtx) -> FieldElem:
     """First element (canonical order) that is not an r-th power.
 
     Requires r prime with r | Q-1; the scan is capped at 2*(log2 Q)^2
-    elements and raises ScanCapExceeded past the cap.
+    elements and raises ScanCapExceeded past the cap.  Scanned once per
+    (r, field).
     """
     if not is_prime(r):
         raise ValueError("r must be prime")

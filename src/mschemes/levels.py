@@ -31,7 +31,7 @@ import numpy as np
 from scipy.signal import convolve as _convolve
 
 from .gf import Poly, square_and_multiply
-from .linalg import FLOAT64_EXACT, INT64_EXACT, KOps, dot_exact
+from .linalg import FLOAT64_EXACT, INT64_EXACT, KOps, PrimeTooLarge, dot_exact
 
 # product-space cells * canonical dim above this skips the reduction matrix
 # (R then takes 8*d^2 bytes per unit of this product)
@@ -445,7 +445,7 @@ def build_levels(f: Poly, m: int, dim_cap: int) -> list:
         from .factor import ZeroAlgebra
 
         raise ZeroAlgebra(f"no essential {m}-tuples on {n} points")
-    ops = KOps(f.ctx)
+    p, d = f.ctx.p, f.ctx.d
     dims = []
     dim = 1
     cells = 1
@@ -459,10 +459,10 @@ def build_levels(f: Poly, m: int, dim_cap: int) -> list:
             raise DimCapExceeded(f"level {s} dimension {dim} exceeds cap {dim_cap}")
     # longest int64 sum of residue products: a convolution over at most
     # `cells` cells per digit, or a digit fold of at most 2d^2 terms
-    terms = ops.d * max(cells, 2 * ops.d)
-    if not dot_exact(ops.p, terms, INT64_EXACT):
-        from .factor import PrimeTooLarge
-
-        raise PrimeTooLarge(f"p = {ops.p}: {terms} * (p-1)^2 >= 2^63, so int64 level arithmetic could overflow")
+    # (checked before KOps, whose own bound is looser)
+    terms = d * max(cells, 2 * d)
+    if not dot_exact(p, terms, INT64_EXACT):
+        raise PrimeTooLarge(f"p = {p}: {terms} * (p-1)^2 >= 2^63, so int64 level arithmetic could overflow")
+    ops = KOps(f.ctx)
     cauchy = build_cauchy(f, m, ops)
     return [LevelAlgebra(f, s, cauchy[:s], ops) for s in range(1, m + 1)]

@@ -10,18 +10,34 @@ FFLAS-FFPACK):
 - float64 BLAS products are exact while k*(p-1)^2 < 2^53, with k the inner
   length of the product over F_p (d times the length over F_{p^d}, see
   `operand`); `operand` picks float64 only then and int64 otherwise;
-- int64 sums (convolutions, digit folds, `rref` updates) are exact while
-  k*(p-1)^2 < 2^63; `levels.build_levels` refuses fields beyond that.
+- int64 sums are exact while k*(p-1)^2 < 2^63.  `KOps` refuses a field
+  whose fixed-length sums could pass that (the digit fold of `mul` has
+  d^2 terms, the `rref` update at most d), so p < 3.04*10^9 at d = 1;
+  `matmul_op` refuses an int64 operand whose inner length could pass it.
+  Both raise `PrimeTooLarge`.  `levels.build_levels` refuses sooner, at
+  the longest convolution of its levels.
+
+Row reduction (`KOps.rref`) costs per pivot found, not per column scanned.
+One `any` over the block not yet reduced, digits flattened, finds the next
+pivot column.  The pivot is inverted by `pow(a, -1, p)` at d = 1 and
+through a per-field memo of inverse multiplication matrices at d > 1.  The
+rank-1 update touches only the columns from the pivot on; at d > 1 it is
+one batched product with the multiplication matrices of the pivot column,
+so no `operand` is built per pivot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldCtx
+from .gf import FieldCtx, PreconditionFailed
 
 FLOAT64_EXACT = 2**53
 INT64_EXACT = 2**63
+
+
+class PrimeTooLarge(PreconditionFailed):
+    """p is beyond the range where int64 sums of residue products are exact."""
 
 
 def dot_exact(p: int, length: int, limit: int) -> bool:
@@ -34,15 +50,19 @@ class KOps:
     """Vectorized field operations bound to one FieldCtx."""
 
     def __init__(self, ctx: FieldCtx):
+        d = ctx.d
+        # the longest fixed-length int64 sum here is the digit fold of `mul`
+        if not dot_exact(ctx.p, d * d, INT64_EXACT):
+            raise PrimeTooLarge(f"p = {ctx.p}: {d * d} * (p-1)^2 >= 2^63, so int64 field arithmetic could overflow")
         self.ctx = ctx
         self.p = ctx.p
-        self.d = ctx.d
+        self.d = d
         # theta[k]: theta^k reduced, k < 2d-1; folds a digit-axis convolution
-        d = ctx.d
         red = np.array(ctx.red_rows, dtype=np.int64).reshape(d - 1, d)
         self.theta = np.concatenate([np.eye(d, dtype=np.int64), red])
         # fold[i, j, t]: coefficient of theta^t in theta^(i+j) after reduction
         self.fold = self.theta[np.add.outer(np.arange(d), np.arange(d))]
+        self._inverses = {}
 
     # -- element containers ------------------------------------------------
 
@@ -55,9 +75,6 @@ class KOps:
         """Digit vector for a FieldElem or int."""
         e = self.ctx.elem(elem)
         return np.array(e.coeffs, dtype=np.int64)
-
-    def to_elem(self, vec):
-        return self.ctx.elem([int(v) for v in vec])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -77,11 +94,6 @@ class KOps:
             return (a * s[0]) % self.p
         return self.mul(a, np.broadcast_to(s, a.shape))
 
-    def inv_scalar(self, s):
-        """Inverse of a nonzero scalar digit-vector."""
-        e = self.to_elem(s)
-        return self.scalar(e.inverse())
-
     def operand(self, B):
         """B (k, r, d) as the (k*d, r*d) matrix of A -> A @ B on rows with
         their digits flattened: entry ((i, a), (j, t)) is digit t of
@@ -95,6 +107,9 @@ class KOps:
     def matmul_op(self, A, op):
         """(..., k, d) @ B -> (..., r, d) over the field, B given as its
         `operand`: one matrix product for every d."""
+        if op.dtype == np.int64 and not dot_exact(self.p, op.shape[0], INT64_EXACT):
+            raise PrimeTooLarge(f"p = {self.p}: {op.shape[0]} * (p-1)^2 >= 2^63, so an int64 product "
+                                f"of inner length {op.shape[0]} could overflow")
         flat = A.reshape(A.shape[:-2] + (-1,)).astype(op.dtype)
         # the remainder in int64: several times faster than float64's
         return ((flat @ op).astype(np.int64) % self.p).reshape(A.shape[:-2] + (-1, self.d))
@@ -110,36 +125,50 @@ class KOps:
 
         M has shape (rows, cols, d); zero rows are dropped from the result.
         """
-        R = M.copy() % self.p
-        rows, cols = R.shape[0], R.shape[1]
+        p, d = self.p, self.d
+        rows, cols = M.shape[0], M.shape[1]
+        R = np.remainder(M, p, order="C")
+        # the same entries with digits flattened (a view): at d = 1 the
+        # elimination runs on this 2-D array alone
+        F = R.reshape(rows, cols * d)
         pivots = []
-        r = 0
-        for c in range(cols):
-            if r >= rows:
+        r = c = 0
+        while r < rows and c < cols:
+            live = F[r:, c * d:].any(axis=0)
+            j = int(live.argmax())
+            if not live[j]:
                 break
-            colvals = R[r:, c, :]
-            nz = np.nonzero(colvals.any(axis=1))[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                R[[r, pr]] = R[[pr, r]]
-            inv = self.inv_scalar(R[r, c])
-            R[r] = self.scalar_mul(inv, R[r])
-            factors = R[:, c, :].copy()
-            factors[r] = 0
-            if factors.any():
-                if self.d == 1:
-                    update = factors[:, 0:1] * R[r][None, :, 0]
-                    R[..., 0] = (R[..., 0] - update) % self.p
-                else:
-                    # the rank-1 update as a matrix product of inner length d
-                    update = self.matmul_op(factors[:, None, :], self.operand(R[r][None]))
-                    R = (R - update) % self.p
+            c += j // d
+            if not R[r, c].any():
+                # any row with a nonzero entry will do: the RREF is unique
+                i = r + int(R[r:, c].any(axis=1).argmax())
+                R[[r, i]] = R[[i, r]]
+            if d == 1:
+                row = F[r, c:] * pow(int(F[r, c]), -1, p) % p
+                F[:, c:] = (F[:, c:] - F[:, c, None] * row) % p
+                F[r, c:] = row
+            else:
+                row = R[r, c:] @ self._inverse_matrix(R[r, c]) % p
+                # one batched product with the multiplication matrices of
+                # the pivot column: entry (i, k) loses R[i, c] * row[k]
+                mats = np.einsum("ri,ijt->rjt", R[:, c], self.fold) % p
+                R[:, c:] = (R[:, c:] - row @ mats) % p
+                R[r, c:] = row
             pivots.append(c)
             r += 1
+            c += 1
         # rows come out in pivot order, and every row past the rank is zero
-        return R[:len(pivots)], pivots
+        return R[:r], pivots
+
+    def _inverse_matrix(self, a):
+        """Matrix of multiplication by 1/a on digit rows, for a nonzero
+        digit vector a; memoised per field."""
+        key = tuple(a.tolist())
+        mat = self._inverses.get(key)
+        if mat is None:
+            inv = np.array(self.ctx.elem(list(key)).inverse().coeffs, dtype=np.int64)
+            mat = self._inverses[key] = np.einsum("i,ijt->jt", inv, self.fold) % self.p
+        return mat
 
     def rank(self, M):
         R, _ = self.rref(M)
@@ -149,12 +178,10 @@ class KOps:
         """Canonical basis of {x : M @ x = 0}, shape (k, cols, d)."""
         R, pivots = self.rref(M)
         cols = M.shape[1]
-        free = [c for c in range(cols) if c not in pivots]
-        basis = self.zeros((len(free), cols))
-        for bi, fc in enumerate(free):
-            basis[bi, fc, 0] = 1
-            for ri, pc in enumerate(pivots):
-                basis[bi, pc] = self.neg(R[ri, fc])
+        free = np.setdiff1d(np.arange(cols), pivots)
+        basis = self.zeros((free.size, cols))
+        basis[np.arange(free.size), free, 0] = 1
+        basis[:, pivots] = np.swapaxes(self.neg(R[:, free]), 0, 1)
         return basis
 
     def solve_right(self, A, b):
@@ -170,8 +197,7 @@ class KOps:
         if any(pc >= cols for pc in pivots):
             return None
         X = self.zeros((cols, B.shape[1]))
-        for ri, pc in enumerate(pivots):
-            X[pc] = R[ri, cols:]
+        X[pivots] = R[:, cols:]
         return X
 
     def eye(self, n):

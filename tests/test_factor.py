@@ -321,6 +321,21 @@ def test_iks_factor_not_split():
         iks_factor(poly_of(ctx, [1, 0, 1]), 2)
 
 
+def test_iks_factor_checks_split_once(monkeypatch):
+    # stuck at m = 2, so `iks_factor` lifts g and deepens to m = 3
+    ctx = field_ctx(11, 1)
+    f = poly_of(ctx, [0, 1, 4, 8, 8, 1])
+    calls = []
+    check = fc.is_split_squarefree
+    monkeypatch.setattr(fc, "is_split_squarefree", lambda g: calls.append(g) or check(g))
+    res = iks_factor(f, 3)
+    assert [a["m"] for a in res.log] == [2, 3]
+    assert calls == [f]
+    # the public constructor still refuses a non-split input
+    with pytest.raises(NotSplit):
+        IdealSystem(poly_of(ctx, [1, 0, 1]), 2)
+
+
 def test_iks_factor_oracle_small_sample():
     # all split squarefree monic cubics over F_5
     ctx = field_ctx(5, 1)

@@ -244,6 +244,15 @@ def test_rth_root_builds_one_algebra_per_field(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rth_root_scans_one_nonresidue_per_field():
+    find_nonresidue.cache_clear()
+    ctx = field_ctx(97, 1)
+    for b in ctx.elements():
+        if not b.is_zero():
+            assert rth_root(b * b, 2) ** 2 == b * b
+    assert find_nonresidue.cache_info().misses == 1
+
+
 def test_square_and_multiply_skips_final_squaring():
     for e in range(70):
         products = []
