@@ -110,9 +110,11 @@ class KOps:
         if op.dtype == np.int64 and not dot_exact(self.p, op.shape[0], INT64_EXACT):
             raise PrimeTooLarge(f"p = {self.p}: {op.shape[0]} * (p-1)^2 >= 2^63, so an int64 product "
                                 f"of inner length {op.shape[0]} could overflow")
-        flat = A.reshape(A.shape[:-2] + (-1,)).astype(op.dtype)
+        # sizes from op: -1 cannot be inferred when A or B has no rows
+        lead = A.shape[:-2]
+        flat = A.reshape(lead + op.shape[:1]).astype(op.dtype)
         # the remainder in int64: several times faster than float64's
-        return ((flat @ op).astype(np.int64) % self.p).reshape(A.shape[:-2] + (-1, self.d))
+        return ((flat @ op).astype(np.int64) % self.p).reshape(lead + (op.shape[1] // self.d, self.d))
 
     def matmul(self, A, B):
         """(m,n,d) @ (n,r,d) -> (m,r,d) over the field."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -370,42 +371,94 @@ class Matching:
         return bool(verify_matchings(pi, [self])[0])
 
 
+class Matchings(Sequence):
+    """Read-only matchings held as columns: row i is the matching at
+    level[i] and color[i] with (drop_i, drop_j) = table[pair[i]].  A
+    `Matching` is built only for a row that is read; a slice is a list, and
+    `==` against a list compares row by row."""
+
+    def __init__(self, level, color, pair, table):
+        self.level = np.asarray(level, dtype=np.int64)
+        self.color = np.asarray(color, dtype=np.int64)
+        self.pair = np.asarray(pair, dtype=np.int64)
+        self.table = list(table)
+
+    @classmethod
+    def of(cls, matchings) -> Matchings:
+        """The columns of a sequence of matchings (itself if it has them)."""
+        if isinstance(matchings, Matchings):
+            return matchings
+        index = {}
+        pair = [index.setdefault((m.drop_i, m.drop_j), len(index)) for m in matchings]
+        return cls([m.level for m in matchings], [m.color for m in matchings], pair, index)
+
+    def _row(self, i: int) -> Matching:
+        return Matching(int(self.level[i]), int(self.color[i]), *self.table[self.pair[i]])
+
+    def __len__(self) -> int:
+        return len(self.level)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(len(self))[i]]
+        return self._row(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (Matchings, list)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
 def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
     """Recheck every matching from raw partitions, one pass per level.
 
-    Keys color*width + proj are taken per drop set over the colors named:
+    Rows are grouped by (level, pair) with one stable argsort.  Keys
+    color*width + proj are taken per drop set over the colors named:
     drop_i is injective on a color iff the color has as many distinct keys
     as tuples, and then the two images are equal iff every key of drop_i is
     among the keys of drop_j and both counts agree.
     """
-    ok = np.zeros(len(matchings), dtype=bool)
-    color = np.array([m.color for m in matchings], dtype=np.int64)
-    groups = {}  # level -> (drop_i, drop_j) -> positions in matchings
-    for j, m in enumerate(matchings):
-        if m.drop_i != m.drop_j and len(m.drop_i) == len(m.drop_j):
-            groups.setdefault(m.level, {}).setdefault((m.drop_i, m.drop_j), []).append(j)
-    for s, pairs in groups.items():
-        used = np.unique(color[[j for js in pairs.values() for j in js]])
+    cols = Matchings.of(matchings)
+    color, table = cols.color, cols.table
+    ok = np.zeros(len(cols), dtype=bool)
+    sound = np.array([di != dj and len(di) == len(dj) for di, dj in table], dtype=bool)
+    rows = np.flatnonzero(sound[cols.pair])
+    key = cols.level[rows] * len(table) + cols.pair[rows]
+    order = np.argsort(key, kind="stable")
+    rows, key = rows[order], key[order]
+    groups, first = np.unique(key, return_index=True)
+    bounds = np.append(first, len(rows))
+    group_level, group_pair = np.divmod(groups, len(table))
+    for s in np.unique(group_level).tolist():
+        gs = np.flatnonzero(group_level == s)
+        used = np.unique(color[rows[bounds[gs[0]]:bounds[gs[-1] + 1]]])
         runs = [pi.codes_of_color(s, int(c)) for c in used]  # IndexError on a bad level or color
         sizes = np.array([len(r) for r in runs])
         codes, owner = np.concatenate(runs), np.repeat(np.arange(len(used)), sizes)
         keys, distinct = {}, {}
-        for d in {d for pair in pairs for d in pair}:
+        for d in {d for g in gs for d in table[group_pair[g]]}:
             width = falling(pi.n, s - len(d))
             k = np.sort(owner * width + multi_proj_table(pi.n, s, d)[codes])
             keys[d] = k[np.concatenate(([True], k[1:] != k[:-1]))]
             distinct[d] = np.bincount(keys[d] // width, minlength=len(used))
-        for (di, dj), js in pairs.items():
+        for g in gs:
+            di, dj = table[group_pair[g]]
             a, b = keys[di], keys[dj]
             shared = a[b[np.searchsorted(b, a).clip(max=len(b) - 1)] == a]
             found = np.bincount(shared // falling(pi.n, s - len(di)), minlength=len(used))
             good = (distinct[di] == sizes) & (found == distinct[di]) & (distinct[dj] == distinct[di])
+            js = rows[bounds[g]:bounds[g + 1]]
             ok[js] = good[np.searchsorted(used, color[js])]
     return ok
 
 
-def _level_matchings(pi: MCollection, s: int) -> list:
-    """Matchings of level s, in (color, k, drop_i, drop_j) order."""
+def _level_matchings(pi: MCollection, s: int):
+    """Matchings of level s as columns: (color, pair) index arrays in
+    (color, k, drop_i, drop_j) order, and the level's (drop_i, drop_j)
+    table, in (k, drop_i, drop_j) order, that pair indexes."""
     colors = pi.levels[s].astype(np.int64)
     t = pi.num_colors(s)
     pairs, hits = [], []
@@ -422,12 +475,22 @@ def _level_matchings(pi: MCollection, s: int) -> list:
             a, b = images[di], images[dj]
             pairs.append((di, dj))
             hits.append(injective[di] & (np.bincount(a[a != b] // width, minlength=t) == 0))
-    return [Matching(s, int(c), *pairs[j]) for c, j in zip(*np.nonzero(np.array(hits).T))]
+    color, pair = np.nonzero(np.array(hits).T)
+    return color, pair, pairs
 
 
-def find_matchings(pi: MCollection) -> list:
-    """All matchings, scanned in (level, color, k, drop_i, drop_j) order."""
-    out = [m for s in range(2, pi.m + 1) for m in _level_matchings(pi, s)]
+def find_matchings(pi: MCollection) -> Matchings:
+    """All matchings, scanned in (level, color, k, drop_i, drop_j) order,
+    as a read-only sequence that builds each `Matching` when it is read."""
+    empty = np.zeros(0, dtype=np.int64)
+    level, color, pair, table = [empty], [empty], [empty], []
+    for s in range(2, pi.m + 1):
+        c, j, pairs = _level_matchings(pi, s)
+        level.append(np.full(len(c), s))
+        color.append(c)
+        pair.append(j + len(table))
+        table += pairs
+    out = Matchings(np.concatenate(level), np.concatenate(color), np.concatenate(pair), table)
     try:
         ok = verify_matchings(pi, out)
     except IndexError as exc:  # the search named a level or color that does not exist
@@ -478,7 +541,9 @@ def _color_image(pi: MCollection, s: int, color: int, tau) -> int:
 
 
 def _derived_matching(pi: MCollection, s: int, color: int):
-    return next((m for m in _level_matchings(pi, s) if m.color == color), None)
+    colors, pair, table = _level_matchings(pi, s)
+    hit = np.flatnonzero(colors == color)
+    return Matching(s, color, *table[pair[hit[0]]]) if hit.size else None
 
 
 def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) -> Matching:

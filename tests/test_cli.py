@@ -1,6 +1,7 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from mschemes import assoc, cli, factor, gf, levels, linalg, mscheme
@@ -154,8 +155,12 @@ def test_orbit_scan_internal_failure_exit_code(capsys, monkeypatch):
     # a matching search that returns a wrong matching fails the recheck:
     # exit 6 with a JSON error, not a traceback
     search = mscheme._level_matchings
-    monkeypatch.setattr(mscheme, "_level_matchings",
-                        lambda pi, s: search(pi, s) + [mscheme.Matching(s, -1, (1,), (2,))])
+
+    def with_bad_row(pi, s):
+        color, pair, table = search(pi, s)
+        return np.append(color, -1), np.append(pair, len(table)), table + [((1,), (2,))]
+
+    monkeypatch.setattr(mscheme, "_level_matchings", with_bad_row)
     code, payload = run_cli(capsys, ["orbit-scan", "--catalog", "Z5", "--m", "3"])
     assert code == 6
     assert payload["status"] == "error" and payload["error"] == "AssertionError"

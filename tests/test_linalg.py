@@ -206,3 +206,19 @@ def test_kops_refuses_fields_beyond_int64():
     # inner length 3 could reach 2^63 in int64: refused, not wrapped
     with pytest.raises(PrimeTooLarge):
         kops.matmul(np.ones((1, 3, 1), dtype=np.int64), np.ones((3, 1, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_matmul_on_operands_without_rows(d):
+    # an empty kernel times a basis: no rows in, no rows out
+    kops = KOps(field_ctx(7, d))
+    rng = np.random.default_rng(d)
+    A = np.zeros((0, 3, d), dtype=np.int64)
+    B = rng.integers(0, 7, size=(3, 4, d))
+    assert kops.matmul(A, B).shape == (0, 4, d)
+    assert kops.matmul(B.transpose(1, 0, 2), np.zeros((3, 0, d), dtype=np.int64)).shape == (4, 0, d)
+    assert np.array_equal(kops.matmul(np.zeros((2, 0, d), dtype=np.int64), np.zeros((0, 5, d), dtype=np.int64)),
+                          kops.zeros((2, 5)))
+    kernel = kops.nullspace(kops.eye(3))
+    assert kernel.shape == (0, 3, d)
+    assert kops.matmul(kernel, kops.eye(3)).shape == (0, 3, d)

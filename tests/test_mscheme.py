@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mschemes import assoc, mscheme
+from mschemes import assoc, cli, mscheme
 from mschemes.mscheme import (
     MCollection,
     Matching,
@@ -81,6 +82,16 @@ def recoloured(base, seed, split):
         twin = rng.random(len(base.levels[s])) < 0.1 if split else 0
         levels[s] = np.unique(2 * merge[base.levels[s]] + twin, return_inverse=True)[1]
     return MCollection(base.n, levels)
+
+
+def with_row(search, wrong):
+    """`_level_matchings` with the row of `wrong` added to its level's columns."""
+    def patched(pi, s):
+        color, pair, table = search(pi, s)
+        if s != wrong.level:
+            return color, pair, table
+        return np.append(color, wrong.color), np.append(pair, len(table)), table + [(wrong.drop_i, wrong.drop_j)]
+    return patched
 
 
 def test_encode_matches_lex_position():
@@ -253,12 +264,10 @@ def test_all_returned_matchings_verify():
             assert m.verify(pi)
 
 
-@pytest.mark.parametrize("name", ["Z5", "D5", "Z6", "Z7", "A4", "F21"])
-def test_find_matchings_matches_definition(name):
-    # oracle: the sorting verifier on every (level, color, k, drop_i, drop_j)
-    # in scan order
-    pi = recoloured(catalog_mscheme(name, 4), sorted(load_catalog()).index(name), split=False)
-    expected = [
+def matchings_by_sorting(pi):
+    """The sorting verifier on every (level, color, k, drop_i, drop_j), in
+    scan order."""
+    return [
         Matching(s, c, di, dj)
         for s in range(2, pi.m + 1)
         for c in range(pi.num_colors(s))
@@ -266,8 +275,58 @@ def test_find_matchings_matches_definition(name):
         for di, dj in itertools.combinations(itertools.combinations(range(1, s + 1), k), 2)
         if verify_by_sorting(pi, Matching(s, c, di, dj))
     ]
+
+
+@pytest.mark.parametrize("name", ["Z5", "D5", "Z6", "Z7", "A4", "F21"])
+def test_find_matchings_matches_definition(name):
+    pi = recoloured(catalog_mscheme(name, 4), sorted(load_catalog()).index(name), split=False)
+    expected = matchings_by_sorting(pi)
     assert expected
     assert find_matchings(pi) == expected
+
+
+@pytest.mark.parametrize("name, seed, split",
+                         [("Z5", None, False), ("D5", 3, True), ("Z7", 5, False), ("F21", 7, True), ("S3", None, False)])
+def test_find_matchings_sequence_acts_as_its_list(name, seed, split):
+    # the columnar result against the list of the sorting oracle: every way
+    # a caller reads a sequence gives the list's answer
+    pi = catalog_mscheme(name, 3 if name == "S3" else 4)
+    if seed is not None:
+        pi = recoloured(pi, seed, split)
+    got, want = find_matchings(pi), matchings_by_sorting(pi)
+    assert isinstance(got, mscheme.Matchings)
+    assert len(got) == len(want) and bool(got) == bool(want)
+    assert list(got) == want and got == want and want == got
+    assert got[:20] == want[:20] and isinstance(got[:20], list)
+    assert got[::-7] == want[::-7] and got[5:2:-1] == want[5:2:-1]
+    for i in range(-len(want), len(want), max(1, len(want) // 9)):
+        assert got[i] == want[i]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[i]
+    outside = [Matching(s, c, di, dj) for s in range(2, pi.m + 1) for c in (0, pi.num_colors(s) - 1)
+               for di, dj in [((1,), (2,)), ((1,), (s,)), ((2,), (1,))]]
+    for m in want[::3] + outside + [None, (2, 0, (1,), (2,))]:
+        assert (m in got) == (m in want)
+    if want:
+        assert got != want[:-1] and got != want[1:] + want[:1] and got != want[:-1] + [want[0]]
+    assert got != tuple(want) and mscheme.Matchings.of(want) == got
+
+
+def test_orbit_scan_builds_only_the_matchings_it_prints(monkeypatch, capsys):
+    # Z11 at m = 5 has 70430 matchings; the scan prints 20 and the count
+    built = []
+    init = Matching.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Matching, "__init__", counted)
+    assert cli.main(["orbit-scan", "--catalog", "Z11", "--m", "5"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["entries"]
+    assert entry["matching_count"] == 70430 and len(entry["matchings"]) == 20
+    assert len(built) <= 20
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -319,9 +378,7 @@ def test_find_matchings_recheck_bites(monkeypatch, name, bad):
     # a search that returns one wrong matching must not get past the recheck,
     # also under python -O
     pi = catalog_mscheme(name, 3)
-    wrong = bad(pi)
-    search = mscheme._level_matchings
-    monkeypatch.setattr(mscheme, "_level_matchings", lambda pi, s: search(pi, s) + [wrong] * (s == 3))
+    monkeypatch.setattr(mscheme, "_level_matchings", with_row(mscheme._level_matchings, bad(pi)))
     with pytest.raises(AssertionError, match="matching search returned"):
         find_matchings(pi)
 
