@@ -15,36 +15,52 @@ field).  A product is an integer convolution into the product space
 
 The level kernel is the reduction matrix R: row c is the canonical form of
 product-space monomial c, built once by recurrence with the
-multiply-by-x_j matrices.  A level has R when it fits under
-REDUCTION_MATRIX_CAP and every float64 product over R is exact, i.e.
-prod_cells*(p-1)^2 < 2^53 (see `linalg`); then a product is one
-contraction with R, a batch of products two BLAS matmuls, and coordinate
-permutations, embeddings and relative traces are cached operator matrices.
-Other levels (too large, or p beyond the float64 range) reduce each
-product by division along axes s..1 (`reduce_tensor`), which stays exact in
-int64.  Both paths give the same canonical vectors.
+multiply-by-x_j matrices.  A product is a convolution into the product
+space (`kconvolve`) and one contraction with R (`reduce_tensor`), a batch
+of products two matmuls, and coordinate permutations, embeddings and
+relative traces are cached operator matrices.  R is a `KOps.operand`:
+float64 while every product over it is exact, prod_cells*d*(p-1)^2 < 2^53
+(see `linalg`), and int64 otherwise.  `build_levels` refuses a prime past
+the int64 bound of the longest such sum and a level whose R would exceed
+REDUCTION_MATRIX_CAP.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import convolve as _convolve
 
 from .gf import Poly, square_and_multiply
-from .linalg import FLOAT64_EXACT, INT64_EXACT, KOps, PrimeTooLarge, dot_exact
+from .linalg import INT64_EXACT, KOps, PrimeTooLarge, dot_exact
 
-# product-space cells * canonical dim above this skips the reduction matrix
-# (R then takes 8*d^2 bytes per unit of this product)
+# `build_levels` refuses a level whose product-space cells * canonical dim
+# exceeds this (R takes 8*d^2 bytes per unit of this product)
 REDUCTION_MATRIX_CAP = 6 * 10**7
 
 
-def kconvolve(a, b, ops: KOps):
-    """Multivariate convolution of digit tensors (trailing axis = digits)."""
-    p = ops.p
-    if ops.d == 1:
-        return (_convolve(a[..., 0], b[..., 0], method="direct") % p)[..., None]
-    # the digit axis convolves too, into theta^0..theta^(2d-2), then folds
-    return (_convolve(a, b, method="direct") % p) @ ops.theta % p
+def kconvolve(u, v, bins, cells: int, ops: KOps):
+    """Product-space convolution of canonical vectors u and v, (cells, d).
+
+    bins[i, a, j, b] (flattened) is the bin of digit a of u[i] times digit b
+    of v[j]: its product cell times 2d-1 plus a+b, the power of theta.  The
+    bins sum in int64, exact under `build_levels`' bound; the powers past
+    theta^(d-1) then fold back.
+    """
+    p, d = ops.p, ops.d
+    powers = 2 * d - 1  # theta^0 .. theta^(2d-2)
+    w = np.zeros(cells * powers, dtype=np.int64)
+    np.add.at(w, bins, np.outer(u, v).ravel())
+    w = w.reshape(cells, powers) % p
+    return w if d == 1 else w @ ops.theta % p
+
+
+def _pad(t, extents):
+    """(cells, d) rows of digit tensor t zero-padded into the box `extents`,
+    which must hold every nonzero entry of t."""
+    out = np.zeros(tuple(extents) + t.shape[-1:], dtype=np.int64)
+    box = tuple(slice(0, min(a, e)) for a, e in zip(t.shape, extents))
+    out[box] = t[box]
+    assert np.count_nonzero(out) == np.count_nonzero(t), "coefficients must be canonical"
+    return out.reshape(-1, t.shape[-1])
 
 
 class LevelAlgebra:
@@ -86,12 +102,6 @@ class LevelAlgebra:
                 if neg.any():
                     terms.append((t, self._trim(neg)))
             self.div_terms.append(terms)
-        # the longest float64 sum on the R path is a contraction with R, over
-        # every digit of every product-space cell: prod_cells*d products
-        self.has_matrix = (
-            self.prod_cells * self.dim <= REDUCTION_MATRIX_CAP
-            and dot_exact(p, self.prod_cells * ops.d, FLOAT64_EXACT)
-        )
         self._reduction = None
         self._toeplitz = None
         self._pair_bins = None
@@ -131,76 +141,10 @@ class LevelAlgebra:
     def to_tensor(self, vec):
         return vec.reshape(self.extents + (self.ops.d,))
 
-    def from_tensor(self, tensor):
-        assert tensor.shape[:-1] == self.extents
-        return tensor.reshape(self.dim, self.ops.d)
-
     def scalar_vec(self, value):
         v = self.zero()
         v[0] = self.ops.scalar(value)
         return v
-
-    # -- reduction -------------------------------------------------------------
-
-    def reduce_tensor(self, t):
-        """Canonical vector for an arbitrary-extent coefficient tensor."""
-        p = self.ops.p
-        s = self.s
-        work = np.asarray(t) % p
-        occ = [max(work.shape[j], self.extents[j]) for j in range(s)]
-        if tuple(work.shape[:-1]) != tuple(occ):
-            padded = np.zeros(tuple(occ) + (self.ops.d,), dtype=np.int64)
-            padded[tuple(slice(0, e) for e in work.shape)] = work
-            work = padded
-        occ = list(work.shape[:-1])
-        for j in reversed(range(s)):
-            dj = self.extents[j]
-            if occ[j] <= dj:
-                continue
-            grow = [0] * j
-            for _, coeff in self.div_terms[j]:
-                for i in range(j):
-                    ext = coeff.shape[i] if i < coeff.ndim - 1 else 1
-                    grow[i] = max(grow[i], ext - 1)
-            steps = occ[j] - dj
-            need = [occ[i] + grow[i] * steps for i in range(j)] + occ[j:]
-            if any(need[i] > work.shape[i] for i in range(s)):
-                padded = np.zeros(tuple(need) + (self.ops.d,), dtype=np.int64)
-                padded[tuple(slice(0, e) for e in occ)] = work[tuple(slice(0, e) for e in occ)]
-                work = padded
-            for top in range(occ[j] - 1, dj - 1, -1):
-                src = [slice(0, occ[i]) for i in range(s)]
-                src[j] = top
-                S = work[tuple(src)].copy()
-                if not S.any():
-                    continue
-                work[tuple(src)] = 0
-                for tt, coeff in self.div_terms[j]:
-                    contrib = self._mul_lower(S, coeff, j)
-                    tgt = [slice(0, e) for e in contrib.shape[:-1]]
-                    tgt.insert(j, top - dj + tt)
-                    dst = work[tuple(tgt)]
-                    dst += contrib
-                    dst %= p
-                    for i in range(j):
-                        occ[i] = max(occ[i], contrib.shape[i])
-            occ[j] = dj
-        out = work[tuple(slice(0, e) for e in self.extents)]
-        return self.from_tensor(np.ascontiguousarray(out % p))
-
-    def _mul_lower(self, S, coeff, j):
-        """Convolve slice S (axes < j then axes > j, digits) with a
-        coefficient tensor living on axes < j."""
-        shape = coeff.shape[:-1] + (1,) * (S.ndim - coeff.ndim) + (coeff.shape[-1],)
-        ck = coeff.reshape(shape)
-        return kconvolve(S, ck, self.ops)
-
-    def reduce_monomial(self, exponents):
-        """Canonical vector of a single (possibly overflowing) monomial."""
-        key = tuple(int(e) for e in exponents)
-        t = np.zeros(tuple(e + 1 for e in key) + (self.ops.d,), dtype=np.int64)
-        t[key + (0,)] = 1
-        return self.reduce_tensor(t)
 
     # -- multiplication ----------------------------------------------------------
 
@@ -209,15 +153,16 @@ class LevelAlgebra:
         return np.indices(self.extents).reshape(self.s, -1).T
 
     def reduction_matrix(self):
-        """R as a float64 `KOps.operand`, (prod_cells*d, dim*d): row c is
-        the reduction of product-space monomial c.
-
-        Built once per level; None when the level has no R (see the module
-        docstring), in which case products fall back to per-element division.
-        """
-        if self._reduction is None and self.has_matrix:
+        """R as a `KOps.operand`, (prod_cells*d, dim*d): row c is the
+        reduction of product-space monomial c.  Built once per level."""
+        if self._reduction is None:
             self._reduction = self.ops.operand(self._build_reduction())
         return self._reduction
+
+    def reduce_tensor(self, t):
+        """Canonical vectors of product-space arrays t (..., prod_cells, d):
+        the contraction with R."""
+        return self.ops.matmul_op(t, self.reduction_matrix())
 
     def _build_reduction(self):
         """R by recurrence: the canonical box is the identity, and each
@@ -266,15 +211,30 @@ class LevelAlgebra:
 
     def _monomial_op(self, exps):
         """`KOps.operand` of the map whose row i is the canonical form of
-        monomial exps[i]: a row of R inside the product space, else reduced."""
+        monomial exps[i]: a row of R inside the product space, else a
+        product of powers of the variables."""
         R, d = self.reduction_matrix(), self.ops.d
         rows = np.empty((exps.shape[0], self.dim, d), dtype=np.int64)
         inside = (exps < np.array(self.pshape)).all(axis=1)
         # the theta^0 row of cell c is its canonical vector
         rows[inside] = R[np.ravel_multi_index(tuple(exps[inside].T), self.pshape) * d].reshape(-1, self.dim, d)
         for i in np.flatnonzero(~inside):
-            rows[i] = self.reduce_monomial(exps[i])
+            rows[i] = self.identity()
+            for j, e in enumerate(exps[i].tolist()):
+                if e:
+                    rows[i] = self.mult(rows[i], self.power(self._variable(j), e))
         return self.ops.operand(rows)
+
+    def _variable(self, j):
+        """Canonical vector of x_j (0-based axis j)."""
+        if self.extents[j] == 1:
+            # the last axis at s = n: its relation x_j + c_0 has degree 1,
+            # so x_j = -c_0, the relation's only division term (none if c_0 = 0)
+            terms = self.div_terms[j]
+            return _pad(terms[0][1], self.extents[:j]) if terms else self.zero()
+        v = self.zero()
+        v[np.ravel_multi_index(np.eye(self.s, dtype=np.int64)[j], self.extents), 0] = 1
+        return v
 
     def _toeplitz_index(self):
         """(dim*d, prod_cells*d) positions, in the flattened (dim+1, d, d)
@@ -294,36 +254,28 @@ class LevelAlgebra:
             self._toeplitz = index.reshape(self.dim * d, self.prod_cells * d)
         return self._toeplitz
 
-    def _convolve_bins(self, u, v):
-        """u*v in the product space, (prod_cells, d): the outer product of
-        the digit vectors binned by product cell and power of theta."""
-        p, d = self.ops.p, self.ops.d
-        powers = 2 * d - 1  # theta^0 .. theta^(2d-2)
+    def _bins(self):
+        """`kconvolve`'s bins for this level, built once."""
         if self._pair_bins is None:
+            d = self.ops.d
             cells = self.cells()
             pair = np.ravel_multi_index(tuple((cells[:, None] + cells[None]).reshape(-1, self.s).T), self.pshape)
             pair = pair.reshape(self.dim, 1, self.dim, 1)
-            self._pair_bins = (pair * powers + np.add.outer(np.arange(d), np.arange(d))[:, None]).ravel()
-        w = np.bincount(self._pair_bins, weights=np.outer(u, v).ravel(), minlength=self.prod_cells * powers)
-        w = w.astype(np.int64).reshape(self.prod_cells, powers) % p
-        return w if d == 1 else w @ self.ops.theta % p
+            self._pair_bins = (pair * (2 * d - 1) + np.add.outer(np.arange(d), np.arange(d))[:, None]).ravel()
+        return self._pair_bins
 
     def mult(self, u, v):
-        if not self.has_matrix:
-            return self.reduce_tensor(kconvolve(self.to_tensor(u), self.to_tensor(v), self.ops))
-        return self.ops.matmul_op(self._convolve_bins(u, v), self.reduction_matrix())
+        return self.reduce_tensor(kconvolve(u, v, self._bins(), self.prod_cells, self.ops))
 
     def mult_batch(self, rows, v):
         """Products row * v for every row of `rows` ((B, dim, d))."""
         if rows.shape[0] == 0:
             return rows.copy()
-        if not self.has_matrix:
-            return np.stack([self.mult(r, v) for r in rows])
         ops, d = self.ops, self.ops.d
-        table = np.zeros((self.dim + 1, d, d))
+        # R's dtype is exact here too: the inner length dim*d is shorter
+        table = np.zeros((self.dim + 1, d, d), dtype=self.reduction_matrix().dtype)
         table[:-1] = ops.mul(v[:, None, :], ops.theta[None, :d, :])
-        conv = ops.matmul_op(rows, table.ravel().take(self._toeplitz_index()))
-        return ops.matmul_op(conv, self.reduction_matrix())
+        return self.reduce_tensor(ops.matmul_op(rows, table.ravel().take(self._toeplitz_index())))
 
     def power(self, u, e: int, unit=None):
         """u^e by square-and-multiply; u^0 is `unit` (default: the identity)."""
@@ -338,43 +290,32 @@ class LevelAlgebra:
     def apply_perm(self, tau, vec):
         """Coordinate-permutation action on functions: supports map forward
         under tuples^tau.  tau is 0-based."""
-        if self.has_matrix:
-            tau = tuple(tau)
-            op = self._perm_ops.get(tau)
-            if op is None:
-                # basis monomial b goes to the monomial with exponents b[tau]
-                op = self._perm_ops[tau] = self._monomial_op(self.cells()[:, list(tau)])
-            return self.ops.matmul_op(vec, op)
-        t = self.to_tensor(vec)
-        axes = list(tau) + [self.s]
-        moved = np.transpose(t, axes=axes)
-        return self.reduce_tensor(np.ascontiguousarray(moved))
+        tau = tuple(tau)
+        op = self._perm_ops.get(tau)
+        if op is None:
+            # basis monomial b goes to the monomial with exponents b[tau]
+            op = self._perm_ops[tau] = self._monomial_op(self.cells()[:, list(tau)])
+        return self.ops.matmul_op(vec, op)
 
     def embed_from_below(self, below: "LevelAlgebra", j: int, vec):
         """iota_j: level s-1 -> level s (1-based slot j gets the fresh slot)."""
-        if self.has_matrix:
-            op = self._embed_ops.get(j)
-            if op is None:
-                op = self._embed_ops[j] = self._monomial_op(np.insert(below.cells(), j - 1, 0, axis=1))
-            return self.ops.matmul_op(vec, op)
-        t = below.to_tensor(vec)
-        expanded = np.expand_dims(t, axis=j - 1)
-        return self.reduce_tensor(np.ascontiguousarray(expanded))
+        op = self._embed_ops.get(j)
+        if op is None:
+            op = self._embed_ops[j] = self._monomial_op(np.insert(below.cells(), j - 1, 0, axis=1))
+        return self.ops.matmul_op(vec, op)
 
     def rel_trace_powers(self, below: "LevelAlgebra"):
-        """q_t = trace of x_s^t over level s-1, via Newton's identities."""
+        """q_t = trace of x_s^t over level s-1 (s >= 2), via Newton's
+        identities."""
         if self._rel_trace_powers is None:
             p = self.ops.p
             dd = self.extents[-1]
             cj = self.cauchy[self.s - 1]
-            # monic relation in x_s: x^D + sum_t c_t x^t, so e_i = (-1)^i c_{D-i}
+            # monic relation in x_s: x^D + sum_t c_t x^t, so e_i = (-1)^i c_{D-i};
+            # the c_t are canonical on level s-1 already
             es = [below.scalar_vec(1)]
             for i in range(1, dd + 1):
-                coeff = np.asarray(cj[..., dd - i, :])
-                if self.s == 1:
-                    ct = coeff.reshape(1, self.ops.d) % p
-                else:
-                    ct = below.reduce_tensor(coeff)
+                ct = _pad(cj[..., dd - i, :] % p, below.extents)
                 es.append(ct if i % 2 == 0 else (-ct) % p)
             # Newton: p_t = sum_{i<t} (-1)^(i-1) e_i p_{t-i} + (-1)^(t-1) t e_t
             ps = [below.scalar_vec([dd])]  # the integer dd, not the element of index dd
@@ -391,21 +332,12 @@ class LevelAlgebra:
 
     def rel_trace_last(self, below: "LevelAlgebra", vec):
         """Trace onto level s-1 along the last coordinate: fibre sums."""
-        ps = self.rel_trace_powers(below)
-        if self.has_matrix:
-            if self._trace_op is None:
-                # basis monomial (a, t) goes to x^a * q_t on level s-1
-                eye = below.ops.eye(below.dim)
-                rows = np.stack([below.mult_batch(eye, q) for q in ps], axis=1)
-                self._trace_op = self.ops.operand(rows.reshape(self.dim, below.dim, self.ops.d))
-            return self.ops.matmul_op(vec, self._trace_op)
-        t = self.to_tensor(vec)
-        acc = below.zero()
-        for tt in range(self.extents[-1]):
-            slice_t = np.ascontiguousarray(t[..., tt, :]).reshape(below.dim, self.ops.d)
-            if slice_t.any():
-                acc = (acc + below.mult(slice_t, ps[tt])) % self.ops.p
-        return acc
+        if self._trace_op is None:
+            # basis monomial (a, t) goes to x^a * q_t on level s-1
+            eye = below.ops.eye(below.dim)
+            rows = np.stack([below.mult_batch(eye, q) for q in self.rel_trace_powers(below)], axis=1)
+            self._trace_op = self.ops.operand(rows.reshape(self.dim, below.dim, self.ops.d))
+        return self.ops.matmul_op(vec, self._trace_op)
 
     def move_axis_last(self, j: int):
         """0-based tau moving 1-based coordinate j to the end, order kept."""
@@ -446,17 +378,18 @@ def build_levels(f: Poly, m: int, dim_cap: int) -> list:
 
         raise ZeroAlgebra(f"no essential {m}-tuples on {n} points")
     p, d = f.ctx.p, f.ctx.d
-    dims = []
     dim = 1
     cells = 1
     for s in range(1, m + 1):
         dim *= n - s + 1
         cells *= 2 * (n - s + 1) - 1
-        dims.append(dim)
-        if dim > dim_cap:
+        if dim > dim_cap or cells * dim > REDUCTION_MATRIX_CAP:
             from .factor import DimCapExceeded
 
-            raise DimCapExceeded(f"level {s} dimension {dim} exceeds cap {dim_cap}")
+            if dim > dim_cap:
+                raise DimCapExceeded(f"level {s} dimension {dim} exceeds cap {dim_cap}")
+            raise DimCapExceeded(f"level {s} reduction matrix has {cells} x {dim} = {cells * dim} "
+                                 f"cells, above the cap {REDUCTION_MATRIX_CAP}")
     # longest int64 sum of residue products: a convolution over at most
     # `cells` cells per digit, or a digit fold of at most 2d^2 terms
     # (checked before KOps, whose own bound is looser)

@@ -19,8 +19,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .gf import PreconditionFailed, is_prime
 
@@ -338,21 +336,20 @@ def orbit_mscheme(generators, m: int, work_cap: int = WORK_CAP) -> MCollection:
         if count > work_cap:
             raise WorkCapExceeded(f"level {s} has {count} tuples > work cap {work_cap}")
         t = tuple_table(n, s)
-        rows, cols = [], []
-        for g in gens:
-            img = encode_tuples(g[t], n)
-            rows.append(np.arange(count, dtype=np.int64))
-            cols.append(img)
-        graph = coo_matrix(
-            (np.ones(count * len(gens), dtype=np.int8),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(count, count),
-        )
-        ncomp, labels = connected_components(graph, directed=True, connection="weak")
-        first = np.full(ncomp, count, dtype=np.int64)
-        np.minimum.at(first, labels, np.arange(count, dtype=np.int64))
-        rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-        levels[s] = rank[labels].astype(np.int32)
+        imgs = [encode_tuples(g[t], n) for g in gens]
+        # min-label propagation along each generator, with pointer jumping:
+        # label[c] is always a code in the orbit of c, and at the fixpoint the
+        # least one (generators are permutations, so img has no repeats)
+        label = np.arange(count, dtype=np.int64)
+        while True:
+            prev = label.copy()
+            for img in imgs:
+                label[img] = np.minimum(label[img], label)
+            label = label[label]
+            if np.array_equal(label, prev):
+                break
+        # codes are in lexicographic order, so this numbers orbits by least tuple
+        levels[s] = np.unique(label, return_inverse=True)[1].astype(np.int32)
     return MCollection(n, levels)
 
 

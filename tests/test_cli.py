@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +76,22 @@ def test_factor_prime_beyond_int64_bound_exit_code(capsys):
         code, payload = run_cli(capsys, ["factor", "--p", str(p), BOUNDARY_POLY, "--m", "3"])
         assert code == 4
         assert payload["error"] == "PrimeTooLarge"
+
+
+def test_cli_loads_no_scipy():
+    # the int64 level kernel at the boundary prime, and orbit colouring
+    script = f"""
+import sys
+from mschemes import cli
+assert cli.main(["factor", "--p", "784150117", "{BOUNDARY_POLY}", "--m", "3"]) == 0
+assert cli.main(["orbit-scan", "--catalog", "Z7", "--m", "3"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_factor_stuck_exit_code(capsys):

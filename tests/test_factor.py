@@ -31,7 +31,7 @@ from mschemes.factor import (
     supports,
     validate_certificate,
 )
-from mschemes.gf import Poly, field_ctx
+from mschemes.gf import Poly, PreconditionFailed, field_ctx
 from mschemes.levels import build_levels
 
 
@@ -506,6 +506,22 @@ def test_dim_cap():
     f = poly_of(ctx, [10, 0, 0, 0, 0, 1])
     with pytest.raises(DimCapExceeded):
         IdealSystem(f, 3, dim_cap=10)
+
+
+def test_reduction_matrix_cap():
+    # R of level 5 of a degree-7 input (45045 x 2520 cells) and of level 4 of
+    # a degree-9 input (36465 x 3024) exceeds REDUCTION_MATRIX_CAP
+    for p, n, m in ((29, 7, 5), (23, 9, 4)):
+        ctx = field_ctx(p, 1)
+        f = poly_of(ctx, [1])
+        for r in range(1, n + 1):
+            f = f * poly_of(ctx, [-r, 1])
+        with pytest.raises(DimCapExceeded, match=f"level {m} reduction matrix") as exc:
+            build_levels(f, m, 10**6)
+        assert isinstance(exc.value, PreconditionFailed)
+        if n == 7:
+            with pytest.raises(DimCapExceeded):
+                IdealSystem(f, 5)
 
 
 def test_levels_deeper_than_degree():

@@ -234,7 +234,7 @@ def check_kernel(roots, levels, seed):
 
 @st.composite
 def kernel_cases(draw):
-    # 100000007 is past the float64 range, so its levels have no R
+    # 100000007 is past the float64 range, so its R is int64
     p, d = draw(st.sampled_from([(5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2), (100000007, 1)]))
     n = draw(st.integers(2, 5))
     s = draw(st.integers(1, min(n, 3)))
@@ -247,15 +247,14 @@ def kernel_cases(draw):
 def test_kernel_matches_pointwise(case):
     p, d, root_ints, s, seed = case
     _, roots, levels = make_levels(p, root_ints, s, d)
-    assert all(lv.has_matrix == (p < 10**8) for lv in levels)
+    assert all(lv.reduction_matrix().dtype == (np.float64 if p < 10**8 else np.int64) for lv in levels)
     check_kernel(roots, levels, seed)
 
 
 def test_kernel_matches_pointwise_past_float64():
-    # (p-1)^2 > 2^53: no level may take the float64 R path, and the int64
-    # division path must still be exact
+    # (p-1)^2 > 2^53: every R is int64, and the int64 kernel must be exact
     ctx, roots, levels = make_levels(100000007, [3, 10**7, 5 * 10**7, 10**8], 3)
-    assert all(lv.reduction_matrix() is None for lv in levels)
+    assert all(lv.reduction_matrix().dtype == np.int64 for lv in levels)
     lv = levels[2]
     u = rand_vec(lv, 1)
     tup = (0, 3, 1)
@@ -263,3 +262,11 @@ def test_kernel_matches_pointwise_past_float64():
     assert ctx.elem([int(x) for x in vals[0]]) == evaluate(lv, u, tup, roots)
     for s in range(1, 4):
         check_kernel(roots, levels[:s], 7 * s)
+    # the prime of the CLI boundary test: 15*(p-1)^2 is within a relative
+    # 1.1e-7 of 2^63, so the longest int64 sums run at their edge
+    p = 784150117
+    ctx, roots, levels = make_levels(p, [2, 3 * 10**8, p - 1], 3)
+    assert 2**63 * (1 - 1.1e-7) < levels[2].prod_cells * (p - 1) ** 2 < 2**63
+    assert all(lv.reduction_matrix().dtype == np.int64 for lv in levels)
+    for s in range(1, 4):
+        check_kernel(roots, levels[:s], 11 * s)

@@ -153,6 +153,32 @@ def test_orbit_properties_always_scheme():
         assert rep.homogeneous == (len(reach) == degree), name
 
 
+def test_orbit_colours_match_bfs_oracle():
+    # breadth-first search over explicit tuples; tuples are met in
+    # lexicographic (= code) order, so orbits are numbered by least tuple
+    for name, (n, gens) in sorted(load_catalog().items()):
+        m = min(3, n)
+        pi = catalog_mscheme(name, m)
+        for s in range(1, m + 1):
+            tuples = list(itertools.permutations(range(n), s))
+            colour = {}
+            k = -1
+            for start in tuples:
+                if start in colour:
+                    continue
+                k += 1
+                colour[start] = k
+                queue = [start]
+                while queue:
+                    t = queue.pop(0)
+                    for g in gens:
+                        img = tuple(g[x] for x in t)
+                        if img not in colour:
+                            colour[img] = k
+                            queue.append(img)
+            assert pi.levels[s].tolist() == [colour[t] for t in tuples], (name, s)
+
+
 def test_orbit_work_cap():
     with pytest.raises(WorkCapExceeded):
         catalog_mscheme("Z13", 5, work_cap=10**4)
