@@ -32,6 +32,10 @@ EXIT_CODES = {ValueError: EXIT_INVALID, PreconditionFailed: EXIT_PRECONDITION, A
 LINNIK_SCAN_CONSTANT = 10
 
 
+class MissingInput(ValueError):
+    """orbit-scan was given neither --catalog nor --gens."""
+
+
 def linnik_p1s(s: int) -> int:
     """Least prime congruent to 1 mod s, by incremental scan (cap c*s^2)."""
     if s < 1:
@@ -117,22 +121,14 @@ def _parse_generators(text: str) -> list:
 
 
 def cmd_orbit_scan(args) -> int:
-    catalog = mscheme.load_catalog()
     if args.catalog:
-        if args.catalog != "all" and args.catalog not in catalog:
-            _emit({"status": "error", "error": "UnknownGroup", "message": args.catalog}, args.json)
-            return EXIT_INVALID
-        names = sorted(catalog) if args.catalog == "all" else [args.catalog]
-    elif not args.gens:
-        _emit({"status": "error", "error": "MissingInput", "message": "need --catalog or --gens"}, args.json)
-        return EXIT_INVALID
-    else:
+        names = sorted(mscheme.load_catalog()) if args.catalog == "all" else [args.catalog]
+        pis = [mscheme.catalog_mscheme(name, args.m, work_cap=args.work_cap) for name in names]
+    elif args.gens:
         names = ["custom"]
-    if args.catalog:
-        pis = [mscheme.catalog_mscheme(name, min(args.m, catalog[name][0]), work_cap=args.work_cap)
-               for name in names]
-    else:
         pis = [mscheme.orbit_mscheme(_parse_generators(args.gens), args.m, work_cap=args.work_cap)]
+    else:
+        raise MissingInput("need --catalog or --gens")
     entries = [_scan_one(name, pi) for name, pi in zip(names, pis)]
     if not args.catalog:
         _emit(entries[0], args.json)

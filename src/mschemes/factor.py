@@ -528,30 +528,6 @@ class IdealSystem:
         new.log.append(entry)
         return Refined(new)
 
-    # -- factor extraction --------------------------------------------------
-
-    def _ideal_min_poly(self, ideal: Ideal) -> Poly:
-        """Monic minimal polynomial of x acting on a level-1 ideal."""
-        alg = self.algebra(1)
-        kops = alg.ops
-        x = alg.zero()
-        x[min(1, alg.dim - 1), 0] = 1
-        rows = [ideal.idem]
-        cur = ideal.idem
-        while True:
-            cur = alg.mult(cur, x)
-            stack = np.stack(rows + [cur])
-            if kops.rank(stack) < stack.shape[0]:
-                break
-            rows.append(cur)
-        A = np.stack(rows)
-        coeffs = kops.solve_right(np.swapaxes(A, 0, 1), cur)
-        assert coeffs is not None
-        deg = len(rows)
-        poly_coeffs = [-self.ctx.elem([int(v) for v in coeffs[i]]) for i in range(deg)]
-        poly_coeffs.append(self.ctx.one())
-        return Poly(self.ctx, poly_coeffs)
-
 
 def _factor_key(g: Poly):
     return (g.degree, tuple((-c).index for c in g.coeffs[:-1]))
@@ -560,10 +536,15 @@ def _factor_key(g: Poly):
 def _rule_r4(sys: IdealSystem):
     if len(sys.levels[1]) < 2:
         return NoChange()
-    candidates = [sys._ideal_min_poly(i) for i in sys.levels[1]]
-    for g in candidates:
-        if not (sys.f % g).is_zero():
-            raise InvalidSystem("level-1 minimal polynomial must divide f")
+    # a level-1 vector is a polynomial of degree < n, and 1 - e vanishes
+    # exactly at the roots in the support of e
+    candidates = []
+    for ideal in sys.levels[1]:
+        one_minus_e = (sys.algebra(1).identity() - ideal.idem) % sys.ctx.p
+        g = poly_gcd(sys.f, Poly(sys.ctx, one_minus_e.tolist()))
+        if g.degree != ideal.dim:
+            raise InvalidSystem("a level-1 ideal's dimension must be its idempotent's root count")
+        candidates.append(g)
     g = min(candidates, key=_factor_key)
     new = sys.clone()
     new.log.append({"rule": "R4", "level": 1, "factor": g.int_coeffs()})
@@ -645,8 +626,7 @@ def _least_prime_divisor(n: int) -> int:
 
 def _sigma_matrix_from_perm(sys: IdealSystem, ideal: Ideal, tau: tuple):
     alg = sys.algebra(ideal.level)
-    imgs = np.stack([alg.apply_perm(tau, row) for row in ideal.basis])
-    return imgs[:, ideal.pivots, :]
+    return alg.apply_perm(tau, ideal.basis)[:, ideal.pivots, :]
 
 
 def _split_with_order(sys: IdealSystem, s: int, idx: int, sigma, rule: str, detail: dict):
@@ -714,7 +694,8 @@ def refine_step(sys: IdealSystem, rule: str):
 
 
 def _composite_embed(sys: IdealSystem, s: int, dropped: tuple, vec):
-    """Composite iota re-inserting the `dropped` (1-based) coordinates.
+    """Composite iota re-inserting the `dropped` (1-based) coordinates, on
+    one vector or a stack of them.
 
     Inserting in ascending order keeps every slot index valid: when slot
     i_t is inserted, all final positions below i_t are already present.
@@ -787,8 +768,8 @@ def matching_refinement(sys: IdealSystem, m: _mscheme.Matching):
         raise NotAMatching("projection is not size-preserving")
     alg = sys.algebra(s)
     kops = alg.ops
-    X1 = alg.mult_batch(np.stack([_composite_embed(sys, s, m.drop_i, row) for row in below.basis]), here.idem)
-    X2 = alg.mult_batch(np.stack([_composite_embed(sys, s, m.drop_j, row) for row in below.basis]), here.idem)
+    X1 = alg.mult_batch(_composite_embed(sys, s, m.drop_i, below.basis), here.idem)
+    X2 = alg.mult_batch(_composite_embed(sys, s, m.drop_j, below.basis), here.idem)
     # both embeddings must be isomorphisms onto the matched ideal
     psi = kops.solve_right_many(np.swapaxes(X1, 0, 1), np.swapaxes(X2, 0, 1))
     if psi is None or kops.rank(X1) != below.dim or kops.rank(X2) != below.dim:

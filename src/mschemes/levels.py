@@ -53,16 +53,6 @@ def kconvolve(u, v, bins, cells: int, ops: KOps):
     return w if d == 1 else w @ ops.theta % p
 
 
-def _pad(t, extents):
-    """(cells, d) rows of digit tensor t zero-padded into the box `extents`,
-    which must hold every nonzero entry of t."""
-    out = np.zeros(tuple(extents) + t.shape[-1:], dtype=np.int64)
-    box = tuple(slice(0, min(a, e)) for a, e in zip(t.shape, extents))
-    out[box] = t[box]
-    assert np.count_nonzero(out) == np.count_nonzero(t), "coefficients must be canonical"
-    return out.reshape(-1, t.shape[-1])
-
-
 class LevelAlgebra:
     """One essential level: reduction relations, products, embeddings."""
 
@@ -80,28 +70,15 @@ class LevelAlgebra:
         self.prod_cells = 1
         for e in self.pshape:
             self.prod_cells *= e
-        self.cauchy = cauchy  # cauchy[j]: dense tensor over axes 0..j (+ digit axis)
-        # division terms per axis j: list of (t, coeff tensor over axes < j)
-        self.div_terms = []
-        p = ops.p
-        for j in range(s):
-            cj = cauchy[j]
-            dj = self.extents[j]
-            lead = cj[..., dj, :] if j else cj[dj]
-            lead_arr = np.asarray(lead)
-            expect = np.zeros_like(lead_arr)
-            if j == 0:
-                expect[0] = 1
-            else:
-                expect[(0,) * j + (0,)] = 1
-            assert np.array_equal(lead_arr % p, expect), "relations must be monic"
-            terms = []
-            for t in range(dj):
-                coeff = np.asarray(cj[..., t, :] if j else cj[t])
-                neg = (-coeff) % p
-                if neg.any():
-                    terms.append((t, self._trim(neg)))
-            self.div_terms.append(terms)
+        # rel[j][..., t, :]: coefficient c_t of x_j^t in relation j, a
+        # canonical tensor over axes < j, so x_j^e = -sum_t c_t x_j^t
+        self.rel = []
+        for j, (cj, e) in enumerate(zip(cauchy, self.extents)):
+            assert cj.shape == self.extents[:j] + (e + 1, ops.d), "coefficients must be canonical"
+            lead = np.zeros(self.extents[:j] + (ops.d,), dtype=np.int64)
+            lead[(0,) * (j + 1)] = 1
+            assert np.array_equal(cj[..., e, :] % ops.p, lead), "relations must be monic"
+            self.rel.append(cj[..., :e, :] % ops.p)
         self._reduction = None
         self._toeplitz = None
         self._pair_bins = None
@@ -109,24 +86,6 @@ class LevelAlgebra:
         self._perm_ops = {}
         self._embed_ops = {}
         self._trace_op = None
-
-    @staticmethod
-    def _trim(tensor):
-        """Drop all-zero trailing slices per axis (keeps digit axis)."""
-        t = tensor
-        for ax in range(t.ndim - 1):
-            size = t.shape[ax]
-            while size > 1:
-                idx = [slice(None)] * t.ndim
-                idx[ax] = size - 1
-                if t[tuple(idx)].any():
-                    break
-                size -= 1
-            if size != t.shape[ax]:
-                sl = [slice(None)] * t.ndim
-                sl[ax] = slice(0, size)
-                t = t[tuple(sl)]
-        return np.ascontiguousarray(t)
 
     # -- canonical form ------------------------------------------------------
 
@@ -180,13 +139,12 @@ class LevelAlgebra:
             # the right side already has its row in T
             top = cells[cells[:, j] == e - 1]
             X_top = np.zeros((top.shape[0], n_dim, d), dtype=np.int64)
-            for t, coeff in self.div_terms[j]:
-                for alpha in np.ndindex(coeff.shape[:-1]):
-                    if coeff[alpha].any():
-                        at = top.copy()
-                        at[:, :j] += np.array(alpha, dtype=np.int64)
-                        at[:, j] = t
-                        X_top += ops.scalar_mul(coeff[alpha], T[tuple(at.T)])
+            for at in np.argwhere(self.rel[j].any(-1)):
+                # monomial x^alpha x_j^t of c_t, alpha = at[:j], t = at[j]
+                shifted = top.copy()
+                shifted[:, :j] += at[:j]
+                shifted[:, j] = at[j]
+                X_top -= ops.scalar_mul(self.rel[j][tuple(at)], T[tuple(shifted.T)])
             X_top %= ops.p
             region = [slice(0, f) for f in self.pshape[:j]] + [0] + [slice(0, f) for f in self.extents[j + 1:]]
             for k in range(e, 2 * e - 1):
@@ -228,10 +186,8 @@ class LevelAlgebra:
     def _variable(self, j):
         """Canonical vector of x_j (0-based axis j)."""
         if self.extents[j] == 1:
-            # the last axis at s = n: its relation x_j + c_0 has degree 1,
-            # so x_j = -c_0, the relation's only division term (none if c_0 = 0)
-            terms = self.div_terms[j]
-            return _pad(terms[0][1], self.extents[:j]) if terms else self.zero()
+            # the last axis at s = n: its relation x_j + c_0 has degree 1
+            return (-self.rel[j][..., 0, :]).reshape(self.dim, self.ops.d) % self.ops.p
         v = self.zero()
         v[np.ravel_multi_index(np.eye(self.s, dtype=np.int64)[j], self.extents), 0] = 1
         return v
@@ -310,12 +266,11 @@ class LevelAlgebra:
         if self._rel_trace_powers is None:
             p = self.ops.p
             dd = self.extents[-1]
-            cj = self.cauchy[self.s - 1]
             # monic relation in x_s: x^D + sum_t c_t x^t, so e_i = (-1)^i c_{D-i};
             # the c_t are canonical on level s-1 already
             es = [below.scalar_vec(1)]
             for i in range(1, dd + 1):
-                ct = _pad(cj[..., dd - i, :] % p, below.extents)
+                ct = self.rel[-1][..., dd - i, :].reshape(below.dim, self.ops.d)
                 es.append(ct if i % 2 == 0 else (-ct) % p)
             # Newton: p_t = sum_{i<t} (-1)^(i-1) e_i p_{t-i} + (-1)^(t-1) t e_t
             ps = [below.scalar_vec([dd])]  # the integer dd, not the element of index dd
@@ -349,7 +304,8 @@ class LevelAlgebra:
 
 def build_cauchy(f: Poly, s: int, ops: KOps):
     """Divided-difference tower: relation j+1 is C_j with the last variable
-    split in two (coefficient gather [a+b+1])."""
+    split in two (coefficient gather [a+b+1]).  Relation j has the shape
+    extents[:j] + (n-j+1, d): its coefficients are canonical on level j."""
     p, d = ops.p, ops.d
     c1 = np.zeros((f.degree + 1, d), dtype=np.int64)
     for i, coeff in enumerate(f.coeffs):

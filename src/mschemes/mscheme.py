@@ -45,6 +45,10 @@ class DepthExhausted(PreconditionFailed):
     """The chase ran out of levels; contradicts the halving argument."""
 
 
+class UnknownGroup(ValueError):
+    """No group of that name in the built-in catalog."""
+
+
 # ---------------------------------------------------------------------------
 # tuple codes
 
@@ -706,6 +710,6 @@ def load_catalog() -> dict:
 def catalog_mscheme(name: str, m: int, work_cap: int = WORK_CAP) -> MCollection:
     cat = load_catalog()
     if name not in cat:
-        raise KeyError(f"unknown catalog group {name!r}")
+        raise UnknownGroup(f"unknown catalog group {name!r}")
     degree, gens = cat[name]
     return orbit_mscheme(gens, min(m, degree), work_cap=work_cap)

@@ -170,6 +170,19 @@ def test_orbit_scan_bad_gens(capsys):
     assert code == 3
 
 
+def test_orbit_scan_unknown_group(capsys):
+    code, payload = run_cli(capsys, ["orbit-scan", "--catalog", "Z99", "--m", "3"])
+    assert code == 3
+    assert payload["status"] == "error" and payload["error"] == "UnknownGroup"
+    assert "Z99" in payload["message"]
+
+
+def test_orbit_scan_missing_input(capsys):
+    code, payload = run_cli(capsys, ["orbit-scan", "--m", "3"])
+    assert code == 3
+    assert payload["status"] == "error" and payload["error"] == "MissingInput"
+
+
 def test_orbit_scan_internal_failure_exit_code(capsys, monkeypatch):
     # a matching search that returns a wrong matching fails the recheck:
     # exit 6 with a JSON error, not a traceback

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from mschemes.factor import (
     DimCapExceeded,
     Factor,
     IdealSystem,
+    InvalidSystem,
     NoChange,
     NoSplit,
     NotAMatching,
@@ -244,6 +246,19 @@ def test_refine_step_r4_already_split():
     out = refine_step(res.system, "R4")
     assert isinstance(out, Factor)
     assert out.g == poly_of(ctx, [-1, 1])  # x - 1, least candidate
+
+
+def test_refine_step_r4_checks_ideal_dimension():
+    # R4 reads the factor gcd(f, 1 - e) off the idempotent alone; a basis
+    # whose dimension is not the idempotent's root count is refused
+    ctx = field_ctx(7, 1)
+    f = poly_of(ctx, [-1, 0, 0, 1])
+    sys = IdealSystem(f, 2)
+    split = sys._split(1, 0, lagrange_idempotent(f, [ctx.elem(1)]), "seed", {}).system
+    one, two = split.levels[1]
+    split.levels[1][0] = dataclasses.replace(one, basis=two.basis, pivots=two.pivots)
+    with pytest.raises(InvalidSystem, match="root count"):
+        refine_step(split, "R4")
 
 
 def test_split_makes_one_product(monkeypatch):

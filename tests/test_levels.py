@@ -1,7 +1,7 @@
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mschemes.factor import _eval_vec, _monomial_values
 from mschemes.gf import Poly, field_ctx
@@ -237,7 +237,9 @@ def kernel_cases(draw):
     # 100000007 is past the float64 range, so its R is int64
     p, d = draw(st.sampled_from([(5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2), (100000007, 1)]))
     n = draw(st.integers(2, 5))
-    s = draw(st.integers(1, min(n, 3)))
+    s = draw(st.integers(1, min(n, 4)))
+    # build_levels refuses this draw: 945 cells * (p-1)^2 passes 2^63
+    assume(not (p == 100000007 and n == 5 and s == 4))
     roots = draw(st.lists(st.integers(0, p**d - 1), min_size=n, max_size=n, unique=True))
     return p, d, roots, s, draw(st.integers(0, 10**6))
 

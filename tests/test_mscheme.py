@@ -14,6 +14,7 @@ from mschemes.mscheme import (
     NotAntisymmetric,
     NotAProjection,
     PreconditionFailed,
+    UnknownGroup,
     WorkCapExceeded,
     act_table,
     catalog_mscheme,
@@ -109,6 +110,13 @@ def test_orbit_z5():
     assert all(pi.color_size(2, c) == 5 for c in range(4))
     assert rep.antisymmetric
     assert not rep.symmetric_at[2]
+
+
+def test_catalog_unknown_group():
+    # invalid input, so the CLI maps it to exit 3 like every ValueError
+    with pytest.raises(UnknownGroup, match="Z99"):
+        catalog_mscheme("Z99", 3)
+    assert issubclass(UnknownGroup, ValueError)
 
 
 def test_orbit_z6_not_antisymmetric():
