@@ -21,11 +21,15 @@ otherwise.  R5's coordinate permutations and a matching's pair of
 embeddings reach it the same way: `_split_with_order` powers the
 automorphism's matrix on the ideal down to prime order r.  One scan
 (`_scan_scalars`) makes the recurring test of that move, whether some
-val - c*e has a support idempotent properly inside e, for R2's fibre
-counts, the engine's root-of-unity checks and its AMM r-th-root digits.  The public automorphism splitter runs the same engine on
-level 1 of any squarefree f, and handles non-split inputs through a
-universal exponent; `rth_root` runs its AMM routine on a field, as level 1
-of k[x]/(x).
+val - c*e has a support idempotent properly inside e, for the engine's
+root-of-unity checks, its AMM r-th-root digits and R2's fibre counts.
+R2 decides constant counts with no power chain: a scalar trace needs no
+product, otherwise one batched product per trace and one scalar-multiple
+test (`_constant_rows`) settle them, and only a count that is not constant
+on its lower ideal is scanned.  The public automorphism splitter runs the
+same engine on level 1 of any squarefree f, and handles non-split inputs
+through a universal exponent; `rth_root` runs its AMM routine on a field,
+as level 1 of k[x]/(x).
 
 Matchings of the induced scheme are read from R1's incidence: R1 records,
 for each lower ideal, each ideal of the level above and each coordinate,
@@ -572,27 +576,49 @@ def _rule_r1(sys: IdealSystem):
     return NoChange()
 
 
+def _constant_rows(kops: KOps, T, E):
+    """Rows b at which T[b] = c*E[b] for some field scalar c, E[b] nonzero.
+
+    With k the first nonzero cell of E[b], that holds iff
+    T[b]*E[b, k] = E[b]*T[b, k] (then c = T[b, k]/E[b, k]), so no inverse
+    is needed.
+    """
+    rows = np.arange(E.shape[0])
+    k = E.any(axis=-1).argmax(axis=1)
+    lhs = kops.mul(T, E[rows, k][:, None])
+    rhs = kops.mul(E, T[rows, k][:, None])
+    return (lhs == rhs).all(axis=(1, 2))
+
+
 def _rule_r2(sys: IdealSystem):
     checks = sys.shared["checks"]
-    n = sys.f.degree
+    counts = range(min(sys.f.degree, sys.ctx.p - 1) + 1)  # fibre counts 0..n as field scalars
     exponent = sys.ctx.order - 1  # support idempotents of a split level
     for s in range(2, sys.m + 1):
         below_alg = sys.algebra(s - 1)
         for ip, here in enumerate(sys.levels[s]):
             for j in range(1, s + 1):
+                todo = [(i, b) for i, b in enumerate(sys.levels[s - 1]) if ("R2", here.uid, b.uid, j) not in checks]
+                if not todo:
+                    continue
                 tr = sys._trace_idem(s, here, j)
-                for i, below in enumerate(sys.levels[s - 1]):
-                    key = ("R2", here.uid, below.uid, j)
-                    if key in checks:
-                        continue
-                    t_elem = below_alg.mult(tr, below.idem)
-                    hit = _scan_scalars(below_alg, t_elem, below.idem, exponent, range(min(n, sys.ctx.p - 1) + 1))
-                    if hit is None or hit[2] is None:
-                        # a constant fibre count, or one taking no value 0..n
-                        checks[key] = True
-                        continue
-                    split_u = (below.idem - hit[2]) % below_alg.ops.p
-                    return sys._split(s - 1, i, split_u, "R2", {"here": ip, "j": j})
+                # a count c*e_B is settled: its scan hits c at a zero
+                # difference, or nothing, since a unit multiple of e_B has
+                # support e_B; a scalar trace gives such counts everywhere
+                if not tr[1:].any():
+                    T, constant = None, np.ones(len(todo), dtype=bool)
+                else:
+                    idems = np.stack([b.idem for _, b in todo])
+                    T = below_alg.mult_batch(idems, tr)
+                    constant = _constant_rows(below_alg.ops, T, idems)
+                for row, (i, below) in enumerate(todo):
+                    if not constant[row]:
+                        hit = _scan_scalars(below_alg, T[row], below.idem, exponent, counts)
+                        if hit is not None and hit[2] is not None:
+                            split_u = (below.idem - hit[2]) % below_alg.ops.p
+                            return sys._split(s - 1, i, split_u, "R2", {"here": ip, "j": j})
+                    # a constant fibre count, or one taking no value 0..n
+                    checks[("R2", here.uid, below.uid, j)] = True
     return NoChange()
 
 

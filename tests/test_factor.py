@@ -33,8 +33,8 @@ from mschemes.factor import (
     supports,
     validate_certificate,
 )
-from mschemes.gf import Poly, PreconditionFailed, field_ctx
-from mschemes.levels import build_levels
+from mschemes.gf import Poly, PreconditionFailed, field_ctx, lift_poly
+from mschemes.levels import LevelAlgebra, build_levels
 
 
 def poly_of(ctx, coeffs):
@@ -308,6 +308,170 @@ def test_refine_step_stable_nochange():
     sys = fresh_system(7, [-1, 0, 0, 1], 2)
     assert isinstance(refine_step(sys, "R4"), NoChange)
     assert isinstance(refine_step(sys, "R1"), NoChange)
+
+
+# -- R2: constant fibre counts settle without power chains ----------------------
+
+
+def rule_r2_per_ideal(sys):
+    """Oracle for `_rule_r2`: one product and one full scalar scan per
+    (ideal, coordinate, lower ideal), constant counts included."""
+    checks = sys.shared["checks"]
+    n = sys.f.degree
+    exponent = sys.ctx.order - 1
+    for s in range(2, sys.m + 1):
+        below_alg = sys.algebra(s - 1)
+        for ip, here in enumerate(sys.levels[s]):
+            for j in range(1, s + 1):
+                tr = sys._trace_idem(s, here, j)
+                for i, below in enumerate(sys.levels[s - 1]):
+                    key = ("R2", here.uid, below.uid, j)
+                    if key in checks:
+                        continue
+                    t_elem = below_alg.mult(tr, below.idem)
+                    hit = fc._scan_scalars(below_alg, t_elem, below.idem, exponent, range(min(n, sys.ctx.p - 1) + 1))
+                    if hit is None or hit[2] is None:
+                        checks[key] = True
+                        continue
+                    split_u = (below.idem - hit[2]) % below_alg.ops.p
+                    return sys._split(s - 1, i, split_u, "R2", {"here": ip, "j": j})
+    return NoChange()
+
+
+def twin(sys):
+    """A clone of sys with its own copy of the check table."""
+    out = sys.clone()
+    out.shared = {**sys.shared, "checks": dict(sys.shared["checks"])}
+    return out
+
+
+def run_events(sys):
+    """The `iks_factor` event loop at one m: the outcome and the event count."""
+    events = 0
+    while True:
+        results = (refine_step(sys, rule) for rule in fc.RULE_ORDER)
+        res = next((res for res in results if not isinstance(res, NoChange)), None)
+        if res is None:
+            matchings = fc._detect_matchings(sys)
+            if not matchings:
+                return "stuck", events
+            res = matching_refinement(sys, matchings[0])
+        events += 1
+        if isinstance(res, Factor):
+            return "factor", events
+        sys = res.system
+
+
+def split_poly(ctx, roots):
+    f = poly_of(ctx, [1])
+    for r in roots:
+        f = f * poly_of(ctx, [-ctx.elem(r), ctx.one()])
+    return f
+
+
+@pytest.mark.parametrize("p,d", [(5, 1), (5, 2), (3, 2)])
+def test_constant_rows_brute_force(p, d):
+    # T[b] is constant on E[b] iff T[b] = c*E[b] for some field scalar c;
+    # E holds idempotents of k[x]/(f) with 0 among the roots of f, so those
+    # whose support misses 0 have no constant term
+    ctx = field_ctx(p, d)
+    kops = fc.KOps(ctx)
+    f = lift_poly(split_poly(field_ctx(p, 1), range(p)), ctx)
+    roots = brute_roots(f)
+    subsets = [sub for k in range(1, p + 1) for sub in itertools.combinations(roots, k)]
+    E = np.stack([lagrange_idempotent(f, sub) for sub in subsets])
+    assert (~E[:, 0].any(axis=-1)).sum() == 2 ** (p - 1) - 1
+    rng = np.random.default_rng(p * 10 + d)
+    rows_T, rows_E = [], []
+    for e in E:
+        for c in ctx.elements():
+            multiple = kops.scalar_mul(kops.scalar(c), e)
+            rows_T.append(multiple)  # c = 0 gives a zero row
+            bumped = multiple.copy()
+            bumped[rng.integers(len(e)), rng.integers(d)] += 1
+            rows_T.append(bumped % p)
+            rows_E.extend([e, e])
+        rows_T.append(rng.integers(0, p, e.shape))
+        rows_E.append(e)
+    T, E = np.stack(rows_T), np.stack(rows_E)
+    want = [
+        any(np.array_equal(t, kops.scalar_mul(kops.scalar(c), e)) for c in ctx.elements())
+        for t, e in zip(T, E)
+    ]
+    got = fc._constant_rows(kops, T, E)
+    assert got.dtype == bool and got.tolist() == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize(
+    "p,d,roots",
+    [
+        (5, 1, [0, 1, 2, 3]),
+        (7, 1, [1, 2, 4]),  # x^3 - 1
+        (7, 1, [0, 1, 3, 4]),
+        (11, 1, [1, 3, 4, 5, 9]),  # the squares of F_11
+        (5, 2, [0, 1, 2, 3, 4]),  # x^5 - x over F_25
+    ],
+    ids=["F5-quartic", "F7-x3-1", "F7-quartic", "F11-squares", "F25-x5-x"],
+)
+def test_rule_r2_matches_per_ideal_oracle(monkeypatch, p, d, roots):
+    # every R2 call of the event loop at m = 3: the batched rule and the
+    # per-ideal loop act alike and leave the same check table
+    f = lift_poly(split_poly(field_ctx(p, 1), roots), field_ctx(p, d))
+    rule = fc._RULES["R2"]
+    seen = []
+
+    def checked(sys):
+        other = twin(sys)
+        want = rule_r2_per_ideal(other)
+        got = rule(sys)
+        assert type(got) is type(want)
+        if isinstance(got, Refined):
+            assert got.system.log == want.system.log
+            for s in range(1, sys.m + 1):
+                for a, b in zip(got.system.levels[s], want.system.levels[s], strict=True):
+                    assert np.array_equal(a.idem, b.idem) and np.array_equal(a.basis, b.basis)
+                    assert a.pivots == b.pivots
+        assert sys.shared["checks"] == other.shared["checks"]
+        seen.append(type(got).__name__)
+        return got
+
+    monkeypatch.setitem(fc._RULES, "R2", checked)
+    outcome, events = run_events(IdealSystem._of_split(f, 3, fc.DIM_CAP))
+    assert outcome == "factor" and events >= 5
+    assert "Refined" in seen and "NoChange" in seen
+
+
+@pytest.mark.parametrize("p,d,roots", [(11, 1, [1, 3, 4, 5, 9]), (5, 2, [0, 1, 2, 3, 4])], ids=["F11-squares", "F25-x5-x"])
+def test_rule_r2_constant_counts_make_no_power_chain(monkeypatch, p, d, roots):
+    # at every state of the event loop where all fibre counts are constant
+    # (R2 makes no change), settling them afresh takes no support
+    # idempotent; some of those states take the product path
+    f = lift_poly(split_poly(field_ctx(p, 1), roots), field_ctx(p, d))
+    calls = {"power": 0, "mult_batch": 0}
+    for name in calls:
+        method = getattr(LevelAlgebra, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(LevelAlgebra, name, counted)
+    rule = fc._RULES["R2"]
+    constant = []
+
+    def checked(sys):
+        fresh = twin(sys)
+        fresh.shared["checks"] = {}
+        calls.update(power=0, mult_batch=0)
+        if isinstance(rule(fresh), NoChange):
+            constant.append(dict(calls))
+        return rule(sys)
+
+    monkeypatch.setitem(fc._RULES, "R2", checked)
+    assert run_events(IdealSystem._of_split(f, 3, fc.DIM_CAP))[0] == "factor"
+    assert constant and all(c["power"] == 0 for c in constant)
+    assert any(c["mult_batch"] for c in constant)
 
 
 def test_iks_factor_x3m1():
