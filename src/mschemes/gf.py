@@ -485,7 +485,9 @@ def find_nonresidue(r: int, ctx: FieldCtx) -> FieldElem:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 mod n, for a coprime to n."""
+    """Least k >= 1 with a^k = 1 mod n, for n >= 2 and a coprime to n."""
+    if n < 2 or math.gcd(a, n) != 1:
+        raise ValueError(f"{a} has no multiplicative order mod {n}")
     k, acc = 1, a % n
     while acc != 1:
         acc = acc * a % n

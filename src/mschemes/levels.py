@@ -17,12 +17,13 @@ The level kernel is the reduction matrix R: row c is the canonical form of
 product-space monomial c, built once by recurrence with the
 multiply-by-x_j matrices.  A product is a convolution into the product
 space (`kconvolve`) and one contraction with R (`reduce_tensor`), a batch
-of products two matmuls, and coordinate permutations, embeddings and
-relative traces are cached operator matrices.  R is a `KOps.operand`:
-float64 while every product over it is exact, prod_cells*d*(p-1)^2 < 2^53
-(see `linalg`), and int64 otherwise.  `build_levels` refuses a prime past
-the int64 bound of the longest such sum and a level whose R would exceed
-REDUCTION_MATRIX_CAP.
+of products two matmuls.  Coordinate permutations, embeddings and relative
+traces are cached operator matrices read off rows of R: a permuted or
+embedded monomial is a row, and a trace sums coefficients of rows.  R is
+a `KOps.operand`: float64 while every product over it is exact,
+prod_cells*d*(p-1)^2 < 2^53 (see `linalg`), and int64 otherwise.
+`build_levels` refuses a prime past the int64 bound of the longest such
+sum and a level whose R would exceed REDUCTION_MATRIX_CAP.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class LevelAlgebra:
         self._reduction = None
         self._toeplitz = None
         self._pair_bins = None
-        self._rel_trace_powers = None
         self._perm_ops = {}
         self._embed_ops = {}
         self._trace_op = None
@@ -99,11 +99,6 @@ class LevelAlgebra:
 
     def to_tensor(self, vec):
         return vec.reshape(self.extents + (self.ops.d,))
-
-    def scalar_vec(self, value):
-        v = self.zero()
-        v[0] = self.ops.scalar(value)
-        return v
 
     # -- multiplication ----------------------------------------------------------
 
@@ -260,38 +255,17 @@ class LevelAlgebra:
             op = self._embed_ops[j] = self._monomial_op(np.insert(below.cells(), j - 1, 0, axis=1))
         return self.ops.matmul_op(vec, op)
 
-    def rel_trace_powers(self, below: "LevelAlgebra"):
-        """q_t = trace of x_s^t over level s-1 (s >= 2), via Newton's
-        identities."""
-        if self._rel_trace_powers is None:
-            p = self.ops.p
-            dd = self.extents[-1]
-            # monic relation in x_s: x^D + sum_t c_t x^t, so e_i = (-1)^i c_{D-i};
-            # the c_t are canonical on level s-1 already
-            es = [below.scalar_vec(1)]
-            for i in range(1, dd + 1):
-                ct = self.rel[-1][..., dd - i, :].reshape(below.dim, self.ops.d)
-                es.append(ct if i % 2 == 0 else (-ct) % p)
-            # Newton: p_t = sum_{i<t} (-1)^(i-1) e_i p_{t-i} + (-1)^(t-1) t e_t
-            ps = [below.scalar_vec([dd])]  # the integer dd, not the element of index dd
-            for t in range(1, dd):
-                acc = below.zero()
-                for i in range(1, t):
-                    term = below.mult(es[i], ps[t - i])
-                    acc = (acc + term) % p if i % 2 == 1 else (acc - term) % p
-                tail = (t * es[t]) % p
-                acc = (acc + tail) % p if t % 2 == 1 else (acc - tail) % p
-                ps.append(acc)
-            self._rel_trace_powers = ps
-        return self._rel_trace_powers
-
     def rel_trace_last(self, below: "LevelAlgebra", vec):
         """Trace onto level s-1 along the last coordinate: fibre sums."""
         if self._trace_op is None:
-            # basis monomial (a, t) goes to x^a * q_t on level s-1
-            eye = below.ops.eye(below.dim)
-            rows = np.stack([below.mult_batch(eye, q) for q in self.rel_trace_powers(below)], axis=1)
-            self._trace_op = self.ops.operand(rows.reshape(self.dim, below.dim, self.ops.d))
+            # Tr(x^a x_s^t) is the sum over i < e of the x_s^i coefficient
+            # of x^a x_s^(t+i), a product-space cell whose theta^0 row of R
+            # is its canonical vector; R is read as a view, never copied
+            e, d = self.extents[-1], self.ops.d
+            rows = self.reduction_matrix()[::d].reshape(self.pshape + (below.dim, e, d))
+            rows = rows[tuple(slice(0, f) for f in self.extents[:-1])]
+            op = sum(rows[..., i:i + e, :, i, :].astype(np.int64) for i in range(e)) % self.ops.p
+            self._trace_op = self.ops.operand(op.reshape(self.dim, below.dim, d))
         return self.ops.matmul_op(vec, self._trace_op)
 
     def move_axis_last(self, j: int):

@@ -15,6 +15,7 @@ from mschemes.gf import (
     field_ctx,
     find_nonresidue,
     is_split_squarefree,
+    multiplicative_order,
     poly_from_text,
     poly_gcd,
     poly_to_text,
@@ -290,6 +291,22 @@ def test_extension_for_levels():
     assert extension_for_levels(field_ctx(7, 1), 4).d == 1  # 2 and 3 divide 6
     assert extension_for_levels(field_ctx(2, 1), 3).d == 2  # 3 | 2^2-1, s=2=char exempt
     assert extension_for_levels(field_ctx(5, 1), 3).d == 2  # 3 | 24 but 3 does not divide 4
+
+
+def test_multiplicative_order():
+    # the pairs callers pass: primitive-root scans, extension degrees
+    assert multiplicative_order(3, 7) == 6
+    assert multiplicative_order(11, 3) == 2
+    assert multiplicative_order(1, 2) == 1
+    assert multiplicative_order(529, 5) == 2
+    assert multiplicative_order(-1, 5) == 2
+
+
+@pytest.mark.parametrize("a, n", [(2, 4), (5, 1), (0, 7), (3, 0)])
+def test_multiplicative_order_refuses_non_units(a, n):
+    # no power of a is 1 mod n: refused, not an endless loop
+    with pytest.raises(ValueError):
+        multiplicative_order(a, n)
 
 
 def test_extension_for_levels_overflow():

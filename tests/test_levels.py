@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -272,3 +273,75 @@ def test_kernel_matches_pointwise_past_float64():
     assert all(lv.reduction_matrix().dtype == np.int64 for lv in levels)
     for s in range(1, 4):
         check_kernel(roots, levels[:s], 11 * s)
+
+
+# -- the trace operator against Newton's identities ----------------------------
+
+
+def newton_trace_op(lv, below):
+    """Trace operator of lv onto below, built the old way: q_t = Tr(x_s^t)
+    over level s-1 by Newton's identities, then row (a, t) is x^a * q_t."""
+    ops, p, e = lv.ops, lv.ops.p, lv.extents[-1]
+
+    def scalar(value):
+        v = below.zero()
+        v[0, 0] = value % p
+        return v
+
+    # monic relation in x_s: x^e + sum_t c_t x^t, so e_i = (-1)^i c_{e-i}
+    es = [scalar(1)]
+    for i in range(1, e + 1):
+        ct = lv.rel[-1][..., e - i, :].reshape(below.dim, ops.d)
+        es.append(ct if i % 2 == 0 else (-ct) % p)
+    # Newton: p_t = sum_{i<t} (-1)^(i-1) e_i p_{t-i} + (-1)^(t-1) t e_t
+    qs = [scalar(e)]
+    for t in range(1, e):
+        acc = below.zero()
+        for i in range(1, t):
+            term = below.mult(es[i], qs[t - i])
+            acc = (acc + term) % p if i % 2 == 1 else (acc - term) % p
+        tail = (t * es[t]) % p
+        qs.append((acc + tail) % p if t % 2 == 1 else (acc - tail) % p)
+    eye = ops.eye(below.dim)
+    rows = np.stack([below.mult_batch(eye, q) for q in qs], axis=1)
+    return ops.operand(rows.reshape(lv.dim, below.dim, ops.d))
+
+
+def trace_cases():
+    """Every 2 <= s <= n <= 5 that build_levels accepts, over five fields;
+    100000007 is past the float64 range, so its R is int64."""
+    for p, d in [(7, 1), (11, 1), (5, 2), (7, 2), (100000007, 1)]:
+        for n in range(2, 6):
+            for s in range(2, n + 1):
+                if p == 100000007 and n == 5 and s >= 4:
+                    continue  # 945 cells * (p-1)^2 passes 2^63
+                yield p, d, n, s
+
+
+def test_trace_op_matches_newton():
+    cases = list(trace_cases())
+    assert len(cases) == 48
+    for k, (p, d, n, s) in enumerate(cases):
+        roots = random.Random(k).sample(range(p**d), n)
+        _, _, levels = make_levels(p, roots, s, d)
+        lv, below = levels[-1], levels[-2]
+        lv.rel_trace_last(below, lv.zero())
+        want = newton_trace_op(lv, below)
+        got = lv._trace_op
+        assert got.dtype == want.dtype and got.shape == want.shape, (p, d, n, s)
+        assert got.tobytes() == want.tobytes(), (p, d, n, s)
+
+
+def test_trace_op_makes_no_products(monkeypatch):
+    # neither level multiplies: not for R, not for the operator
+    _, _, levels = make_levels(11, [1, 3, 4, 5, 9], 3)
+    u = rand_vec(levels[2], 13)
+    want = levels[2].rel_trace_last(levels[1], u)
+
+    def refuse(*args):
+        raise AssertionError("the trace operator makes no level product")
+
+    monkeypatch.setattr(LevelAlgebra, "mult", refuse)
+    monkeypatch.setattr(LevelAlgebra, "mult_batch", refuse)
+    _, _, fresh = make_levels(11, [1, 3, 4, 5, 9], 3)
+    assert np.array_equal(fresh[2].rel_trace_last(fresh[1], u), want)
