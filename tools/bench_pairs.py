@@ -1,14 +1,18 @@
 """Alternating benchmark pairs: a parent revision against the working tree.
 
     python3 tools/bench_pairs.py --label r_traces --what "one line on the change"
-    python3 tools/bench_pairs.py --label x --what "..." --parent HEAD~1 --pairs 5 --workload factor-deep
+    python3 tools/bench_pairs.py --label x --what "..." --parent HEAD~1 --seed 2 --workload factor-deep
 
 The parent is exported with `git archive` into a temporary directory
 (removed at the end, also on failure); the change is the working tree.
-Each workload gets --pairs pairs of `perfbench/run.py --trace 0` runs, the
-parent first in odd pairs and the change first in even pairs.  A run whose
-last line does not read "correct": true stops the driver with nothing
-written.  The record goes to BENCH_<label>.json at the repository root:
+The driver refuses to start when BENCH_<label>.json already exists (the
+records are the benchmark's history) or when the working tree's tracked
+files equal the parent (once a change is committed, pass --parent HEAD~1).
+Each workload gets ten pairs of `perfbench/run.py --trace 0` runs of
+BENCHMARK.json's run_seconds each, the parent first in odd pairs and the
+change first in even pairs.  A run whose last line does not read
+"correct": true stops the driver with nothing written.  The record goes to
+BENCH_<label>.json at the repository root:
 what, parent, machine, command, protocol and runs[{revision, side,
 workload, seed, pair, result, cpu_s}], where result is run.py's last line
 and cpu_s the user and system time of the run and its children.  A summary
@@ -34,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+PAIRS = 10
+SECONDS = BENCHMARK["run_seconds"]
 
 
 def export(rev, dest):
@@ -47,12 +53,12 @@ def export(rev, dest):
     return tree
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     """run.py's last line and the CPU seconds it took, children included."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=4 * seconds + 300)
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=4 * SECONDS + 300)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
@@ -116,23 +122,25 @@ def main(argv=None):
     ap.add_argument("--label", required=True, help="the record is written to BENCH_<label>.json")
     ap.add_argument("--what", required=True, help="one line on what the change does")
     ap.add_argument("--parent", default="HEAD", help="revision run as the parent (default: HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     ap.add_argument("--workload", action="append", choices=workloads,
                     help="repeat for several (default: every workload of BENCHMARK.json)")
     args = ap.parse_args(argv)
 
+    out = ROOT / f"BENCH_{args.label}.json"
+    if out.exists():
+        sys.exit(f"bench_pairs: {out.name} already exists; choose another --label")
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
                             capture_output=True, text=True, check=True).stdout.strip()
-    seconds = int(args.seconds) if float(args.seconds).is_integer() else args.seconds
+    if subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", parent, "--"]).returncode == 0:
+        sys.exit(f"bench_pairs: the working tree equals {parent}; pass the change's parent as --parent")
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export(parent, Path(tmp)), "change": ROOT}
         for workload in args.workload or workloads:
-            for pair in range(1, args.pairs + 1):
+            for pair in range(1, PAIRS + 1):
                 for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                    result, cpu = run_once(trees[side], workload, args.seed, seconds)
+                    result, cpu = run_once(trees[side], workload, args.seed)
                     runs.append({"revision": "committed", "side": side, "workload": workload,
                                  "seed": args.seed, "pair": pair, "result": result, "cpu_s": cpu})
                     wall = result["metrics"]["wall_s"]["value"]
@@ -141,13 +149,12 @@ def main(argv=None):
         "what": args.what,
         "parent": parent,
         "machine": machine(),
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds} --trace 0",
-        "protocol": (f"{args.pairs} alternating pairs of parent and change per workload at seed {args.seed}; "
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {SECONDS} --trace 0",
+        "protocol": (f"{PAIRS} alternating pairs of parent and change per workload at seed {args.seed}; "
                      "the parent first in odd pairs and the change first in even pairs; the parent run "
                      f"from a git archive of {parent}, the change from the working tree"),
         "runs": runs,
     }
-    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print("\n".join(summary(runs)))
     print(f"wrote {out.relative_to(ROOT)}")
