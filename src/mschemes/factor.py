@@ -212,7 +212,8 @@ def rth_root(a: FieldElem, r: int) -> FieldElem | None:
         return None
     alg = _field_algebra(ctx)
     y = _algebra_amm(alg, alg.identity(), q1, np.array([a.coeffs], dtype=np.int64), r)
-    assert isinstance(y, np.ndarray)
+    if not isinstance(y, np.ndarray):
+        raise InvalidSystem("a field has no zero divisor for AMM to find")
     root = ctx.elem(y[0].tolist())
     # canonical-least among the r roots root * zeta^j
     zeta = find_nonresidue(r, ctx) ** (q1 // r)
@@ -324,9 +325,7 @@ def _split_in_extension(f: Poly, s: int, basis, pivots, idem, sigma_mat, r: int,
     ctx = f.ctx
     K = field_ctx(ctx.p, ctx.d * multiplicative_order(ctx.order, r))
     algK = build_levels(lift_poly(f, K), s, dim_cap=DIM_CAP)[s - 1]
-    emb = embed_field(ctx, K)
-    # embedding on digit vectors is F_p-linear: row i of E is the image of theta^i
-    E = np.array([emb(ctx.elem([0] * i + [1])).coeffs for i in range(ctx.d)], dtype=np.int64)
+    E = _digit_embedding(ctx, K)
 
     def lift_vec(v):
         return (v.astype(np.int64) @ E) % ctx.p
@@ -336,16 +335,25 @@ def _split_in_extension(f: Poly, s: int, basis, pivots, idem, sigma_mat, r: int,
     res = _split_with_automorphism(algK, lift_vec(basis), list(pivots), idemK, exponent, lift_vec(sigma_mat), r)
     if isinstance(res, NoSplit):
         return res
-    eK = algK.power(res.vec, exponent, idemK)
     # e has 0/1 component values, so its digit vectors lie in the image of E
-    pops = KOps(field_ctx(ctx.p, 1))
-    sol = pops.solve_right_many(E.T[..., None], eK.reshape(-1, K.d).T[..., None])
+    return ZeroDivisor(_descend(E, algK.power(res.vec, exponent, idemK), ctx.p))
+
+
+def _digit_embedding(ctx: FieldCtx, K: FieldCtx):
+    """The embedding of ctx into K on digit vectors, which is F_p-linear:
+    row i of E is the image of theta^i, and v maps to v @ E mod p."""
+    emb = embed_field(ctx, K)
+    return np.array([emb(ctx.elem([0] * i + [1])).coeffs for i in range(ctx.d)], dtype=np.int64)
+
+
+def _descend(E, vals, p: int):
+    """Digit vectors x with x @ E = vals mod p, for vals (..., K.d) and
+    E from `_digit_embedding`; InvalidSystem when some value lies outside
+    the image, the subfield."""
+    sol = KOps(field_ctx(p, 1)).solve_right_many(E.T[..., None], vals.reshape(-1, E.shape[1]).T[..., None])
     if sol is None:
-        raise InvalidSystem("extension idempotent failed to descend")
-    down = sol[:, :, 0].T.reshape(eK.shape[:-1] + (ctx.d,)) % ctx.p
-    if not np.array_equal((down @ E) % ctx.p, eK):
-        raise InvalidSystem("descended idempotent does not lift back")
-    return ZeroDivisor(down)
+        raise InvalidSystem("value does not lie over the base field")
+    return sol[:, :, 0].T.reshape(vals.shape[:-1] + (E.shape[0],))
 
 
 def _split_ideal(alg: LevelAlgebra, basis, pivots, idem, sigma_mat, r: int, t: int):
@@ -811,8 +819,9 @@ def matching_refinement(sys: IdealSystem, m: _mscheme.Matching):
 # -- drivers ------------------------------------------------------------------
 
 
-def _certificate(sys: IdealSystem, stable: bool, matchings: list) -> dict:
-    cert = {"stable": stable, "no_matching": not matchings}
+def _certificate(sys: IdealSystem, matchings: list) -> dict:
+    """Certificate of a system no rule refines."""
+    cert = {"stable": True, "no_matching": not matchings}
     cert["homogeneous"] = len(sys.levels[1]) == 1
     ortho = True
     dims_ok = True
@@ -843,7 +852,7 @@ def _certificate(sys: IdealSystem, stable: bool, matchings: list) -> dict:
     cert["dimension_sums"] = dims
     cert["dimension_sums_ok"] = dims_ok
     cert["antisymmetric"] = antisym
-    cert["valid"] = all([stable, not matchings, cert["homogeneous"], ortho, dims_ok, antisym])
+    cert["valid"] = all([not matchings, cert["homogeneous"], ortho, dims_ok, antisym])
     return cert
 
 
@@ -855,7 +864,7 @@ def validate_certificate(stuck: StuckScheme) -> bool:
         if not isinstance(refine_step(sys, rule), NoChange):
             return False
     matchings = _detect_matchings(sys)
-    cert = _certificate(sys, True, matchings)
+    cert = _certificate(sys, matchings)
     return cert["valid"]
 
 
@@ -899,22 +908,14 @@ def iks_factor(f: Poly, m: int, dim_cap: int = DIM_CAP, stage_hook=None):
         attempt.update(events=sys.log, outcome="stuck")
         full_log.append(attempt)
         last_sys = sys
-    cert = _certificate(last_sys, True, [])
+    cert = _certificate(last_sys, [])
     return StuckScheme(last_sys, cert, full_log)
 
 
 def _project_factor(g: Poly, base: FieldCtx) -> Poly:
     """Map a factor with base-field values back to the base context."""
-    emb = embed_field(base, g.ctx)
-    table = {}
-    for a in base.elements():
-        table[emb(a).coeffs] = a
-    out = []
-    for c in g.coeffs:
-        if c.coeffs not in table:
-            raise InvalidSystem("factor does not lie over the base field")
-        out.append(table[c.coeffs])
-    return Poly(base, out)
+    coeffs = np.array([c.coeffs for c in g.coeffs], dtype=np.int64)
+    return Poly(base, _descend(_digit_embedding(base, g.ctx), coeffs, base.p).tolist())
 
 
 def log_to_json(log) -> str:

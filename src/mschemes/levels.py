@@ -19,9 +19,10 @@ multiply-by-x_j matrices.  A product is a convolution into the product
 space (`kconvolve`) and one contraction with R (`reduce_tensor`), a batch
 of products two matmuls.  Coordinate permutations, embeddings and relative
 traces are cached operator matrices read off rows of R: a permuted or
-embedded monomial is a row, and a trace sums coefficients of rows.  R is
-a `KOps.operand`: float64 while every product over it is exact,
-prod_cells*d*(p-1)^2 < 2^53 (see `linalg`), and int64 otherwise.
+embedded monomial is a row, stepped by x_j past the product space with
+the multiply-by-x_j map that built R, and a trace sums coefficients of
+rows.  R is a `KOps.operand`: float64 while every product over it is
+exact, prod_cells*d*(p-1)^2 < 2^53 (see `linalg`), and int64 otherwise.
 `build_levels` refuses a prime past the int64 bound of the longest such
 sum and a level whose R would exceed REDUCTION_MATRIX_CAP.
 """
@@ -75,12 +76,15 @@ class LevelAlgebra:
         # canonical tensor over axes < j, so x_j^e = -sum_t c_t x_j^t
         self.rel = []
         for j, (cj, e) in enumerate(zip(cauchy, self.extents)):
-            assert cj.shape == self.extents[:j] + (e + 1, ops.d), "coefficients must be canonical"
+            if cj.shape != self.extents[:j] + (e + 1, ops.d):
+                raise AssertionError("coefficients must be canonical")
             lead = np.zeros(self.extents[:j] + (ops.d,), dtype=np.int64)
             lead[(0,) * (j + 1)] = 1
-            assert np.array_equal(cj[..., e, :] % ops.p, lead), "relations must be monic"
+            if not np.array_equal(cj[..., e, :] % ops.p, lead):
+                raise AssertionError("relations must be monic")
             self.rel.append(cj[..., :e, :] % ops.p)
         self._reduction = None
+        self._x_top = None  # per axis, `KOps.operand` of top-face images; set with R
         self._toeplitz = None
         self._pair_bins = None
         self._perm_ops = {}
@@ -120,14 +124,14 @@ class LevelAlgebra:
 
     def _build_reduction(self):
         """R by recurrence: the canonical box is the identity, and each
-        further slab along axis j is the previous one times x_j."""
+        further slab along axis j is the previous one times x_j.  Keeps
+        each axis's top-face images for `_monomial_op`."""
         ops, n_dim, d = self.ops, self.dim, self.ops.d
         T = np.zeros(self.pshape + (n_dim, d), dtype=np.int64)
         T[tuple(slice(0, e) for e in self.extents)] = ops.eye(n_dim).reshape(self.extents + (n_dim, d))
         cells = self.cells()
+        self._x_top = []
         for j, e in enumerate(self.extents):
-            if e == 1:
-                continue  # the product space has no cells beyond the box here
             # x_j maps basis monomial b to b + e_j, which needs reducing only
             # on the top face b_j = e-1: there x_j^e = sum_t c_t x_j^t with
             # c_t of degree < e_i in each x_i (i < j), so every monomial of
@@ -140,18 +144,18 @@ class LevelAlgebra:
                 shifted[:, :j] += at[:j]
                 shifted[:, j] = at[j]
                 X_top -= ops.scalar_mul(self.rel[j][tuple(at)], T[tuple(shifted.T)])
-            X_top %= ops.p
+            self._x_top.append(ops.operand(X_top % ops.p))
             region = [slice(0, f) for f in self.pshape[:j]] + [0] + [slice(0, f) for f in self.extents[j + 1:]]
             for k in range(e, 2 * e - 1):
                 region[j] = k - 1
                 prev = T[tuple(region)]
                 region[j] = k
-                T[tuple(region)] = self._times_x(prev.reshape(-1, n_dim, d), j, X_top).reshape(prev.shape)
+                T[tuple(region)] = self._times_x(prev.reshape(-1, n_dim, d), j).reshape(prev.shape)
         return T.reshape(self.prod_cells, n_dim, d)
 
-    def _times_x(self, V, j, X_top):
-        """Canonical vectors V (rows, dim, d) times x_j; X_top holds the
-        reduced images of the top-face monomials of axis j."""
+    def _times_x(self, V, j):
+        """Canonical vectors V (rows, dim, d) times x_j: a shift along axis
+        j, and the top face through the reduced images of its monomials."""
         rows, e, d = V.shape[0], self.extents[j], self.ops.d
         t = V.reshape((rows,) + self.extents + (d,))
         out = np.zeros_like(t)
@@ -160,32 +164,21 @@ class LevelAlgebra:
         src[j + 1], dst[j + 1] = slice(0, e - 1), slice(1, e)
         out[tuple(dst)] = t[tuple(src)]
         top = t.take(e - 1, axis=j + 1).reshape(rows, -1, d)
-        return (out.reshape(V.shape) + self.ops.matmul(top, X_top)) % self.ops.p
+        return (out.reshape(V.shape) + self.ops.matmul_op(top, self._x_top[j])) % self.ops.p
 
     def _monomial_op(self, exps):
         """`KOps.operand` of the map whose row i is the canonical form of
-        monomial exps[i]: a row of R inside the product space, else a
-        product of powers of the variables."""
+        monomial exps[i]: the row of R of exps[i] clamped to the product
+        space, times x_j once for each power the clamp cut on axis j."""
         R, d = self.reduction_matrix(), self.ops.d
-        rows = np.empty((exps.shape[0], self.dim, d), dtype=np.int64)
-        inside = (exps < np.array(self.pshape)).all(axis=1)
+        clamped = np.minimum(exps, np.array(self.pshape) - 1)
         # the theta^0 row of cell c is its canonical vector
-        rows[inside] = R[np.ravel_multi_index(tuple(exps[inside].T), self.pshape) * d].reshape(-1, self.dim, d)
-        for i in np.flatnonzero(~inside):
-            rows[i] = self.identity()
-            for j, e in enumerate(exps[i].tolist()):
-                if e:
-                    rows[i] = self.mult(rows[i], self.power(self._variable(j), e))
+        rows = R[np.ravel_multi_index(tuple(clamped.T), self.pshape) * d].astype(np.int64).reshape(-1, self.dim, d)
+        for j, cut in enumerate((exps - clamped).T):
+            for k in range(1, cut.max(initial=0) + 1):
+                step = cut >= k
+                rows[step] = self._times_x(rows[step], j)
         return self.ops.operand(rows)
-
-    def _variable(self, j):
-        """Canonical vector of x_j (0-based axis j)."""
-        if self.extents[j] == 1:
-            # the last axis at s = n: its relation x_j + c_0 has degree 1
-            return (-self.rel[j][..., 0, :]).reshape(self.dim, self.ops.d) % self.ops.p
-        v = self.zero()
-        v[np.ravel_multi_index(np.eye(self.s, dtype=np.int64)[j], self.extents), 0] = 1
-        return v
 
     def _toeplitz_index(self):
         """(dim*d, prod_cells*d) positions, in the flattened (dim+1, d, d)

@@ -593,7 +593,8 @@ def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) 
         if new_size % prev_size:
             raise NonIntegral("subdegree is not integral")
         new_sub = new_size // prev_size
-        assert 2 * new_sub <= cur_sub - 1, "antisymmetry must strictly halve the subdegree"
+        if 2 * new_sub > cur_sub - 1:
+            raise AssertionError("antisymmetry must strictly halve the subdegree")
         if new_sub == 1:
             return Matching(nxt, new_color, (nxt - 1,), (nxt,))
         cur_level, cur_color, cur_sub = nxt, new_color, new_sub
@@ -650,7 +651,8 @@ def prime_matching(pi: MCollection, ell: int) -> Matching:
     img13 = np.unique(multi_proj_table(n, 4, (1, 3))[idx])
     img14 = np.unique(multi_proj_table(n, 4, (1, 4))[idx])
     v_codes = pi.codes_of_color(2, v_color)
-    assert np.array_equal(img13, v_codes) and np.array_equal(img14, v_codes)
+    if not (np.array_equal(img13, v_codes) and np.array_equal(img14, v_codes)):
+        raise AssertionError("the witness color must project onto v along (1, 3) and (1, 4)")
     size_p = pi.color_size(4, p4)
     size_v = len(v_codes)
     if size_p == size_v:

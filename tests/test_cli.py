@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -298,6 +299,18 @@ def test_every_error_class_has_one_family():
                 assert sum(issubclass(cls, fam) for fam in families) == 1, f"{module.__name__}.{name}"
                 seen.append(cls)
     assert PreconditionFailed in seen and factor.InvalidSystem in seen and len(seen) > 20
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so invariants raise explicitly
+    found = []
+    for folder, _, names in os.walk(os.path.dirname(factor.__file__)):
+        for name in sorted(n for n in names if n.endswith(".py")):
+            path = os.path.join(folder, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            found += [f"{path}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_error_family_map():

@@ -190,6 +190,20 @@ def test_split_by_automorphism_in_extension():
     assert res.vec[:, 0].tolist() == [1, 3, 4, 2, 5]
 
 
+def test_project_factor_descends_or_refuses():
+    # F_11 inside F_121: a polynomial whose coefficients lie over F_11 maps
+    # back coefficient by coefficient; one with a coefficient outside is an
+    # internal invariant failure
+    base, K = field_ctx(11, 1), field_ctx(11, 2)
+    g = lift_poly(poly_of(base, [3, 0, 7, 1]), K)
+    assert g.ctx == K
+    down = fc._project_factor(g, base)
+    assert down.ctx == base and [c.index for c in down.coeffs] == [3, 0, 7, 1]
+    outside = poly_of(K, [K.elem([3, 1]), 1])
+    with pytest.raises(InvalidSystem, match="base field"):
+        fc._project_factor(outside, base)
+
+
 def shift_matrix(p):
     """sigma: x -> x + 1 on k[x]/(f) for deg f = p: row i is (x + 1)^i."""
     return np.array([[math.comb(i, k) % p for k in range(p)] for i in range(p)])

@@ -245,6 +245,17 @@ def test_rth_root_builds_one_algebra_per_field(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rth_root_refuses_amm_without_a_root(monkeypatch):
+    # a field has no zero divisor, so an AMM result that is not a root is a
+    # broken invariant, raised also with asserts stripped
+    from mschemes import factor
+
+    monkeypatch.setattr(factor, "_algebra_amm", lambda *args: factor.NoSplit())
+    ctx = field_ctx(97, 1)
+    with pytest.raises(factor.InvalidSystem):
+        rth_root(ctx.elem(4), 2)
+
+
 def test_rth_root_scans_one_nonresidue_per_field():
     find_nonresidue.cache_clear()
     ctx = field_ctx(97, 1)

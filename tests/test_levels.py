@@ -333,15 +333,77 @@ def test_trace_op_matches_newton():
 
 
 def test_trace_op_makes_no_products(monkeypatch):
-    # neither level multiplies: not for R, not for the operator
-    _, _, levels = make_levels(11, [1, 3, 4, 5, 9], 3)
-    u = rand_vec(levels[2], 13)
-    want = levels[2].rel_trace_last(levels[1], u)
+    # no level multiplies: not for R, not for the trace operator, not for
+    # the s = n = 5 operators of the reversal and of every embedding, whose
+    # rows leave the product space
+    def build(levels):
+        top, below = levels[4], levels[3]
+        return ([levels[2].rel_trace_last(levels[1], u), top.apply_perm((4, 3, 2, 1, 0), v)]
+                + [top.embed_from_below(below, j, a) for j in range(1, 6)])
+
+    _, _, levels = make_levels(11, [1, 3, 4, 5, 9], 5)
+    u, v, a = rand_vec(levels[2], 13), rand_vec(levels[4], 14), rand_vec(levels[3], 15)
+    want = build(levels)
 
     def refuse(*args):
-        raise AssertionError("the trace operator makes no level product")
+        raise AssertionError("the operators make no level product")
 
     monkeypatch.setattr(LevelAlgebra, "mult", refuse)
     monkeypatch.setattr(LevelAlgebra, "mult_batch", refuse)
-    _, _, fresh = make_levels(11, [1, 3, 4, 5, 9], 3)
-    assert np.array_equal(fresh[2].rel_trace_last(fresh[1], u), want)
+    _, _, fresh = make_levels(11, [1, 3, 4, 5, 9], 5)
+    for got, expect in zip(build(fresh), want, strict=True):
+        assert np.array_equal(got, expect)
+
+
+# -- monomial operators against products of variables --------------------------
+
+
+def variable(lv, j):
+    """Canonical vector of x_j (0-based axis j)."""
+    if lv.extents[j] == 1:
+        # the last axis at s = n: its relation x_j + c_0 has degree 1
+        return (-lv.rel[j][..., 0, :]).reshape(lv.dim, lv.ops.d) % lv.ops.p
+    v = lv.zero()
+    v[np.ravel_multi_index(np.eye(lv.s, dtype=np.int64)[j], lv.extents), 0] = 1
+    return v
+
+
+def product_monomial_op(lv, exps, memo):
+    """Monomial operator built the old way: a row of R inside the product
+    space, else a product of powers of the variables.  memo caches those
+    rows by exponent tuple, and the powers by ("x", axis, exponent), across
+    calls on lv."""
+    R, d = lv.reduction_matrix(), lv.ops.d
+    rows = np.empty((exps.shape[0], lv.dim, d), dtype=np.int64)
+    inside = (exps < np.array(lv.pshape)).all(axis=1)
+    rows[inside] = R[np.ravel_multi_index(tuple(exps[inside].T), lv.pshape) * d].reshape(-1, lv.dim, d)
+    for i in np.flatnonzero(~inside):
+        key = tuple(exps[i].tolist())
+        if key not in memo:
+            row = lv.identity()
+            for j, e in enumerate(key):
+                if e:
+                    if ("x", j, e) not in memo:
+                        memo["x", j, e] = lv.power(variable(lv, j), e)
+                    row = lv.mult(row, memo["x", j, e])
+            memo[key] = row
+        rows[i] = memo[key]
+    return lv.ops.operand(rows), int((~inside).sum())
+
+
+def test_monomial_ops_match_products():
+    outside = 0
+    for k, (p, d, n, s) in enumerate(trace_cases()):
+        roots = random.Random(k).sample(range(p**d), n)
+        _, _, levels = make_levels(p, roots, s, d)
+        lv, below = levels[-1], levels[-2]
+        memo = {}
+        exps = [lv.cells()[:, list(tau)] for tau in itertools.permutations(range(s))]
+        exps += [np.insert(below.cells(), j - 1, 0, axis=1) for j in range(1, s + 1)]
+        for e in exps:
+            want, rows_out = product_monomial_op(lv, e, memo)
+            got = lv._monomial_op(e)
+            outside += rows_out
+            assert got.dtype == want.dtype and got.shape == want.shape, (p, d, n, s)
+            assert got.tobytes() == want.tobytes(), (p, d, n, s)
+    assert outside == 39832  # rows stepped by x_j past the product space
