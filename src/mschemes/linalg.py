@@ -100,9 +100,11 @@ class KOps:
         theta^a * B[i, j].  float64 when BLAS is exact for its inner length
         k*d, else int64."""
         k, r, d = B.shape
-        E = np.einsum("ijc,act->iajt", B, self.fold) % self.p
+        # one int64 product: E[(i, j), (a, t)] = sum_c B[i, j, c] * fold[a, c, t]
+        E = (B.reshape(k * r, d) @ self.fold.transpose(1, 0, 2).reshape(d, d * d)) % self.p
         exact = dot_exact(self.p, k * d, FLOAT64_EXACT)
-        return np.ascontiguousarray(E.reshape(k * d, r * d), dtype=np.float64 if exact else np.int64)
+        E = np.ascontiguousarray(E.reshape(k, r, d, d).transpose(0, 2, 1, 3), dtype=np.float64 if exact else np.int64)
+        return E.reshape(k * d, r * d)
 
     def matmul_op(self, A, op):
         """(..., k, d) @ B -> (..., r, d) over the field, B given as its

@@ -225,8 +225,65 @@ def _group_minmax(groups, values, num_groups):
     return mn, mx
 
 
+def _least_codes(pi: MCollection, s: int) -> np.ndarray:
+    """The least tuple code of each color of level s."""
+    order, bounds = pi._runs[s]
+    return order[bounds[:-1]]
+
+
+def _least_code_values(values, colors, first):
+    """(head, const): head[c] = values at color c's least code first[c], and
+    const marks the colors on which values equals head everywhere."""
+    head = values[first]
+    return head, np.bincount(colors[values != head[colors]], minlength=len(first)) == 0
+
+
+def _adjacent_swaps(s: int):
+    """Steinhaus-Johnson-Trotter: yield s! - 1 positions k such that
+    swapping entries k and k + 1, one step after another, walks a tuple
+    from the identity through every order of range(s)."""
+    perm, step = list(range(s)), [-1] * s
+    while True:
+        mobile = [i for i, v in enumerate(perm) if 0 <= i + step[v] < s and perm[i + step[v]] < v]
+        if not mobile:
+            return
+        i = max(mobile, key=perm.__getitem__)
+        v = perm[i]
+        j = i + step[v]
+        perm[i], perm[j] = perm[j], v
+        for u in range(v + 1, s):
+            step[u] = -step[u]
+        yield min(i, j)
+
+
+def _permuted_colors(pi: MCollection, s: int):
+    """Yield (tau, head, const) for every coordinate permutation tau of
+    level s, the identity first: the image colors[act_table(tau)] read off
+    least codes by `_least_code_values`.
+
+    tau is the inverse of the tuple `_adjacent_swaps` walks, so where the
+    tuple swaps the entries at k and k + 1, tau exchanges the values k and
+    k + 1: tau' = s_k o tau.  As act_table(tau') =
+    act_table(tau)[act_table(s_k)], each image is one gather of the last
+    through one of the s - 1 adjacent-swap tables.
+    """
+    colors = pi.levels[s]
+    first = _least_codes(pi, s)
+    swaps = [act_table(pi.n, s, tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, s))) for k in range(s - 1)]
+    tau, img = list(range(s)), colors
+    yield (tuple(tau), *_least_code_values(img, colors, first))
+    for k in _adjacent_swaps(s):
+        a, b = tau.index(k), tau.index(k + 1)
+        tau[a], tau[b] = k + 1, k
+        img = img[swaps[k]]
+        yield (tuple(tau), *_least_code_values(img, colors, first))
+
+
 def check_properties(pi: MCollection) -> PropertyReport:
-    """Evaluate P1-P6 by direct definition; witnesses are replayable."""
+    """Evaluate P1-P6 by direct definition; witnesses are replayable.
+
+    P3, P5 and P6 are witnessed by the first coordinate permutation in
+    `itertools.permutations` order that violates them."""
     n = pi.n
     report = PropertyReport(
         homogeneous=pi.num_colors(1) == 1,
@@ -239,12 +296,12 @@ def check_properties(pi: MCollection) -> PropertyReport:
         t_s = pi.num_colors(s)
         below = pi.levels[s - 1].astype(np.int64)
         t_b = pi.num_colors(s - 1)
+        first = _least_codes(pi, s)
         # P1
         ok = True
         for i in range(1, s + 1):
             pc = below[multi_proj_table(n, s, (i,))]
-            mn, mx = _group_minmax(colors, pc, t_s)
-            bad = np.nonzero(mn != mx)[0]
+            bad = np.flatnonzero(~_least_code_values(pc, colors, first)[1])
             if bad.size:
                 c = int(bad[0])
                 idx = pi.codes_of_color(s, c)
@@ -287,36 +344,28 @@ def check_properties(pi: MCollection) -> PropertyReport:
                 ok = False
                 break
         report.regular[s] = ok
-        # P3 / P5 / P6 via the full coordinate-permutation action
-        inv_ok = True
-        anti_ok = True
-        sym_ok = True
-        ident = tuple(range(s))
-        for tau in itertools.permutations(range(s)):
-            img = colors[act_table(n, s, tau)]
-            mn, mx = _group_minmax(colors, img, t_s)
-            const = mn == mx
-            if not const.all() and inv_ok:
-                c = int(np.nonzero(~const)[0][0])
-                report.violations.append(
-                    PropertyViolation("P3", s, {"tau": tau, "color": c})
-                )
-                inv_ok = False
+        # P3 / P5 / P6 via the full coordinate-permutation action: each is
+        # witnessed by its least violating tau, and the witnesses are listed
+        # in the order a lexicographic walk would meet them
+        ident, own = tuple(range(s)), np.arange(t_s)
+        hits = []
+        for tau, head, const in _permuted_colors(pi, s):
+            if not const.all():
+                hits.append((tau, "P3", {"color": int(np.argmin(const))}))
             if tau != ident:
-                fixed = np.nonzero(const & (mn == np.arange(t_s)))[0]
-                if fixed.size and anti_ok:
-                    report.violations.append(
-                        PropertyViolation("P5", s, {"tau": tau, "color": int(fixed[0])})
-                    )
-                    anti_ok = False
-                if not (const.all() and (mn == np.arange(t_s)).all()) and sym_ok:
-                    report.violations.append(
-                        PropertyViolation("P6", s, {"tau": tau})
-                    )
-                    sym_ok = False
-        report.invariant[s] = inv_ok
-        report.antisymmetric_at[s] = anti_ok
-        report.symmetric_at[s] = sym_ok
+                fixed = const & (head == own)
+                if fixed.any():
+                    hits.append((tau, "P5", {"color": int(np.argmax(fixed))}))
+                if not fixed.all():
+                    hits.append((tau, "P6", {}))
+        found = {}
+        for tau, prop, detail in sorted(hits, key=lambda hit: hit[:2]):
+            found.setdefault(prop, (tau, detail))
+        for prop, (tau, detail) in found.items():
+            report.violations.append(PropertyViolation(prop, s, {"tau": tau, **detail}))
+        report.invariant[s] = "P3" not in found
+        report.antisymmetric_at[s] = "P5" not in found
+        report.symmetric_at[s] = "P6" not in found
     return report
 
 
@@ -419,8 +468,8 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
     Rows are grouped by (level, pair) with one stable argsort.  Keys
     color*width + proj are taken per drop set over the colors named:
     drop_i is injective on a color iff the color has as many distinct keys
-    as tuples, and then the two images are equal iff every key of drop_i is
-    among the keys of drop_j and both counts agree.
+    as tuples, and then the two images are equal iff both counts agree and
+    the color's two sorted key blocks agree position by position.
     """
     cols = Matchings.of(matchings)
     color, table = cols.color, cols.table
@@ -436,9 +485,13 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
     for s in np.unique(group_level).tolist():
         gs = np.flatnonzero(group_level == s)
         used = np.unique(color[rows[bounds[gs[0]]:bounds[gs[-1] + 1]]])
-        runs = [pi.codes_of_color(s, int(c)) for c in used]  # IndexError on a bad level or color
-        sizes = np.array([len(r) for r in runs])
-        codes, owner = np.concatenate(runs), np.repeat(np.arange(len(used)), sizes)
+        for c in (used[0], used[-1]):  # IndexError on a bad level or color
+            pi.codes_of_color(s, int(c))
+        in_use = np.zeros(pi.num_colors(s), dtype=bool)
+        in_use[used] = True
+        sizes = pi.sizes[s][used]
+        codes = pi._runs[s][0][np.repeat(in_use, pi.sizes[s])]  # grouped by color, ascending
+        owner = np.repeat(np.arange(len(used)), sizes)
         keys, distinct = {}, {}
         for d in {d for g in gs for d in table[group_pair[g]]}:
             width = falling(pi.n, s - len(d))
@@ -448,11 +501,18 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
         for g in gs:
             di, dj = table[group_pair[g]]
             a, b = keys[di], keys[dj]
-            shared = a[b[np.searchsorted(b, a).clip(max=len(b) - 1)] == a]
-            found = np.bincount(shared // falling(pi.n, s - len(di)), minlength=len(used))
-            good = (distinct[di] == sizes) & (found == distinct[di]) & (distinct[dj] == distinct[di])
+            na, nb = distinct[di], distinct[dj]
             js = rows[bounds[g]:bounds[g + 1]]
-            ok[js] = good[np.searchsorted(used, color[js])]
+            at = np.searchsorted(used, color[js])
+            # keys run color by color, so where both counts agree the two
+            # blocks line up and are equal sets iff they agree by position;
+            # only the colors this group names are compared
+            aligned = np.zeros(len(used), dtype=bool)
+            aligned[at] = True
+            aligned &= (na == sizes) & (nb == na)
+            pa, pb = a[np.repeat(aligned, na)], b[np.repeat(aligned, nb)]
+            differ = np.bincount(pa[pa != pb] // falling(pi.n, s - len(di)), minlength=len(used))
+            ok[js] = (aligned & (differ == 0))[at]
     return ok
 
 
@@ -520,16 +580,9 @@ def subdegree(pi: MCollection, level_p: int, color_p: int, level_q: int, color_q
 
 
 def _level_antisymmetric(pi: MCollection, s: int) -> bool:
-    colors = pi.levels[s].astype(np.int64)
-    t_s = pi.num_colors(s)
-    for tau in itertools.permutations(range(s)):
-        if tau == tuple(range(s)):
-            continue
-        img = colors[act_table(pi.n, s, tau)]
-        mn, mx = _group_minmax(colors, img, t_s)
-        if ((mn == mx) & (mn == np.arange(t_s))).any():
-            return False
-    return True
+    own = np.arange(pi.num_colors(s))
+    walk = itertools.islice(_permuted_colors(pi, s), 1, None)  # skip the identity
+    return not any((const & (head == own)).any() for _, head, const in walk)
 
 
 def _color_image(pi: MCollection, s: int, color: int, tau) -> int:

@@ -223,6 +223,21 @@ def test_verify_scheme_memory_is_quadratic():
     assert peak < 32 * 2**20
 
 
+def test_verify_scheme_past_int16_codes():
+    # the thin scheme of Z_191 has G = 191 colors: codes reach G*G - 1 >
+    # 2^15 - 1, so axiom 3 sorts them in int32; one recoloured pair (and its
+    # transpose, so axiom 2 still holds) must be caught there
+    s = cyclotomic_scheme(191, 190)
+    assert s.num_colors == 191 and s.num_colors ** 2 > 2**15
+    assert verify_scheme(s) is None is verify_scheme_by_cube(s)
+    m = s.matrix.copy()
+    m[3, 50], m[50, 3] = m[3, 51], m[51, 3]
+    bad = Scheme(m)
+    assert bad.num_colors == 191
+    v = verify_scheme(bad)
+    assert v is not None and v.axiom == 3 and v == verify_scheme_by_cube(bad)
+
+
 def test_verify_scheme_one_point():
     assert verify_scheme(complete_scheme(1)) is None
 

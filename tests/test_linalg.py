@@ -145,6 +145,27 @@ def column_rref(kops, M):
     return R[:len(pivots)], pivots
 
 
+def operand_by_einsum(kops, B):
+    """The former `KOps.operand`: entry ((i, a), (j, t)), digit t of
+    theta^a * B[i, j], summed by one einsum over B's digits."""
+    k, r, d = B.shape
+    E = np.einsum("ijc,act->iajt", B, kops.fold) % kops.p
+    exact = k * d * (kops.p - 1) ** 2 < 2**53
+    return np.ascontiguousarray(E.reshape(k * d, r * d), dtype=np.float64 if exact else np.int64)
+
+
+@pytest.mark.parametrize("p, d", [(31, 1), (2**31 - 1, 1), (11, 2), (7, 2), (100000007, 2), (3, 3), (5, 3)])
+def test_operand_matches_einsum(p, d):
+    # float64 and int64 operands, and B with no rows or no columns
+    kops = KOps(field_ctx(p, d))
+    rng = np.random.default_rng(p + d)
+    for k, r in [(0, 4), (4, 0), (0, 0), (1, 1), (5, 7), (60, 60)]:
+        B = rng.integers(0, p, size=(k, r, d))
+        got, want = kops.operand(B), operand_by_einsum(kops, B)
+        assert got.dtype == want.dtype and got.shape == want.shape == (k * d, r * d)
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+
+
 def low_rank(kops, rng, rows, cols, rank):
     """A random (rows, cols, d) matrix of rank at most `rank`, with about a
     fifth of its rows and of its columns zeroed."""

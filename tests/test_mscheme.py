@@ -85,6 +85,98 @@ def recoloured(base, seed, split):
     return MCollection(base.n, levels)
 
 
+def properties_by_permutations(pi):
+    """Oracle for `check_properties`: every coordinate permutation encoded
+    afresh by `act_table`, in `itertools.permutations` order, and each
+    color's image and constancy taken by `_group_minmax` (as is P1's)."""
+    n = pi.n
+    report = mscheme.PropertyReport(
+        homogeneous=pi.num_colors(1) == 1,
+        compatible={}, regular={}, invariant={}, antisymmetric_at={}, symmetric_at={},
+    )
+    if not report.homogeneous:
+        report.violations.append(mscheme.PropertyViolation("P4", 1, {"num_colors": pi.num_colors(1)}))
+    for s in range(2, pi.m + 1):
+        colors = pi.levels[s].astype(np.int64)
+        t_s = pi.num_colors(s)
+        below = pi.levels[s - 1].astype(np.int64)
+        t_b = pi.num_colors(s - 1)
+        ok = True
+        for i in range(1, s + 1):
+            pc = below[multi_proj_table(n, s, (i,))]
+            mn, mx = mscheme._group_minmax(colors, pc, t_s)
+            bad = np.nonzero(mn != mx)[0]
+            if bad.size:
+                c = int(bad[0])
+                idx = np.flatnonzero(pi.levels[s] == c)
+                pcs = pc[idx]
+                u = tuple(int(v) for v in tuple_table(n, s)[idx[0]])
+                v = tuple(int(x) for x in tuple_table(n, s)[idx[int(np.nonzero(pcs != pcs[0])[0][0])]])
+                report.violations.append(
+                    mscheme.PropertyViolation("P1", s, {"i": i, "color": c, "tuple_u": u, "tuple_v": v}))
+                ok = False
+                break
+        report.compatible[s] = ok
+        ok = True
+        for i in range(1, s + 1):
+            width = falling(n, s - 1)
+            uniq, counts = np.unique(colors * width + multi_proj_table(n, s, (i,)), return_counts=True)
+            gkey = uniq // width * t_b + below[uniq % width]
+            guniq, ginv = np.unique(gkey, return_inverse=True)
+            mn, mx = mscheme._group_minmax(ginv, counts, len(guniq))
+            npairs = np.bincount(ginv, minlength=len(guniq))
+            bad = np.nonzero((mn != mx) | (npairs != pi.sizes[s - 1][guniq % t_b]))[0]
+            if bad.size:
+                g = int(guniq[bad[0]])
+                report.violations.append(mscheme.PropertyViolation(
+                    "P2", s, {"i": i, "color": g // t_b, "base_color": g % t_b,
+                              "min_fibre": int(mn[bad[0]]), "max_fibre": int(mx[bad[0]])}))
+                ok = False
+                break
+        report.regular[s] = ok
+        inv_ok = anti_ok = sym_ok = True
+        own = np.arange(t_s)
+        for tau in itertools.permutations(range(s)):
+            mn, mx = mscheme._group_minmax(colors, colors[act_table(n, s, tau)], t_s)
+            const = mn == mx
+            if not const.all() and inv_ok:
+                report.violations.append(
+                    mscheme.PropertyViolation("P3", s, {"tau": tau, "color": int(np.nonzero(~const)[0][0])}))
+                inv_ok = False
+            if tau != tuple(range(s)):
+                fixed = np.nonzero(const & (mn == own))[0]
+                if fixed.size and anti_ok:
+                    report.violations.append(mscheme.PropertyViolation("P5", s, {"tau": tau, "color": int(fixed[0])}))
+                    anti_ok = False
+                if not (const.all() and (mn == own).all()) and sym_ok:
+                    report.violations.append(mscheme.PropertyViolation("P6", s, {"tau": tau}))
+                    sym_ok = False
+        report.invariant[s] = inv_ok
+        report.antisymmetric_at[s] = anti_ok
+        report.symmetric_at[s] = sym_ok
+    return report
+
+
+def antisymmetric_by_permutations(pi, s):
+    """Oracle for `_level_antisymmetric`: no non-identity tau maps a whole
+    color onto itself, every tau encoded afresh."""
+    colors = pi.levels[s].astype(np.int64)
+    t_s = pi.num_colors(s)
+    for tau in itertools.permutations(range(s)):
+        if tau == tuple(range(s)):
+            continue
+        mn, mx = mscheme._group_minmax(colors, colors[act_table(pi.n, s, tau)], t_s)
+        if ((mn == mx) & (mn == np.arange(t_s))).any():
+            return False
+    return True
+
+
+def assert_properties_match(pi):
+    assert check_properties(pi) == properties_by_permutations(pi)
+    for s in range(2, pi.m + 1):
+        assert mscheme._level_antisymmetric(pi, s) == antisymmetric_by_permutations(pi, s)
+
+
 def with_row(search, wrong):
     """`_level_matchings` with the row of `wrong` added to its level's columns."""
     def patched(pi, s):
@@ -204,6 +296,51 @@ def test_check_properties_hand_p2_violation():
     rep = check_properties(pi)
     assert not rep.regular[2]
     assert any(v.prop == "P2" for v in rep.violations)
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_permuted_colors_walks_every_permutation(s):
+    # every tau exactly once, identity first, and each image read off least
+    # codes as the per-tau encoding gives it; a walk that skips a swap fails
+    pi = recoloured(catalog_mscheme("A4" if s <= 4 else "Z7", s), s, split=True)
+    colors = pi.levels[s].astype(np.int64)
+    t_s = pi.num_colors(s)
+    seen = []
+    for tau, head, const in mscheme._permuted_colors(pi, s):
+        mn, mx = mscheme._group_minmax(colors, colors[act_table(pi.n, s, tau)], t_s)
+        assert np.array_equal(const, mn == mx), tau
+        assert np.array_equal(head[const], mn[const]), tau
+        seen.append(tau)
+    assert seen[0] == tuple(range(s)) and sorted(seen) == list(itertools.permutations(range(s)))
+
+
+@pytest.mark.parametrize("name", sorted(load_catalog()))
+def test_check_properties_matches_permutation_oracle(name):
+    # the orbit scheme, and a recoloured copy that is not invariant, so its
+    # P3 and P6 witnesses name a tau other than the first one met
+    pi = catalog_mscheme(name, 4)
+    assert_properties_match(pi)
+    assert_properties_match(recoloured(pi, sorted(load_catalog()).index(name), split=True))
+
+
+def test_check_properties_matches_permutation_oracle_z11_m5():
+    assert_properties_match(catalog_mscheme("Z11", 5))
+
+
+def test_check_properties_oracle_sees_non_invariant_witnesses():
+    # the recoloured collections above do reach the P3 and P6 witnesses
+    props = set()
+    for name in sorted(load_catalog()):
+        pi = recoloured(catalog_mscheme(name, 4), sorted(load_catalog()).index(name), split=True)
+        props |= {v.prop for v in properties_by_permutations(pi).violations}
+    assert {"P1", "P3", "P5", "P6"} <= props
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(["Z5", "D5", "Z6", "A4", "S3", "Z7"]), st.integers(2, 4),
+       st.integers(0, 2**16), st.booleans())
+def test_check_properties_matches_oracle_on_recoloured(name, m, seed, split):
+    assert_properties_match(recoloured(catalog_mscheme(name, m), seed, split))
 
 
 def test_scheme_to_3scheme_properties():
