@@ -34,7 +34,10 @@ as level 1 of k[x]/(x).
 Matchings of the induced scheme are read from R1's incidence: R1 records,
 for each lower ideal, each ideal of the level above and each coordinate,
 whether the ideal lies in that cylinder or is orthogonal to it, so
-projections along several coordinates need no further products.
+projections along several coordinates need no further products.  R1 makes
+each of its products at the level below (`LevelAlgebra.mult_lower`), after
+the cached coordinate permutation that moves the cylinder's coordinate
+last.
 """
 
 from __future__ import annotations
@@ -403,6 +406,12 @@ def split_by_automorphism(f: Poly, sigma, r: int):
 # ---------------------------------------------------------------------------
 # the refinement pipeline
 
+
+def _permuted(alg: LevelAlgebra, tau: tuple, vec):
+    """`apply_perm`, with no operator for the identity."""
+    return vec if tau == tuple(range(alg.s)) else alg.apply_perm(tau, vec)
+
+
 @dataclass
 class Ideal:
     uid: int
@@ -470,7 +479,7 @@ class IdealSystem:
         self.algebras = build_levels(f, m, dim_cap)
         self.levels = {}
         self.log = []
-        self.shared = {"uid": itertools.count(), "checks": {}, "embeds": {}, "perms": {}, "traces": {}}
+        self.shared = {"uid": itertools.count(), "checks": {}, "perms": {}, "traces": {}}
         for s in range(1, m + 1):
             alg = self.algebras[s - 1]
             kops = alg.ops
@@ -489,19 +498,11 @@ class IdealSystem:
 
     # -- cached element machinery -------------------------------------------
 
-    def _embed_idem(self, s: int, ideal: Ideal, j: int):
-        """iota_j of a level s-1 idempotent into level s."""
-        key = (ideal.uid, s, j)
-        cache = self.shared["embeds"]
-        if key not in cache:
-            cache[key] = self.algebra(s).embed_from_below(self.algebra(s - 1), j, ideal.idem)
-        return cache[key]
-
     def _perm_idem(self, ideal: Ideal, tau: tuple):
         key = (ideal.uid, tau)
         cache = self.shared["perms"]
         if key not in cache:
-            cache[key] = self.algebra(ideal.level).apply_perm(tau, ideal.idem)
+            cache[key] = _permuted(self.algebra(ideal.level), tau, ideal.idem)
         return cache[key]
 
     def _trace_idem(self, s: int, ideal: Ideal, j: int):
@@ -510,20 +511,18 @@ class IdealSystem:
         cache = self.shared["traces"]
         if key not in cache:
             alg = self.algebra(s)
-            below = self.algebra(s - 1)
-            vec = ideal.idem
-            if j != s:
-                vec = alg.apply_perm(alg.move_axis_last(j), vec)
-            cache[key] = alg.rel_trace_last(below, vec)
+            cache[key] = alg.rel_trace_last(self.algebra(s - 1), self._perm_idem(ideal, alg.move_axis_last(j)))
         return cache[key]
 
-    def _split(self, s: int, idx: int, u: np.ndarray, rule: str, detail: dict):
-        """New system with levels[s][idx] split along idempotent u."""
+    def _split(self, s: int, idx: int, u: np.ndarray, rule: str, detail: dict, rows_u=None):
+        """New system with levels[s][idx] split along idempotent u; rows_u
+        are the rows of u * I when the caller has them."""
         alg = self.algebra(s)
         kops = alg.ops
         ideal = self.levels[s][idx]
         rest = (ideal.idem - u) % kops.p
-        rows_u = alg.mult_batch(ideal.basis, u)
+        if rows_u is None:
+            rows_u = alg.mult_batch(ideal.basis, u)
         # b * e = b on the ideal, so the rows of (e - u) * I need no product
         rows_r = (ideal.basis - rows_u) % kops.p
         b_u, p_u = kops.rref(rows_u)
@@ -564,23 +563,32 @@ def _rule_r4(sys: IdealSystem):
 
 
 def _rule_r1(sys: IdealSystem):
+    # P = apply_perm(move_axis_last(j)) takes iota_j(v) to iota_s(v), so
+    # P(h * iota_j(v)) = P(h) * iota_s(v) is a product at level s-1
+    # (`mult_lower`): u = 0 and u = h are decided in the moved frame, and
+    # only a u that splits is moved back
     checks = sys.shared["checks"]
     for s in range(2, sys.m + 1):
-        alg = sys.algebra(s)
+        alg, lower = sys.algebra(s), sys.algebra(s - 1)
         for i, below in enumerate(sys.levels[s - 1]):
             for j in range(1, s + 1):
-                emb = sys._embed_idem(s, below, j)
                 todo = [(ip, h) for ip, h in enumerate(sys.levels[s]) if ("R1", below.uid, h.uid, j) not in checks]
                 if not todo:
                     continue
-                prods = alg.mult_batch(np.stack([here.idem for _, here in todo]), emb)
-                for (ip, here), u in zip(todo, prods):
-                    if not u.any() or np.array_equal(u, here.idem):
+                tau = alg.move_axis_last(j)
+                moved = np.stack([sys._perm_idem(here, tau) for _, here in todo])
+                prods = alg.mult_lower(lower, moved, below.idem)
+                for (ip, here), h, u in zip(todo, moved, prods):
+                    if not u.any() or np.array_equal(u, h):
                         # True when here lies in the cylinder of below along
                         # j, False when the two are orthogonal
                         checks[("R1", below.uid, here.uid, j)] = bool(u.any())
                         continue
-                    return sys._split(s, ip, u, "R1", {"below": i, "j": j})
+                    # b * e_h = b on the ideal, so the rows of u * I are B * iota_j(e_B)
+                    back = tuple(np.argsort(tau).tolist())
+                    rows = alg.mult_lower(lower, _permuted(alg, tau, here.basis), below.idem)
+                    return sys._split(s, ip, _permuted(alg, back, u), "R1", {"below": i, "j": j},
+                                      _permuted(alg, back, rows))
     return NoChange()
 
 

@@ -25,6 +25,14 @@ rows.  R is a `KOps.operand`: float64 while every product over it is
 exact, prod_cells*d*(p-1)^2 < 2^53 (see `linalg`), and int64 otherwise.
 `build_levels` refuses a prime past the int64 bound of the longest such
 sum and a level whose R would exceed REDUCTION_MATRIX_CAP.
+
+A product with an element embedded from the level below along the last
+coordinate, row * iota_s(v), is a product at level s-1 (`mult_lower`) and
+needs neither R nor an embedding operator of level s.  Level s is level
+s-1 [x_s]/(C_s), iota_s(v) has only an x_s^0 coefficient, and no relation
+of an axis below s involves x_s.  So each x_s^t coefficient of the row, a
+level s-1 element, is multiplied by v there, and nothing is reduced by
+C_s.
 """
 
 from __future__ import annotations
@@ -220,6 +228,15 @@ class LevelAlgebra:
         table = np.zeros((self.dim + 1, d, d), dtype=self.reduction_matrix().dtype)
         table[:-1] = ops.mul(v[:, None, :], ops.theta[None, :d, :])
         return self.reduce_tensor(ops.matmul_op(rows, table.ravel().take(self._toeplitz_index())))
+
+    def mult_lower(self, below: "LevelAlgebra", rows, v):
+        """Products row * iota_s(v) for every row of `rows` ((B, dim, d))
+        and a level s-1 vector v: one `below.mult_batch` of B*e_s rows, the
+        x_s^t coefficients of each row, with no product at this level."""
+        B, e, d = rows.shape[0], self.extents[-1], self.ops.d
+        lifted = np.moveaxis(rows.reshape(B, below.dim, e, d), 2, 1).reshape(B * e, below.dim, d)
+        prods = below.mult_batch(lifted, v).reshape(B, e, below.dim, d)
+        return np.moveaxis(prods, 1, 2).reshape(rows.shape)
 
     def power(self, u, e: int, unit=None):
         """u^e by square-and-multiply; u^0 is `unit` (default: the identity)."""

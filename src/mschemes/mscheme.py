@@ -520,16 +520,18 @@ def _level_matchings(pi: MCollection, s: int):
     """Matchings of level s as columns: (color, pair) index arrays in
     (color, k, drop_i, drop_j) order, and the level's (drop_i, drop_j)
     table, in (k, drop_i, drop_j) order, that pair indexes."""
-    colors = pi.levels[s].astype(np.int64)
     t = pi.num_colors(s)
     pairs, hits = [], []
     for k in range(1, s):
         width = falling(pi.n, s - k)
         drops = list(itertools.combinations(range(1, s + 1), k))
+        # keys below t*width, in int32 when they fit, which sorts faster
+        dtype = np.int32 if t * width < 2**31 else np.int64
+        offsets = pi.levels[s].astype(dtype) * width
         # projected codes keyed by color, sorted: each color fills the same
         # positions in every image, so where one image of a color is
         # injective, two images are equal sets iff they agree there
-        images = {d: np.sort(colors * width + multi_proj_table(pi.n, s, d)) for d in drops}
+        images = {d: np.sort(offsets + multi_proj_table(pi.n, s, d).astype(dtype)) for d in drops}
         injective = {d: np.bincount(img[1:][img[1:] == img[:-1]] // width, minlength=t) == 0
                      for d, img in images.items()}
         for di, dj in itertools.combinations(drops, 2):

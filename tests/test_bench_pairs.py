@@ -44,3 +44,25 @@ def test_refuses_a_parent_equal_to_the_working_tree(monkeypatch, tmp_path):
         bench_pairs.main(["--label", "fresh", "--what", "x"])
     assert calls == ["rev-parse", "diff"]
     assert not (tmp_path / "BENCH_fresh.json").exists()
+
+
+def test_refuses_a_case_whose_log_digests_differ(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+
+    def git(cmd, **kwargs):
+        # rev-parse names the parent; diff --quiet exits 1: the trees differ
+        return subprocess.CompletedProcess(cmd, 0 if cmd[3] == "rev-parse" else 1, stdout="abc1234\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", git)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    sides = []
+
+    def run_case(tree, name):
+        sides.append(tree)
+        return {"wall_s": 1.0, "ru_maxrss_mb": 100.0, "log_sha256": f"{len(sides)}" * 64}
+
+    monkeypatch.setattr(bench_pairs, "run_case", run_case)
+    with pytest.raises(SystemExit, match="refinement log digests differ"):
+        bench_pairs.main(["--label", "heavy", "--what", "x", "--case", "heavy"])
+    assert len(sides) == 2 and sides[1] == tmp_path
+    assert not (tmp_path / "BENCH_heavy.json").exists()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from mschemes.factor import (
     supports,
     validate_certificate,
 )
-from mschemes.gf import Poly, PreconditionFailed, field_ctx, lift_poly
+from mschemes.gf import Poly, PreconditionFailed, extension_for_levels, field_ctx, lift_poly
 from mschemes.levels import LevelAlgebra, build_levels
 
 
@@ -486,6 +487,112 @@ def test_rule_r2_constant_counts_make_no_power_chain(monkeypatch, p, d, roots):
     assert run_events(IdealSystem._of_split(f, 3, fc.DIM_CAP))[0] == "factor"
     assert constant and all(c["power"] == 0 for c in constant)
     assert any(c["mult_batch"] for c in constant)
+
+
+# -- R1: cylinder checks as level s-1 products ----------------------------------
+
+
+def embed_rule_r1(sys):
+    """Oracle for `_rule_r1`: each cylinder check is a level-s product of
+    the idempotents with the embedded lower idempotent, and a split takes
+    its rows from `_split`'s own level-s product."""
+    checks = sys.shared["checks"]
+    for s in range(2, sys.m + 1):
+        alg = sys.algebra(s)
+        for i, below in enumerate(sys.levels[s - 1]):
+            for j in range(1, s + 1):
+                todo = [(ip, h) for ip, h in enumerate(sys.levels[s]) if ("R1", below.uid, h.uid, j) not in checks]
+                if not todo:
+                    continue
+                emb = alg.embed_from_below(sys.algebra(s - 1), j, below.idem)
+                prods = alg.mult_batch(np.stack([here.idem for _, here in todo]), emb)
+                for (ip, here), u in zip(todo, prods):
+                    if not u.any() or np.array_equal(u, here.idem):
+                        checks[("R1", below.uid, here.uid, j)] = bool(u.any())
+                        continue
+                    return sys._split(s, ip, u, "R1", {"below": i, "j": j})
+    return NoChange()
+
+
+def orbit_quintic_system(p, seed):
+    """The system at m = 3 of a seeded Z_5-orbit quintic over F_p, roots
+    c + t*mu_5, on the field `iks_factor` builds its levels over."""
+    ctx = field_ctx(p, 1)
+    mu5 = [z for z in range(1, p) if pow(z, 5, p) == 1]
+    rng = random.Random(seed)
+    c, t = rng.randrange(1, p), rng.randrange(1, p)
+    f = split_poly(ctx, [(c + t * z) % p for z in mu5])
+    return IdealSystem._of_split(lift_poly(f, extension_for_levels(ctx, 3)), 3, fc.DIM_CAP)
+
+
+@pytest.mark.parametrize("p,seed", [(31, 1), (11, 1)], ids=["F31", "F121"])
+def test_rule_r1_matches_embed_oracle(monkeypatch, p, seed):
+    # every R1 call of the event loop at m = 3: the level s-1 products and
+    # the embedded level-s products act alike, leave the same check table
+    # and give the same split bases
+    rule = fc._RULES["R1"]
+    splits = set()
+
+    def checked(sys):
+        other = twin(sys)
+        want = embed_rule_r1(other)
+        got = rule(sys)
+        assert type(got) is type(want)
+        if isinstance(got, Refined):
+            assert got.system.log == want.system.log
+            for s in range(1, sys.m + 1):
+                for a, b in zip(got.system.levels[s], want.system.levels[s], strict=True):
+                    assert np.array_equal(a.idem, b.idem) and np.array_equal(a.basis, b.basis)
+                    assert a.pivots == b.pivots
+            entry = got.system.log[-1]
+            splits.add((entry["level"], entry["j"]))
+        assert sys.shared["checks"] == other.shared["checks"]
+        return got
+
+    monkeypatch.setitem(fc._RULES, "R1", checked)
+    assert run_events(orbit_quintic_system(p, seed))[0] == "factor"
+    # splits at level 3 along a moved coordinate and along the last one
+    assert {(3, 3)} < splits and any(level == 3 and j < 3 for level, j in splits)
+
+
+def test_rule_r1_makes_no_level_s_product(monkeypatch):
+    # every product R1 makes, for its checks and for a split's rows, is a
+    # level s-1 mult_batch inside a level-s mult_lower; no embedding operator
+    calls, active = [], []
+    lower, batch, embed = LevelAlgebra.mult_lower, LevelAlgebra.mult_batch, LevelAlgebra.embed_from_below
+
+    def counting_lower(self, below, rows, v):
+        active.append(self.s)
+        try:
+            return lower(self, below, rows, v)
+        finally:
+            active.pop()
+
+    def counting_batch(self, rows, v):
+        calls.append(("mult_batch", self.s, active[-1] if active else None))
+        return batch(self, rows, v)
+
+    def counting_embed(self, below, j, vec):
+        calls.append(("embed_from_below", self.s, None))
+        return embed(self, below, j, vec)
+
+    monkeypatch.setattr(LevelAlgebra, "mult_lower", counting_lower)
+    monkeypatch.setattr(LevelAlgebra, "mult_batch", counting_batch)
+    monkeypatch.setattr(LevelAlgebra, "embed_from_below", counting_embed)
+    rule = fc._RULES["R1"]
+    seen = []
+
+    def recorded(sys):
+        calls.clear()
+        res = rule(sys)
+        seen.append((type(res).__name__, list(calls)))
+        return res
+
+    monkeypatch.setitem(fc._RULES, "R1", recorded)
+    assert run_events(orbit_quintic_system(31, 1))[0] == "factor"
+    assert {name for name, _ in seen} == {"Refined", "NoChange"}
+    for _, made in seen:
+        assert made and all(name == "mult_batch" and outer == level + 1 for name, level, outer in made)
 
 
 def test_iks_factor_x3m1():

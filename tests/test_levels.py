@@ -194,8 +194,9 @@ def test_rel_trace_level3():
 
 
 def check_kernel(roots, levels, seed):
-    """mult, mult_batch, apply_perm, embed_from_below and rel_trace_last of
-    the top level commute with evaluation at every essential tuple."""
+    """mult, mult_batch, apply_perm, embed_from_below, mult_lower and
+    rel_trace_last of the top level commute with evaluation at every
+    essential tuple."""
     lv = levels[-1]
     ops, n, s = lv.ops, len(roots), lv.s
     tuples = np.array(essential_tuples(n, s), dtype=np.int64).reshape(-1, s)
@@ -226,6 +227,10 @@ def check_kernel(roots, levels, seed):
         emb = values(lv, lv.embed_from_below(below, j, a))
         for i, tup in enumerate(tuples.tolist()):
             assert np.array_equal(emb[i], ea[below_at[tuple(tup[:j - 1] + tup[j:])]])
+    # iota_s(a) takes a's value at the tuple without its last entry
+    ea_last = np.stack([ea[below_at[tuple(tup[:-1])]] for tup in tuples.tolist()])
+    for row, got in zip(rows, lv.mult_lower(below, rows, a)):
+        assert np.array_equal(values(lv, got), ops.mul(values(lv, row), ea_last))
     tr = values(below, lv.rel_trace_last(below, u))
     sums = np.zeros_like(tr)
     for i, tup in enumerate(tuples.tolist()):
@@ -252,6 +257,23 @@ def test_kernel_matches_pointwise(case):
     _, roots, levels = make_levels(p, root_ints, s, d)
     assert all(lv.reduction_matrix().dtype == (np.float64 if p < 10**8 else np.int64) for lv in levels)
     check_kernel(roots, levels, seed)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kernel_cases(), st.integers(1, 4))
+def test_mult_lower_matches_embedded_product(case, batch):
+    # rows * iota_s(v) as a level s-1 product, byte for byte against the
+    # level-s product with the embedded vector, also for a stack of no rows
+    p, d, root_ints, s, seed = case
+    assume(s >= 2)
+    _, _, levels = make_levels(p, root_ints, s, d)
+    lv, below = levels[-1], levels[-2]
+    v = rand_vec(below, seed)
+    for rows in (lv.ops.zeros((0, lv.dim)), np.stack([rand_vec(lv, seed + 1 + i) for i in range(batch)])):
+        want = lv.mult_batch(rows, lv.embed_from_below(below, s, v))
+        got = lv.mult_lower(below, rows, v)
+        assert got.dtype == want.dtype and got.shape == want.shape, (p, d, s, len(rows))
+        assert got.tobytes() == want.tobytes(), (p, d, s, len(rows))
 
 
 def test_kernel_matches_pointwise_past_float64():

@@ -448,6 +448,26 @@ def matchings_by_sorting(pi):
     ]
 
 
+def test_find_matchings_keys_past_int32():
+    # level 3 on 100 points coloured by ({a, b}, c) for (a, b, c): 485100
+    # colours, so the k = 1 keys, colour * 9900 + projection, pass 2^31 and
+    # take the int64 sort, while the k = 2 keys fit int32.  Each colour
+    # {(a, b, c), (b, a, c)} is matched by the drops (1,), (2,) and by the
+    # drops (1, 3), (2, 3), and by no other pair
+    n = 100
+    tup = tuple_table(n, 3).astype(np.int64)
+    key = (np.minimum(tup[:, 0], tup[:, 1]) * n + np.maximum(tup[:, 0], tup[:, 1])) * n + tup[:, 2]
+    colors = np.unique(key, return_inverse=True)[1]
+    pi = MCollection(n, {1: np.zeros(n), 2: np.zeros(falling(n, 2)), 3: colors})
+    t = pi.num_colors(3)
+    assert t * falling(n, 2) >= 2**31 > t * falling(n, 1)
+    got = find_matchings(pi)
+    assert len(got) == 2 * t
+    assert (got.level == 3).all() and np.array_equal(got.color, np.repeat(np.arange(t), 2))
+    assert [got.table[j] for j in got.pair[:2]] == [((1,), (2,)), ((1, 3), (2, 3))]
+    assert (got.pair.reshape(t, 2) == got.pair[:2]).all()
+
+
 @pytest.mark.parametrize("name", ["Z5", "D5", "Z6", "Z7", "A4", "F21"])
 def test_find_matchings_matches_definition(name):
     pi = recoloured(catalog_mscheme(name, 4), sorted(load_catalog()).index(name), split=False)

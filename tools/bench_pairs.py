@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --label r_traces --what "one line on the change"
     python3 tools/bench_pairs.py --label x --what "..." --parent HEAD~1 --seed 2 --workload factor-deep
+    python3 tools/bench_pairs.py --label x_heavy --what "..." --parent HEAD~1 --case heavy
 
 The parent is exported with `git archive` into a temporary directory
 (removed at the end, also on failure); the change is the working tree.
@@ -18,6 +19,17 @@ workload, seed, pair, result, cpu_s}], where result is run.py's last line
 and cpu_s the user and system time of the run and its children.  A summary
 follows on stdout: per workload and end-to-end metric the two medians, the
 parent's quartile spread and how many pairs moved each way.
+
+--case NAME runs one of CASES instead: a single library call too slow for
+a benchmark pass, once per side (the parent first), each in a fresh
+process with one BLAS thread per usable core.  Its record holds, per side,
+the wall seconds of the call, the process's peak RSS (`ru_maxrss`) and the
+sha256 of `log_to_json` of the refinement log.  The two digests must be
+equal: when they differ the driver stops with nothing written.
+
+The current figures live in the BENCH_*.json records and in ROADMAP.md.
+perfbench/README.md is frozen with the benchmark and describes the level
+kernel as it was when the benchmark was set up.
 
 Run from the repository root, on an otherwise idle machine.
 """
@@ -40,6 +52,23 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 PAIRS = 10
 SECONDS = BENCHMARK["run_seconds"]
+
+# --case inputs: (what, the library call); the call runs in a fresh process
+# with the tree's src on the path, after the imports of CASE_RUN
+CASES = {
+    "heavy": ("x^11 - 1 over F_23 at m = 3 (levels over F_23^2, level 3 of dimension 990)",
+              "iks_factor(Poly(field_ctx(23, 1), [-1] + [0] * 10 + [1]), 3)"),
+}
+CASE_RUN = """\
+import hashlib, json, resource, time
+from mschemes.factor import iks_factor, log_to_json
+from mschemes.gf import Poly, field_ctx
+start = time.perf_counter()
+res = {call}
+wall = time.perf_counter() - start
+print(json.dumps({{"wall_s": wall, "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "log_sha256": hashlib.sha256(log_to_json(res.log).encode()).hexdigest()}}))
+"""
 
 
 def export(rev, dest):
@@ -67,6 +96,46 @@ def run_once(tree, workload, seed):
                  f"(exit {done.returncode}):\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
     cpu = {"user": after.ru_utime - before.ru_utime, "sys": after.ru_stime - before.ru_stime}
     return result, cpu
+
+
+def run_case(tree, name):
+    """The case's record line from one fresh process on tree."""
+    cores = str(len(os.sched_getaffinity(0)))
+    env = {**os.environ, "PYTHONPATH": str(Path(tree) / "src"),
+           "OPENBLAS_NUM_THREADS": cores, "OMP_NUM_THREADS": cores, "MKL_NUM_THREADS": cores}
+    done = subprocess.run([sys.executable, "-c", CASE_RUN.format(call=CASES[name][1])], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"bench_pairs: case {name} in {tree} failed (exit {done.returncode}):\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def compare_case(args, parent, tmp):
+    """Run the case once per side; the record, or an exit when the two
+    refinement logs differ."""
+    trees = {"parent": export(parent, Path(tmp)), "change": ROOT}
+    runs = []
+    for side in ("parent", "change"):
+        result = run_case(trees[side], args.case)
+        runs.append({"revision": "committed", "side": side, "case": args.case, "result": result})
+        print(f"{args.case} {side}: wall_s {result['wall_s']:.4g}, ru_maxrss_mb {result['ru_maxrss_mb']:.4g}",
+              file=sys.stderr, flush=True)
+    digests = {r["side"]: r["result"]["log_sha256"] for r in runs}
+    if digests["parent"] != digests["change"]:
+        sys.exit(f"bench_pairs: case {args.case}: the refinement log digests differ "
+                 f"(parent {digests['parent'][:16]}, change {digests['change'][:16]}); nothing written")
+    cores = len(os.sched_getaffinity(0))
+    return {
+        "what": args.what,
+        "parent": parent,
+        "machine": machine(),
+        "case": CASES[args.case][0],
+        "command": CASES[args.case][1],
+        "protocol": (f"one run per side, each a fresh process with {cores} BLAS threads, the parent first; "
+                     f"the parent run from a git archive of {parent}, the change from the working tree; "
+                     "wall_s times the call alone, ru_maxrss_mb is the process peak"),
+        "runs": runs,
+    }
 
 
 def machine():
@@ -125,7 +194,10 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workload", action="append", choices=workloads,
                     help="repeat for several (default: every workload of BENCHMARK.json)")
+    ap.add_argument("--case", choices=sorted(CASES), help="run this one library call per side instead")
     args = ap.parse_args(argv)
+    if args.case and args.workload:
+        ap.error("--case runs no workload")
 
     out = ROOT / f"BENCH_{args.label}.json"
     if out.exists():
@@ -134,6 +206,12 @@ def main(argv=None):
                             capture_output=True, text=True, check=True).stdout.strip()
     if subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", parent, "--"]).returncode == 0:
         sys.exit(f"bench_pairs: the working tree equals {parent}; pass the change's parent as --parent")
+    if args.case:
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            record = compare_case(args, parent, tmp)
+        out.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {out.relative_to(ROOT)}")
+        return 0
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export(parent, Path(tmp)), "change": ROOT}
