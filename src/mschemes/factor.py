@@ -69,7 +69,7 @@ from .gf import (
     poly_gcd,
     smooth_divisor,
 )
-from .levels import LevelAlgebra, build_levels
+from .levels import DimCapExceeded, LevelAlgebra, ZeroAlgebra, build_levels  # noqa: F401  (re-exported)
 from .linalg import KOps, PrimeTooLarge  # noqa: F401  (re-exported)
 
 DIM_CAP = 10**6
@@ -77,14 +77,6 @@ ORDER_CAP = 10**6
 
 
 class NotSplit(ValueError):
-    pass
-
-
-class DimCapExceeded(PreconditionFailed):
-    pass
-
-
-class ZeroAlgebra(ValueError):
     pass
 
 
@@ -407,11 +399,6 @@ def split_by_automorphism(f: Poly, sigma, r: int):
 # the refinement pipeline
 
 
-def _permuted(alg: LevelAlgebra, tau: tuple, vec):
-    """`apply_perm`, with no operator for the identity."""
-    return vec if tau == tuple(range(alg.s)) else alg.apply_perm(tau, vec)
-
-
 @dataclass
 class Ideal:
     uid: int
@@ -502,7 +489,7 @@ class IdealSystem:
         key = (ideal.uid, tau)
         cache = self.shared["perms"]
         if key not in cache:
-            cache[key] = _permuted(self.algebra(ideal.level), tau, ideal.idem)
+            cache[key] = self.algebra(ideal.level).apply_perm(tau, ideal.idem)
         return cache[key]
 
     def _trace_idem(self, s: int, ideal: Ideal, j: int):
@@ -586,9 +573,9 @@ def _rule_r1(sys: IdealSystem):
                         continue
                     # b * e_h = b on the ideal, so the rows of u * I are B * iota_j(e_B)
                     back = tuple(np.argsort(tau).tolist())
-                    rows = alg.mult_lower(lower, _permuted(alg, tau, here.basis), below.idem)
-                    return sys._split(s, ip, _permuted(alg, back, u), "R1", {"below": i, "j": j},
-                                      _permuted(alg, back, rows))
+                    rows = alg.mult_lower(lower, alg.apply_perm(tau, here.basis), below.idem)
+                    return sys._split(s, ip, alg.apply_perm(back, u), "R1", {"below": i, "j": j},
+                                      alg.apply_perm(back, rows))
     return NoChange()
 
 

@@ -35,6 +35,14 @@ class NoNonresidue(ValueError):
     pass
 
 
+class DivisionByZero(ValueError, ZeroDivisionError):
+    """The inverse of zero, or a polynomial divided by zero."""
+
+
+class NotAPoly(ValueError, TypeError):
+    """A polynomial operation was given something other than a Poly."""
+
+
 class PreconditionFailed(RuntimeError):
     """An unmet hypothesis or a resource cap: the input is well formed, but
     the requested computation is outside what the method guarantees."""
@@ -253,7 +261,7 @@ class FieldElem:
 
     def inverse(self):
         if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
+            raise DivisionByZero("inverse of zero")
         if self.ctx.d == 1:
             return FieldElem(self.ctx, (pow(self.coeffs[0], -1, self.ctx.p),))
         return self ** (self.ctx.order - 2)
@@ -318,7 +326,7 @@ class Poly:
 
     def _check(self, other):
         if not isinstance(other, Poly):
-            raise TypeError("expected Poly")
+            raise NotAPoly("expected Poly")
         if other.ctx != self.ctx:
             raise FieldMismatch("mixed field contexts")
         return other
@@ -356,7 +364,7 @@ class Poly:
     def __divmod__(self, other):
         other = self._check(other)
         if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
+            raise DivisionByZero("polynomial division by zero")
         zero = self.ctx.zero()
         rem = list(self.coeffs)
         db = other.degree

@@ -12,16 +12,19 @@ Elements are dense coefficient vectors over the canonical monomial basis
 (exponent e_j < n-j+1, C-order flattening, trailing digit axis for the
 field).  A product is an integer convolution into the product space
 (exponent e_j < 2(n-j+1)-1, `prod_cells` cells) followed by reduction.
+Cells add: no exponent sum of two canonical monomials leaves the product
+space, so b_i * b_j lands in product-space cell cell(b_i) + cell(b_j), and
+every product-space index of a level is an outer sum of that cell map.
 
 The level kernel is the reduction matrix R: row c is the canonical form of
 product-space monomial c, built once by recurrence with the
 multiply-by-x_j matrices.  A product is a convolution into the product
 space (`kconvolve`) and one contraction with R (`reduce_tensor`), a batch
-of products two matmuls.  Coordinate permutations, embeddings and relative
-traces are cached operator matrices read off rows of R: a permuted or
-embedded monomial is a row, stepped by x_j past the product space with
-the multiply-by-x_j map that built R, and a trace sums coefficients of
-rows.  R is a `KOps.operand`: float64 while every product over it is
+of products a scatter of v's digits into one operator and two matmuls.
+Coordinate permutations, embeddings and relative traces are cached
+operator matrices read off rows of R: a permuted or embedded monomial is
+a row, stepped by x_j past the product space with the multiply-by-x_j map
+that built R, and a trace sums coefficients of rows.  R is a `KOps.operand`: float64 while every product over it is
 exact, prod_cells*d*(p-1)^2 < 2^53 (see `linalg`), and int64 otherwise.
 `build_levels` refuses a prime past the int64 bound of the longest such
 sum and a level whose R would exceed REDUCTION_MATRIX_CAP.
@@ -37,14 +40,24 @@ C_s.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .gf import Poly, square_and_multiply
+from .gf import Poly, PreconditionFailed, square_and_multiply
 from .linalg import INT64_EXACT, KOps, PrimeTooLarge, dot_exact
 
 # `build_levels` refuses a level whose product-space cells * canonical dim
 # exceeds this (R takes 8*d^2 bytes per unit of this product)
 REDUCTION_MATRIX_CAP = 6 * 10**7
+
+
+class DimCapExceeded(PreconditionFailed):
+    pass
+
+
+class ZeroAlgebra(ValueError):
+    pass
 
 
 def kconvolve(u, v, bins, cells: int, ops: KOps):
@@ -73,13 +86,9 @@ class LevelAlgebra:
         self.n = f.degree
         self.s = s
         self.extents = tuple(self.n - j for j in range(s))  # allowed degree count per axis
-        self.dim = 1
-        for e in self.extents:
-            self.dim *= e
+        self.dim = math.prod(self.extents)
         self.pshape = tuple(2 * e - 1 for e in self.extents)  # product-space extents
-        self.prod_cells = 1
-        for e in self.pshape:
-            self.prod_cells *= e
+        self.prod_cells = math.prod(self.pshape)
         # rel[j][..., t, :]: coefficient c_t of x_j^t in relation j, a
         # canonical tensor over axes < j, so x_j^e = -sum_t c_t x_j^t
         self.rel = []
@@ -93,8 +102,7 @@ class LevelAlgebra:
             self.rel.append(cj[..., :e, :] % ops.p)
         self._reduction = None
         self._x_top = None  # per axis, `KOps.operand` of top-face images; set with R
-        self._toeplitz = None
-        self._pair_bins = None
+        self._conv = None  # (bins, scatter) of `_conv_index`
         self._perm_ops = {}
         self._embed_ops = {}
         self._trace_op = None
@@ -137,21 +145,21 @@ class LevelAlgebra:
         ops, n_dim, d = self.ops, self.dim, self.ops.d
         T = np.zeros(self.pshape + (n_dim, d), dtype=np.int64)
         T[tuple(slice(0, e) for e in self.extents)] = ops.eye(n_dim).reshape(self.extents + (n_dim, d))
-        cells = self.cells()
+        flat = T.reshape(self.prod_cells, n_dim, d)  # a view: rows by product-space cell
+        cells, cell = self.cells(), self.cell_map()
         self._x_top = []
         for j, e in enumerate(self.extents):
             # x_j maps basis monomial b to b + e_j, which needs reducing only
             # on the top face b_j = e-1: there x_j^e = sum_t c_t x_j^t with
             # c_t of degree < e_i in each x_i (i < j), so every monomial of
-            # the right side already has its row in T
-            top = cells[cells[:, j] == e - 1]
-            X_top = np.zeros((top.shape[0], n_dim, d), dtype=np.int64)
+            # the right side already has its row in T, at the cell of b with
+            # b_j = 0 plus the cell of the term: cells add
+            base = cell[cells[:, j] == e - 1] - (e - 1) * math.prod(self.pshape[j + 1:])
+            X_top = np.zeros((base.size, n_dim, d), dtype=np.int64)
             for at in np.argwhere(self.rel[j].any(-1)):
                 # monomial x^alpha x_j^t of c_t, alpha = at[:j], t = at[j]
-                shifted = top.copy()
-                shifted[:, :j] += at[:j]
-                shifted[:, j] = at[j]
-                X_top -= ops.scalar_mul(self.rel[j][tuple(at)], T[tuple(shifted.T)])
+                term = np.ravel_multi_index(tuple(at) + (0,) * (self.s - j - 1), self.pshape)
+                X_top -= ops.scalar_mul(self.rel[j][tuple(at)], flat[base + term])
             self._x_top.append(ops.operand(X_top % ops.p))
             region = [slice(0, f) for f in self.pshape[:j]] + [0] + [slice(0, f) for f in self.extents[j + 1:]]
             for k in range(e, 2 * e - 1):
@@ -159,7 +167,7 @@ class LevelAlgebra:
                 prev = T[tuple(region)]
                 region[j] = k
                 T[tuple(region)] = self._times_x(prev.reshape(-1, n_dim, d), j).reshape(prev.shape)
-        return T.reshape(self.prod_cells, n_dim, d)
+        return flat
 
     def _times_x(self, V, j):
         """Canonical vectors V (rows, dim, d) times x_j: a shift along axis
@@ -188,36 +196,27 @@ class LevelAlgebra:
                 rows[step] = self._times_x(rows[step], j)
         return self.ops.operand(rows)
 
-    def _toeplitz_index(self):
-        """(dim*d, prod_cells*d) positions, in the flattened (dim+1, d, d)
-        table of theta^a * v[m] padded by a zero row, of the Toeplitz
-        operator of v in `KOps.operand` layout: entry ((i, a), (c, t)) is
-        digit t of theta^a * v[c - i], zero where c - i leaves the box."""
-        if self._toeplitz is None:
-            d = self.ops.d
-            pcells = np.indices(self.pshape).reshape(self.s, -1).T
-            diff = pcells[None, :, :] - self.cells()[:, None, :]  # (dim, prod_cells, s)
-            ext = np.array(self.extents)
-            ok = ((diff >= 0) & (diff < ext)).all(axis=2)
-            shift = np.ravel_multi_index(tuple(np.moveaxis(np.clip(diff, 0, ext - 1), -1, 0)), self.extents)
-            shift = np.where(ok, shift, self.dim)
-            digit = np.arange(d)
-            index = (shift[:, None, :, None] * d + digit[:, None, None]) * d + digit
-            self._toeplitz = index.reshape(self.dim * d, self.prod_cells * d)
-        return self._toeplitz
+    def cell_map(self):
+        """(dim,) product-space cell of each canonical monomial."""
+        return np.ravel_multi_index(tuple(self.cells().T), self.pshape)
 
-    def _bins(self):
-        """`kconvolve`'s bins for this level, built once."""
-        if self._pair_bins is None:
-            d = self.ops.d
-            cells = self.cells()
-            pair = np.ravel_multi_index(tuple((cells[:, None] + cells[None]).reshape(-1, self.s).T), self.pshape)
-            pair = pair.reshape(self.dim, 1, self.dim, 1)
-            self._pair_bins = (pair * (2 * d - 1) + np.add.outer(np.arange(d), np.arange(d))[:, None]).ravel()
-        return self._pair_bins
+    def _conv_index(self):
+        """`kconvolve`'s bins and `mult_batch`'s scatter, built once as outer
+        sums of the cell map.  Digit a of u[i] times digit b of v[m] goes to
+        bin (cell_i + cell_m)(2d-1) + a + b; digit t of theta^a * v[m] goes
+        to row (i, a), column (cell_i + cell_m, t) of v's flattened operator,
+        scatter[i, m, a, t]."""
+        if self._conv is None:
+            d, digit = self.ops.d, np.arange(self.ops.d)
+            cell = self.cell_map()[:, None]
+            at = (cell * (2 * d - 1) + digit).ravel()
+            rows = (np.arange(self.dim * d) * self.prod_cells + np.repeat(cell, d)) * d
+            cols = cell * d + digit
+            self._conv = np.add.outer(at, at).ravel(), rows.reshape(self.dim, 1, d, 1) + cols[None, :, None, :]
+        return self._conv
 
     def mult(self, u, v):
-        return self.reduce_tensor(kconvolve(u, v, self._bins(), self.prod_cells, self.ops))
+        return self.reduce_tensor(kconvolve(u, v, self._conv_index()[0], self.prod_cells, self.ops))
 
     def mult_batch(self, rows, v):
         """Products row * v for every row of `rows` ((B, dim, d))."""
@@ -225,9 +224,10 @@ class LevelAlgebra:
             return rows.copy()
         ops, d = self.ops, self.ops.d
         # R's dtype is exact here too: the inner length dim*d is shorter
-        table = np.zeros((self.dim + 1, d, d), dtype=self.reduction_matrix().dtype)
-        table[:-1] = ops.mul(v[:, None, :], ops.theta[None, :d, :])
-        return self.reduce_tensor(ops.matmul_op(rows, table.ravel().take(self._toeplitz_index())))
+        op = np.zeros((self.dim * d, self.prod_cells * d), dtype=self.reduction_matrix().dtype)
+        # theta^a * v[m], (dim, d, d), is the same in every row block i
+        op.reshape(-1)[self._conv_index()[1]] = ops.mul(v[:, None, :], ops.theta[None, :d, :])
+        return self.reduce_tensor(ops.matmul_op(rows, op))
 
     def mult_lower(self, below: "LevelAlgebra", rows, v):
         """Products row * iota_s(v) for every row of `rows` ((B, dim, d))
@@ -250,8 +250,10 @@ class LevelAlgebra:
 
     def apply_perm(self, tau, vec):
         """Coordinate-permutation action on functions: supports map forward
-        under tuples^tau.  tau is 0-based."""
+        under tuples^tau.  tau is 0-based; the identity returns vec itself."""
         tau = tuple(tau)
+        if tau == tuple(range(self.s)):
+            return vec
         op = self._perm_ops.get(tau)
         if op is None:
             # basis monomial b goes to the monomial with exponents b[tau]
@@ -314,8 +316,6 @@ def build_levels(f: Poly, m: int, dim_cap: int) -> list:
     """LevelAlgebra list for s = 1..m (index s-1)."""
     n = f.degree
     if m > n:
-        from .factor import ZeroAlgebra
-
         raise ZeroAlgebra(f"no essential {m}-tuples on {n} points")
     p, d = f.ctx.p, f.ctx.d
     dim = 1
@@ -324,8 +324,6 @@ def build_levels(f: Poly, m: int, dim_cap: int) -> list:
         dim *= n - s + 1
         cells *= 2 * (n - s + 1) - 1
         if dim > dim_cap or cells * dim > REDUCTION_MATRIX_CAP:
-            from .factor import DimCapExceeded
-
             if dim > dim_cap:
                 raise DimCapExceeded(f"level {s} dimension {dim} exceeds cap {dim_cap}")
             raise DimCapExceeded(f"level {s} reduction matrix has {cells} x {dim} = {cells * dim} "

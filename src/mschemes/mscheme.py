@@ -49,6 +49,11 @@ class UnknownGroup(ValueError):
     """No group of that name in the built-in catalog."""
 
 
+class NoSuchColor(ValueError, IndexError):
+    """A level or a color index outside the collection; still an
+    IndexError, which `find_matchings` turns into an internal failure."""
+
+
 # ---------------------------------------------------------------------------
 # tuple codes
 
@@ -143,9 +148,9 @@ class MCollection:
     def codes_of_color(self, s: int, c: int) -> np.ndarray:
         """Tuple codes of color c at level s, ascending."""
         if s not in self._runs:
-            raise IndexError(f"no level {s}: levels are 1..{self.m}")
+            raise NoSuchColor(f"no level {s}: levels are 1..{self.m}")
         if not 0 <= c < self.num_colors(s):
-            raise IndexError(f"level {s} has no color {c}")
+            raise NoSuchColor(f"level {s} has no color {c}")
         order, bounds = self._runs[s]
         return order[bounds[c]:bounds[c + 1]]
 

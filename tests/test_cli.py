@@ -1,4 +1,5 @@
 import ast
+import builtins
 import inspect
 import json
 import os
@@ -299,6 +300,38 @@ def test_every_error_class_has_one_family():
                 assert sum(issubclass(cls, fam) for fam in families) == 1, f"{module.__name__}.{name}"
                 seen.append(cls)
     assert PreconditionFailed in seen and factor.InvalidSystem in seen and len(seen) > 20
+    # no bare built-in is raised outside the families: each raise names a
+    # package class, ValueError, AssertionError or the CLI's SystemExit
+    bare_builtins = {name for name, obj in vars(builtins).items() if inspect.isclass(obj)
+                     and issubclass(obj, BaseException)} - {"ValueError", "AssertionError", "SystemExit"}
+    bare = []
+    for folder, _, names in os.walk(os.path.dirname(factor.__file__)):
+        for name in sorted(n for n in names if n.endswith(".py")):
+            path = os.path.join(folder, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                if isinstance(exc, ast.Name) and exc.id in bare_builtins:
+                    bare.append(f"{path}:{node.lineno} {exc.id}")
+    assert not bare, bare
+
+
+def test_typed_errors_are_still_their_builtins():
+    # each replaces a bare built-in raise, so callers that catch the
+    # built-in keep working; the family is ValueError (exit 3)
+    ctx = gf.field_ctx(7, 1)
+    pi = mscheme.MCollection(3, {1: [0, 0, 0]})
+    cases = [(ctx.zero().inverse, gf.DivisionByZero, ZeroDivisionError),
+             (lambda: divmod(gf.Poly(ctx, [1, 1]), gf.Poly(ctx, [])), gf.DivisionByZero, ZeroDivisionError),
+             (lambda: gf.Poly(ctx, [1]) + 1, gf.NotAPoly, TypeError),
+             (lambda: pi.codes_of_color(2, 0), mscheme.NoSuchColor, IndexError),
+             (lambda: pi.codes_of_color(1, 1), mscheme.NoSuchColor, IndexError)]
+    for call, cls, builtin in cases:
+        with pytest.raises(cls) as exc:
+            call()
+        assert isinstance(exc.value, builtin) and isinstance(exc.value, ValueError)
 
 
 def test_no_assert_statements_in_src():

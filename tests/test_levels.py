@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -429,3 +430,128 @@ def test_monomial_ops_match_products():
             assert got.dtype == want.dtype and got.shape == want.shape, (p, d, n, s)
             assert got.tobytes() == want.tobytes(), (p, d, n, s)
     assert outside == 39832  # rows stepped by x_j past the product space
+
+
+# -- the product indices against the gather and pair-sum constructions -------
+
+
+def toeplitz_index(lv):
+    """(dim*d, prod_cells*d) positions, in the flattened (dim+1, d, d) table
+    of theta^a * v[m] padded by a zero row, of the Toeplitz operator of v:
+    entry ((i, a), (c, t)) is digit t of theta^a * v[c - i], the padding
+    where c - i leaves the box.  Built from the difference array of every
+    product-space cell and canonical cell."""
+    d = lv.ops.d
+    pcells = np.indices(lv.pshape).reshape(lv.s, -1).T
+    diff = pcells[None, :, :] - lv.cells()[:, None, :]  # (dim, prod_cells, s)
+    ext = np.array(lv.extents)
+    ok = ((diff >= 0) & (diff < ext)).all(axis=2)
+    shift = np.ravel_multi_index(tuple(np.moveaxis(np.clip(diff, 0, ext - 1), -1, 0)), lv.extents)
+    shift = np.where(ok, shift, lv.dim)
+    digit = np.arange(d)
+    index = (shift[:, None, :, None] * d + digit[:, None, None]) * d + digit
+    return index.reshape(lv.dim * d, lv.prod_cells * d)
+
+
+def gather_mult_batch(lv, rows, v):
+    """mult_batch with its operator gathered through `toeplitz_index`."""
+    if rows.shape[0] == 0:
+        return rows.copy()
+    ops, d = lv.ops, lv.ops.d
+    table = np.zeros((lv.dim + 1, d, d), dtype=lv.reduction_matrix().dtype)
+    table[:-1] = ops.mul(v[:, None, :], ops.theta[None, :d, :])
+    return lv.reduce_tensor(ops.matmul_op(rows, table.ravel().take(toeplitz_index(lv))))
+
+
+def pair_bins(lv):
+    """kconvolve's bins as the ravel of the pair sums of exponent tuples."""
+    d, cells = lv.ops.d, lv.cells()
+    pair = np.ravel_multi_index(tuple((cells[:, None] + cells[None]).reshape(-1, lv.s).T), lv.pshape)
+    pair = pair.reshape(lv.dim, 1, lv.dim, 1)
+    return (pair * (2 * d - 1) + np.add.outer(np.arange(d), np.arange(d))[:, None]).ravel()
+
+
+def shifted_reduction(lv):
+    """R's recurrence with each relation term read at copied and shifted
+    exponent tuples; runs on a copy of lv, whose own cache stays unset."""
+    lv = copy.copy(lv)
+    ops, n_dim, d = lv.ops, lv.dim, lv.ops.d
+    T = np.zeros(lv.pshape + (n_dim, d), dtype=np.int64)
+    T[tuple(slice(0, e) for e in lv.extents)] = ops.eye(n_dim).reshape(lv.extents + (n_dim, d))
+    cells = lv.cells()
+    lv._x_top = []
+    for j, e in enumerate(lv.extents):
+        top = cells[cells[:, j] == e - 1]
+        X_top = np.zeros((top.shape[0], n_dim, d), dtype=np.int64)
+        for at in np.argwhere(lv.rel[j].any(-1)):
+            shifted = top.copy()
+            shifted[:, :j] += at[:j]
+            shifted[:, j] = at[j]
+            X_top -= ops.scalar_mul(lv.rel[j][tuple(at)], T[tuple(shifted.T)])
+        lv._x_top.append(ops.operand(X_top % ops.p))
+        region = [slice(0, f) for f in lv.pshape[:j]] + [0] + [slice(0, f) for f in lv.extents[j + 1:]]
+        for k in range(e, 2 * e - 1):
+            region[j] = k - 1
+            prev = T[tuple(region)]
+            region[j] = k
+            T[tuple(region)] = lv._times_x(prev.reshape(-1, n_dim, d), j).reshape(prev.shape)
+    return ops.operand(T.reshape(lv.prod_cells, n_dim, d))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kernel_cases(), st.integers(2, 5))
+def test_product_indices_match_gather_and_pair_sums(case, batch):
+    # byte for byte: R, kconvolve's bins, and mult_batch for stacks of
+    # no row, one row and several rows
+    p, d, root_ints, s, seed = case
+    _, _, levels = make_levels(p, root_ints, s, d)
+    for lv in levels:
+        want = shifted_reduction(lv)
+        got = lv.reduction_matrix()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, d, lv.s)
+        bins = lv._conv_index()[0]
+        assert bins.dtype == pair_bins(lv).dtype and bins.tobytes() == pair_bins(lv).tobytes(), (p, d, lv.s)
+        v = rand_vec(lv, seed)
+        for size in (0, 1, batch):
+            rows = np.stack([rand_vec(lv, seed + 1 + i) for i in range(size)]) if size else lv.ops.zeros((0, lv.dim))
+            want = gather_mult_batch(lv, rows, v)
+            got = lv.mult_batch(rows, v)
+            assert got.dtype == want.dtype and got.shape == want.shape, (p, d, lv.s, size)
+            assert got.tobytes() == want.tobytes(), (p, d, lv.s, size)
+
+
+def cached_arrays(obj):
+    """Every ndarray held by obj's attributes, through tuples, lists and dicts."""
+    stack, found = list(vars(obj).values()), []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+    return found
+
+
+def test_mult_batch_caches_no_operator_sized_index():
+    # level 3 of a quintic over F_121: the cached indices are (dim*d)^2, not
+    # the (dim*d, prod_cells*d) of a gather index over the whole operator
+    _, _, levels = make_levels(11, [1, 3, 4, 5, 9], 3, d=2)
+    lv = levels[2]
+    rows = np.stack([rand_vec(lv, i) for i in range(3)])
+    lv.mult_batch(rows, rand_vec(lv, 3))
+    op_shape = (lv.dim * lv.ops.d, lv.prod_cells * lv.ops.d)
+    assert (lv.dim, lv.prod_cells, op_shape) == (60, 315, (120, 630))
+    cached = cached_arrays(lv)
+    assert not [a.shape for a in cached if a.shape == op_shape and np.issubdtype(a.dtype, np.integer)]
+    assert any(a.size == (lv.dim * lv.ops.d) ** 2 for a in cached)
+
+
+def test_apply_perm_identity_builds_no_operator():
+    _, _, levels = make_levels(7, [1, 2, 4], 3)
+    for lv in levels:
+        u = rand_vec(lv, 16)
+        assert lv.apply_perm(tuple(range(lv.s)), u) is u
+        assert lv.apply_perm(list(range(lv.s)), u) is u
+        assert lv._perm_ops == {}
