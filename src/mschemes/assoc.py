@@ -3,6 +3,12 @@
 A scheme is stored as a dense color matrix on X x X with color 0 reserved
 for the identity relation.  Everything is exact integer arithmetic; all
 searches scan in ascending index order, so outputs are deterministic.
+
+`verify_scheme` checks the count axiom one row of pairs at a time.  On a
+translation scheme (the color of (x, y) depends only on y - x mod n, as
+for the cyclotomic schemes) the pair (x, y) has the path counts of
+(0, y - x), so row 0 is checked for all rows; any other scheme is checked
+on every row.
 """
 
 from __future__ import annotations
@@ -13,7 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import NotPrime, is_prime, multiplicative_order
+from .gf import NotPrime, PreconditionFailed, is_prime, multiplicative_order
+
+# most pairs (points squared) a cyclotomic scheme may have
+SCHEME_PAIR_CAP = 2**24
 
 
 class NotAScheme(ValueError):
@@ -42,6 +51,10 @@ class NotHomogeneous(ValueError):
 
 class Not3Scheme(ValueError):
     pass
+
+
+class SchemeTooLarge(PreconditionFailed):
+    """The color matrix would have more than SCHEME_PAIR_CAP pairs."""
 
 
 @dataclass(frozen=True)
@@ -113,34 +126,43 @@ class Scheme:
         m = a.astype(np.int32)
         if not np.array_equal(m, a):
             raise ValueError("color ids must be int32 integers")
-        colors, first = np.unique(m, return_index=True)
-        if colors[0] != 0 or colors[-1] != len(colors) - 1:
+        flat = m.ravel()
+        # d + 1 distinct ids need at least d + 1 entries, so a larger id is
+        # refused before bincount would allocate for it
+        top = int(flat.max())
+        if flat.min() != 0 or top >= flat.size or not np.bincount(flat).all():
             raise ValueError("color ids must be dense 0..d")
+        first = np.full(top + 1, flat.size, dtype=np.intp)
+        np.minimum.at(first, flat, np.arange(flat.size))
         self.n = m.shape[0]
-        self.num_colors = len(colors)
+        self.num_colors = top + 1
         m.setflags(write=False)
         first.setflags(write=False)
         self.matrix = m
         self.first = first
-        self._adjoint = None
+        self._transpose = None
 
     def transpose_map(self):
         """(adj, mixed): adj[g] is the color of the transpose of g's first
-        pair, and mixed marks each pair (x, y) with m[y, x] != adj[m[x, y]]."""
-        m = self.matrix
-        adj = m.T.flat[self.first]
-        return adj, m.T != adj[m]
+        pair, and mixed marks each pair (x, y) with m[y, x] != adj[m[x, y]].
+        Computed once per scheme; both arrays are read-only."""
+        if self._transpose is None:
+            m = self.matrix
+            adj = m.T.flat[self.first]
+            mixed = m.T != adj[m]
+            adj.setflags(write=False)
+            mixed.setflags(write=False)
+            self._transpose = adj, mixed
+        return self._transpose
 
     @property
     def adjoint(self):
         """g -> g* (transpose class map); requires transpose closure."""
-        if self._adjoint is None:
-            adj, mixed = self.transpose_map()
-            if mixed.any():
-                g = _first_flagged(self.matrix, mixed)[0]
-                raise NotAScheme(f"transpose of color {g} is not a single color")
-            self._adjoint = adj
-        return self._adjoint
+        adj, mixed = self.transpose_map()
+        if mixed.any():
+            g = _first_flagged(self.matrix, mixed)[0]
+            raise NotAScheme(f"transpose of color {g} is not a single color")
+        return adj
 
     def __eq__(self, other):
         return (
@@ -197,13 +219,19 @@ def verify_scheme(s: Scheme):
                          "transpose class is mixed")
     # axiom 3: every pair meets the sorted path colors of its color's first
     # pair, checked one row x at a time, in the narrowest of int16, int32 and
-    # int64 that holds the codes (at most G*G - 1): narrower sorts faster
+    # int64 that holds the codes (at most G*G - 1): narrower sorts faster.
+    # When x -> x + 1 (mod n) keeps every color, (x, y) has the path counts
+    # of (0, y - x), so row 0 decides every row
     mc = m.astype(np.int16 if G * G <= 2**15 else np.int32 if G * G <= 2**31 else np.int64, copy=False)
     ref = np.sort(_pair_codes(mc, G, *np.divmod(s.first, n)), axis=1)
-    bad = np.empty((n, n), dtype=bool)
-    for x in range(n):
+    translation = np.array_equal(np.roll(m, -1, axis=(0, 1)), m)
+    rows = range(1 if translation else n)
+    bad = np.empty((len(rows), n), dtype=bool)
+    for x in rows:
         row = np.sort(_pair_codes(mc, G, x, slice(None)), axis=1)
         bad[x] = (row != ref[m[x]]).any(axis=1)
+    if translation:
+        bad = bad[0][(np.arange(n) - np.arange(n)[:, None]) % n]
     if bad.any():
         h, b = _first_flagged(m, bad)
         xs, ys = np.divmod([s.first[h], b], n)
@@ -294,6 +322,8 @@ def cyclotomic_scheme(p: int, e: int) -> Scheme:
         raise NotPrime(f"{p} is not prime")
     if e < 1 or (p - 1) % e != 0:
         raise EDoesNotDivide(f"{e} does not divide {p - 1}")
+    if p * p > SCHEME_PAIR_CAP:
+        raise SchemeTooLarge(f"p = {p} gives {p * p} pairs, past the cap of {SCHEME_PAIR_CAP}")
     alpha = least_primitive_root(p)
     # alpha^j lies in coset (j - 1) % e + 1
     label = np.zeros(p, dtype=np.int32)

@@ -211,6 +211,130 @@ def test_verify_scheme_matches_cube(m):
         assert np.array_equal(t.c, brute_tensor(s)) and list(t.adjoint) == adj
 
 
+@st.composite
+def circulant_matrices(draw):
+    """Colourings m[x, y] = L[(x - y) % n] with L[0] = 0.  Each difference
+    pair {d, -d} gets a colour a, and -d either a or the paired colour
+    a + k; a colour drawn both ways breaks transpose closure (axiom 2), and
+    random classes mostly break the counts (axiom 3)."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 4))
+    L = np.zeros(n, dtype=np.int64)
+    for d in range(1, n // 2 + 1):
+        a = draw(st.integers(1, k))
+        L[d] = a
+        L[n - d] = a if draw(st.booleans()) else a + k
+    return _dense(L[(np.arange(n)[:, None] - np.arange(n)) % n])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(circulant_matrices())
+def test_verify_scheme_matches_cube_on_circulants(m):
+    s = Scheme(m)
+    assert verify_scheme(s) == verify_scheme_by_cube(s)
+
+
+@pytest.mark.parametrize(
+    "L,axiom",
+    [([0, 1, 1, 2, 2], 3), ([0, 1, 1, 2, 3, 3], 3), ([0, 1, 1, 1, 2, 2, 2], 3), ([0, 1, 1, 1, 2], 2),
+     ([0, 1, 1, 1, 1, 1, 2], 2), ([0, 1, 2, 3, 4], None), ([0, 1, 2, 2, 1], None)],
+    ids=["count-5", "count-6", "count-7", "mixed-5", "mixed-7", "thin-5", "pentagon"],
+)
+def test_verify_scheme_circulant_witnesses(L, axiom):
+    n = len(L)
+    s = Scheme(np.array(L)[(np.arange(n)[:, None] - np.arange(n)) % n])
+    v = verify_scheme(s)
+    assert v == verify_scheme_by_cube(s)
+    assert (v and v.axiom) == axiom
+
+
+def counting_pair_codes(monkeypatch):
+    """The list of rows each `_pair_codes` call is asked for, as it grows."""
+    calls = []
+    pair_codes = assoc._pair_codes
+
+    def counting(m, G, x, y):
+        calls.append(np.size(x))
+        return pair_codes(m, G, x, y)
+
+    monkeypatch.setattr(assoc, "_pair_codes", counting)
+    return calls
+
+
+def test_verify_scheme_checks_one_row_of_a_translation_scheme(monkeypatch):
+    # x -> x + 1 keeps every colour of a cyclotomic scheme: the references
+    # (one row per colour) and row 0 decide axiom 3, not all 251 rows
+    calls = counting_pair_codes(monkeypatch)
+    s = cyclotomic_scheme(251, 2)
+    assert verify_scheme(s) is None
+    assert calls == [s.num_colors, 1]
+
+
+def test_verify_scheme_checks_every_row_otherwise(monkeypatch):
+    calls = counting_pair_codes(monkeypatch)
+    m = cyclotomic_scheme(13, 4).matrix.copy()
+    m[0, 1], m[1, 0], m[0, 2], m[2, 0] = m[0, 2], m[2, 0], m[0, 1], m[1, 0]
+    s = Scheme(m)
+    v = verify_scheme(s)
+    assert v is not None and v.axiom == 3 and v == verify_scheme_by_cube(s)
+    # references, 13 rows, then the witness counts of two pairs
+    assert calls == [s.num_colors] + [1] * 13 + [2]
+
+
+def first_by_unique(m):
+    """Oracle for `Scheme`'s id check and `first`: np.unique's first indices."""
+    colors, first = np.unique(m, return_index=True)
+    if colors[0] != 0 or colors[-1] != len(colors) - 1:
+        return "color ids must be dense 0..d"
+    return first
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[0, 2], [2, 1]], [[1, 0], [0, 1]], [[0, 2], [2, 0]], [[0, -1], [1, 0]], [[-1, 0], [0, 1]],
+     [[1, 1], [1, 1]], [[0, 2**31 - 1], [1, 0]], [[0]]],
+    ids=["dense", "first-late", "gapped", "negative", "negative-min", "no-zero", "huge-id", "one-point"],
+)
+def test_scheme_first_matches_unique(m):
+    m = np.array(m)
+    want = first_by_unique(m)
+    if isinstance(want, str):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=want):
+                Scheme(m)
+            # a huge id is refused before anything of its size is allocated
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+    else:
+        first = Scheme(m).first
+        assert first.dtype == want.dtype and np.array_equal(first, want)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 9), st.integers(-2, 6), st.integers(0, 2**32 - 1))
+def test_scheme_first_matches_unique_random(n, top, seed):
+    m = np.random.default_rng(seed).integers(min(top, 0), top + 1, size=(n, n))
+    want = first_by_unique(m)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            Scheme(m)
+    else:
+        s = Scheme(m)
+        assert s.num_colors == len(want) and np.array_equal(s.first, want)
+
+
+def test_transpose_map_computed_once(monkeypatch):
+    # verify_scheme's axiom-2 pass and the adjoint share one transpose map
+    s = cyclotomic_scheme(13, 4)
+    assert verify_scheme(s) is None
+    adj, mixed = s.transpose_map()
+    assert s.transpose_map()[0] is adj and s.adjoint is adj
+    assert not adj.flags.writeable and not mixed.flags.writeable
+    assert intersection_tensor(s).adjoint is not adj
+
+
 def test_verify_scheme_memory_is_quadratic():
     # the cube of path codes at n = 251 took 362 MB
     s = cyclotomic_scheme(251, 2)

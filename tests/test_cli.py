@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,31 @@ def test_scheme_report_internal_failure_exit_code(capsys, monkeypatch):
     code, payload = run_cli(capsys, ["scheme-report", "--p", "13", "--e", "6"])
     assert code == 6
     assert payload["status"] == "error" and payload["error"] == "AssertionError"
+
+
+def test_scheme_report_refuses_oversized_up_front(capsys, monkeypatch):
+    # 10^12 pairs would need terabytes; the refusal comes before the
+    # primitive-root scan and before any array of the scheme's size
+    monkeypatch.setattr(assoc, "least_primitive_root", _raise(AssertionError("ran past the size check")))
+    tracemalloc.start()
+    try:
+        code, payload = run_cli(capsys, ["scheme-report", "--p", "1000003", "--e", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert payload["status"] == "error" and payload["error"] == "SchemeTooLarge"
+    assert peak < 2**20
+
+
+def test_scheme_pair_cap_boundary(monkeypatch):
+    # 4093 is the largest prime with p^2 <= SCHEME_PAIR_CAP = 2^24; the next, 4099, is past it
+    monkeypatch.setattr(assoc, "least_primitive_root", _raise(AssertionError("ran past the size check")))
+    assert 4093**2 <= assoc.SCHEME_PAIR_CAP < 4099**2
+    with pytest.raises(AssertionError, match="ran past the size check"):
+        assoc.cyclotomic_scheme(4093, 4)
+    with pytest.raises(assoc.SchemeTooLarge, match="4099"):
+        assoc.cyclotomic_scheme(4099, 2)
 
 
 @pytest.mark.parametrize(

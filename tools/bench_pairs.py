@@ -3,6 +3,7 @@
     python3 tools/bench_pairs.py --label r_traces --what "one line on the change"
     python3 tools/bench_pairs.py --label x --what "..." --parent HEAD~1 --seed 2 --workload factor-deep
     python3 tools/bench_pairs.py --label x_heavy --what "..." --parent HEAD~1 --case heavy
+    python3 tools/bench_pairs.py --label x_1009 --what "..." --parent HEAD~1 --case report-1009
 
 The parent is exported with `git archive` into a temporary directory
 (removed at the end, also on failure); the change is the working tree.
@@ -20,12 +21,15 @@ and cpu_s the user and system time of the run and its children.  A summary
 follows on stdout: per workload and end-to-end metric the two medians, the
 parent's quartile spread and how many pairs moved each way.
 
---case NAME runs one of CASES instead: a single library call too slow for
-a benchmark pass, once per side (the parent first), each in a fresh
-process with one BLAS thread per usable core.  Its record holds, per side,
-the wall seconds of the call, the process's peak RSS (`ru_maxrss`) and the
-sha256 of `log_to_json` of the refinement log.  The two digests must be
-equal: when they differ the driver stops with nothing written.
+--case NAME runs one of CASES instead: a single library call or CLI
+command too large for a benchmark pass, once per side (the parent first),
+each in a fresh process with one BLAS thread per usable core.  Its record
+holds, per side, the wall seconds of the call, the process's peak RSS
+(`ru_maxrss`) and a digest of the output: for a library call the sha256
+of `log_to_json` of the refinement log (`log_sha256`), for a CLI command
+its exit code and the sha256 of what it prints (`output_sha256`).  The
+two digests must be equal: when they differ the driver stops with nothing
+written.
 
 The current figures live in the BENCH_*.json records and in ROADMAP.md.
 perfbench/README.md is frozen with the benchmark and describes the level
@@ -53,11 +57,15 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 PAIRS = 10
 SECONDS = BENCHMARK["run_seconds"]
 
-# --case inputs: (what, the library call); the call runs in a fresh process
-# with the tree's src on the path, after the imports of CASE_RUN
+# --case inputs: (what, call).  The call runs in a fresh process with the
+# tree's src on the path: a string is a library call, run after the imports
+# of CASE_RUN; a list is the argv of the `mschemes` CLI, run by CLI_RUN
 CASES = {
     "heavy": ("x^11 - 1 over F_23 at m = 3 (levels over F_23^2, level 3 of dimension 990)",
               "iks_factor(Poly(field_ctx(23, 1), [-1] + [0] * 10 + [1]), 3)"),
+    "report-1009": ("the cyclotomic scheme report at p = 1009, e = 4 (1018081 pairs)",
+                    ["scheme-report", "--p", "1009", "--e", "4"]),
+    "orbit-z13": ("the orbit scan of Z13 at m = 5", ["orbit-scan", "--catalog", "Z13", "--m", "5"]),
 }
 CASE_RUN = """\
 import hashlib, json, resource, time
@@ -68,6 +76,17 @@ res = {call}
 wall = time.perf_counter() - start
 print(json.dumps({{"wall_s": wall, "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "log_sha256": hashlib.sha256(log_to_json(res.log).encode()).hexdigest()}}))
+"""
+CLI_RUN = """\
+import contextlib, hashlib, io, json, resource, sys, time
+from mschemes.cli import main
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = main({call!r})
+wall = time.perf_counter() - start
+print(json.dumps({{"wall_s": wall, "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "exit": code, "output_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}}))
 """
 
 
@@ -103,7 +122,9 @@ def run_case(tree, name):
     cores = str(len(os.sched_getaffinity(0)))
     env = {**os.environ, "PYTHONPATH": str(Path(tree) / "src"),
            "OPENBLAS_NUM_THREADS": cores, "OMP_NUM_THREADS": cores, "MKL_NUM_THREADS": cores}
-    done = subprocess.run([sys.executable, "-c", CASE_RUN.format(call=CASES[name][1])], cwd=tree, env=env,
+    call = CASES[name][1]
+    run = CASE_RUN if isinstance(call, str) else CLI_RUN
+    done = subprocess.run([sys.executable, "-c", run.format(call=call)], cwd=tree, env=env,
                           capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"bench_pairs: case {name} in {tree} failed (exit {done.returncode}):\n{done.stderr[-2000:]}")
@@ -112,7 +133,7 @@ def run_case(tree, name):
 
 def compare_case(args, parent, tmp):
     """Run the case once per side; the record, or an exit when the two
-    refinement logs differ."""
+    output digests differ."""
     trees = {"parent": export(parent, Path(tmp)), "change": ROOT}
     runs = []
     for side in ("parent", "change"):
@@ -120,9 +141,10 @@ def compare_case(args, parent, tmp):
         runs.append({"revision": "committed", "side": side, "case": args.case, "result": result})
         print(f"{args.case} {side}: wall_s {result['wall_s']:.4g}, ru_maxrss_mb {result['ru_maxrss_mb']:.4g}",
               file=sys.stderr, flush=True)
-    digests = {r["side"]: r["result"]["log_sha256"] for r in runs}
+    library = isinstance(CASES[args.case][1], str)
+    digests = {r["side"]: r["result"]["log_sha256" if library else "output_sha256"] for r in runs}
     if digests["parent"] != digests["change"]:
-        sys.exit(f"bench_pairs: case {args.case}: the refinement log digests differ "
+        sys.exit(f"bench_pairs: case {args.case}: the {'refinement log' if library else 'output'} digests differ "
                  f"(parent {digests['parent'][:16]}, change {digests['change'][:16]}); nothing written")
     cores = len(os.sched_getaffinity(0))
     return {
