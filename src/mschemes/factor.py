@@ -68,6 +68,7 @@ from .gf import (
     multiplicative_order,
     poly_gcd,
     smooth_divisor,
+    square_and_multiply,
 )
 from .levels import DimCapExceeded, LevelAlgebra, ZeroAlgebra, build_levels  # noqa: F401  (re-exported)
 from .linalg import KOps, PrimeTooLarge  # noqa: F401  (re-exported)
@@ -377,18 +378,16 @@ def split_by_automorphism(f: Poly, sigma, r: int):
     alg = build_levels(g, 1, DIM_CAP)[0]
     kops = alg.ops
     n = alg.dim
-    sigma = np.asarray(sigma, dtype=np.int64)
+    # residues in every shape: the kernels take digits below p
+    sigma = np.asarray(sigma, dtype=np.int64) % kops.p
     if sigma.ndim == 2:
         sig = kops.zeros((n, n))
-        sig[..., 0] = sigma % kops.p
+        sig[..., 0] = sigma
         sigma = sig
     if not is_prime(r):
         raise ValueError("r must be prime")
-    # sigma^r must be the identity
-    acc = kops.eye(n)
-    for _ in range(r):
-        acc = kops.matmul(acc, sigma)
-    if not kops.mat_eq(acc, kops.eye(n)):
+    eye = kops.eye(n)
+    if not kops.mat_eq(square_and_multiply(sigma, r, eye, kops.matmul), eye):
         raise ValueError("sigma^r is not the identity")
     # components of A are k itself when f splits, else extensions of degree <= n
     t = 1 if is_split_squarefree(g) else n
@@ -498,7 +497,7 @@ class IdealSystem:
         cache = self.shared["traces"]
         if key not in cache:
             alg = self.algebra(s)
-            cache[key] = alg.rel_trace_last(self.algebra(s - 1), self._perm_idem(ideal, alg.move_axis_last(j)))
+            cache[key] = alg.rel_trace_last(self.algebra(s - 1), self._perm_idem(ideal, alg.move_last((j,))))
         return cache[key]
 
     def _split(self, s: int, idx: int, u: np.ndarray, rule: str, detail: dict, rows_u=None):
@@ -550,7 +549,7 @@ def _rule_r4(sys: IdealSystem):
 
 
 def _rule_r1(sys: IdealSystem):
-    # P = apply_perm(move_axis_last(j)) takes iota_j(v) to iota_s(v), so
+    # P = apply_perm(move_last((j,))) takes iota_j(v) to iota_s(v), so
     # P(h * iota_j(v)) = P(h) * iota_s(v) is a product at level s-1
     # (`mult_lower`): u = 0 and u = h are decided in the moved frame, and
     # only a u that splits is moved back
@@ -562,7 +561,7 @@ def _rule_r1(sys: IdealSystem):
                 todo = [(ip, h) for ip, h in enumerate(sys.levels[s]) if ("R1", below.uid, h.uid, j) not in checks]
                 if not todo:
                     continue
-                tau = alg.move_axis_last(j)
+                tau = alg.move_last((j,))
                 moved = np.stack([sys._perm_idem(here, tau) for _, here in todo])
                 prods = alg.mult_lower(lower, moved, below.idem)
                 for (ip, here), h, u in zip(todo, moved, prods):
@@ -630,9 +629,7 @@ def _rule_r3(sys: IdealSystem):
     for s in range(2, sys.m + 1):
         alg = sys.algebra(s)
         idems = np.stack([h.idem for h in sys.levels[s]])
-        for tau in itertools.permutations(range(s)):
-            if tau == tuple(range(s)):
-                continue
+        for tau in itertools.islice(itertools.permutations(range(s)), 1, None):  # skip the identity
             for i, here in enumerate(sys.levels[s]):
                 key = ("R3", here.uid, tau, tuple(h.uid for h in sys.levels[s]))
                 if key in checks:
@@ -689,9 +686,7 @@ def _rule_r5(sys: IdealSystem):
     checks = sys.shared["checks"]
     for s in range(2, sys.m + 1):
         for i, here in enumerate(sys.levels[s]):
-            for tau in itertools.permutations(range(s)):
-                if tau == tuple(range(s)):
-                    continue
+            for tau in itertools.islice(itertools.permutations(range(s)), 1, None):  # skip the identity
                 key = ("R5", here.uid, tau)
                 if key in checks:
                     continue
@@ -722,28 +717,13 @@ def refine_step(sys: IdealSystem, rule: str):
 # -- matchings on the induced scheme (no root access) -----------------------
 
 
-def _composite_embed(sys: IdealSystem, s: int, dropped: tuple, vec):
-    """Composite iota re-inserting the `dropped` (1-based) coordinates, on
-    one vector or a stack of them.
-
-    Inserting in ascending order keeps every slot index valid: when slot
-    i_t is inserted, all final positions below i_t are already present.
-    """
-    lvl = s - len(dropped)
-    out = vec
-    for drop in sorted(dropped):
-        lvl += 1
-        out = sys.algebra(lvl).embed_from_below(sys.algebra(lvl - 1), drop, out)
-    return out
-
-
 def _project_color(sys: IdealSystem, s: int, idx: int, dropped: tuple):
     """Index of the lower ideal whose cylinder along `dropped` contains this
     one, or None when R1 has not recorded one.
 
-    The cylinder is the `_composite_embed` of the lower ideal, which inserts
-    the dropped coordinates in ascending order, so the projection peels them
-    off in descending order, one level at a time, through R1's incidence.
+    The cylinder is the lower ideal's `embed_from_below` at the `dropped`
+    slots.  The projection peels them off in descending order, so that each
+    keeps its slot, one level at a time, through R1's incidence.
     At R1 stability every ideal lies in exactly one cylinder of each level
     below.
     """
@@ -795,10 +775,10 @@ def matching_refinement(sys: IdealSystem, m: _mscheme.Matching):
     below = sys.levels[s - k][l1]
     if below.dim != here.dim:
         raise NotAMatching("projection is not size-preserving")
-    alg = sys.algebra(s)
+    alg, lower = sys.algebra(s), sys.algebra(s - k)
     kops = alg.ops
-    X1 = alg.mult_batch(_composite_embed(sys, s, m.drop_i, below.basis), here.idem)
-    X2 = alg.mult_batch(_composite_embed(sys, s, m.drop_j, below.basis), here.idem)
+    X1 = alg.mult_batch(alg.embed_from_below(lower, m.drop_i, below.basis), here.idem)
+    X2 = alg.mult_batch(alg.embed_from_below(lower, m.drop_j, below.basis), here.idem)
     # both embeddings must be isomorphisms onto the matched ideal
     psi = kops.solve_right_many(np.swapaxes(X1, 0, 1), np.swapaxes(X2, 0, 1))
     if psi is None or kops.rank(X1) != below.dim or kops.rank(X2) != below.dim:
@@ -838,9 +818,7 @@ def _certificate(sys: IdealSystem, matchings: list) -> dict:
             dims_ok = False
         if s >= 2:
             for ideal in sys.levels[s]:
-                for tau in itertools.permutations(range(s)):
-                    if tau == tuple(range(s)):
-                        continue
+                for tau in itertools.islice(itertools.permutations(range(s)), 1, None):  # skip the identity
                     if np.array_equal(sys._perm_idem(ideal, tau), ideal.idem):
                         antisym = False
     cert["orthogonal_partition"] = ortho

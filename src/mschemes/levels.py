@@ -21,21 +21,24 @@ product-space monomial c, built once by recurrence with the
 multiply-by-x_j matrices.  A product is a convolution into the product
 space (`kconvolve`) and one contraction with R (`reduce_tensor`), a batch
 of products a scatter of v's digits into one operator and two matmuls.
-Coordinate permutations, embeddings and relative traces are cached
-operator matrices read off rows of R: a permuted or embedded monomial is
-a row, stepped by x_j past the product space with the multiply-by-x_j map
-that built R, and a trace sums coefficients of rows.  R is a `KOps.operand`: float64 while every product over it is
-exact, prod_cells*d*(p-1)^2 < 2^53 (see `linalg`), and int64 otherwise.
+Coordinate permutations and relative traces are cached operator matrices
+read off rows of R: a permuted monomial is a row, stepped by x_j past the
+product space with the multiply-by-x_j map that built R, and a trace sums
+coefficients of rows.  An embedding is no operator of its own: level s is
+level s-k with the trailing k monomials as coefficients, so a level s-k
+vector padded with x^0 there embeds along the last k coordinates, and a
+permutation moves those to any other k slots.  R is a `KOps.operand`:
+float64 while every product over it is exact, prod_cells*d*(p-1)^2 < 2^53
+(see `linalg`), and int64 otherwise.
 `build_levels` refuses a prime past the int64 bound of the longest such
 sum and a level whose R would exceed REDUCTION_MATRIX_CAP.
 
 A product with an element embedded from the level below along the last
 coordinate, row * iota_s(v), is a product at level s-1 (`mult_lower`) and
-needs neither R nor an embedding operator of level s.  Level s is level
-s-1 [x_s]/(C_s), iota_s(v) has only an x_s^0 coefficient, and no relation
-of an axis below s involves x_s.  So each x_s^t coefficient of the row, a
-level s-1 element, is multiplied by v there, and nothing is reduced by
-C_s.
+needs no R of level s.  Level s is level s-1 [x_s]/(C_s), iota_s(v) has
+only an x_s^0 coefficient, and no relation of an axis below s involves
+x_s.  So each x_s^t coefficient of the row, a level s-1 element, is
+multiplied by v there, and nothing is reduced by C_s.
 """
 
 from __future__ import annotations
@@ -104,7 +107,6 @@ class LevelAlgebra:
         self._x_top = None  # per axis, `KOps.operand` of top-face images; set with R
         self._conv = None  # (bins, scatter) of `_conv_index`
         self._perm_ops = {}
-        self._embed_ops = {}
         self._trace_op = None
 
     # -- canonical form ------------------------------------------------------
@@ -260,12 +262,16 @@ class LevelAlgebra:
             op = self._perm_ops[tau] = self._monomial_op(self.cells()[:, list(tau)])
         return self.ops.matmul_op(vec, op)
 
-    def embed_from_below(self, below: "LevelAlgebra", j: int, vec):
-        """iota_j: level s-1 -> level s (1-based slot j gets the fresh slot)."""
-        op = self._embed_ops.get(j)
-        if op is None:
-            op = self._embed_ops[j] = self._monomial_op(np.insert(below.cells(), j - 1, 0, axis=1))
-        return self.ops.matmul_op(vec, op)
+    def embed_from_below(self, below: "LevelAlgebra", slots: tuple, vec):
+        """iota_D: level s-k -> level s for the k 1-based fresh `slots` D, on
+        one vector or a stack.  vec padded with x^0 on the trailing k axes is
+        its embedding along the last k coordinates, which the permutation
+        inverse to `move_last(slots)` moves to D."""
+        lead = vec.shape[:-2]
+        padded = self.ops.zeros(lead + (below.dim, self.dim // below.dim))
+        padded[..., 0, :] = vec
+        back = tuple(np.argsort(self.move_last(slots)).tolist())
+        return self.apply_perm(back, padded.reshape(lead + (self.dim, self.ops.d)))
 
     def rel_trace_last(self, below: "LevelAlgebra", vec):
         """Trace onto level s-1 along the last coordinate: fibre sums."""
@@ -280,9 +286,10 @@ class LevelAlgebra:
             self._trace_op = self.ops.operand(op.reshape(self.dim, below.dim, d))
         return self.ops.matmul_op(vec, self._trace_op)
 
-    def move_axis_last(self, j: int):
-        """0-based tau moving 1-based coordinate j to the end, order kept."""
-        order = [t for t in range(self.s) if t != j - 1] + [j - 1]
+    def move_last(self, slots: tuple):
+        """0-based tau moving the 1-based coordinates `slots` to the end, the
+        order of the rest and of the slots kept."""
+        order = [t for t in range(self.s) if t + 1 not in slots] + [j - 1 for j in slots]
         # tau with (v^tau)_i = v_{tau(i)}: variables permute contravariantly,
         # see apply_perm; the exponent axes move by the same tuple.
         return tuple(order)

@@ -65,7 +65,7 @@ def test_refuses_a_case_whose_log_digests_differ(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "run_case", run_case)
     with pytest.raises(SystemExit, match="refinement log digests differ"):
         bench_pairs.main(["--label", "heavy", "--what", "x", "--case", "heavy"])
-    assert len(sides) == 2 and sides[1] == tmp_path
+    assert len(sides) == 2 and sides[1] == sides[0] / "change"
     assert not (tmp_path / "BENCH_heavy.json").exists()
 
 
@@ -86,8 +86,28 @@ def test_refuses_a_cli_case_whose_output_digests_differ(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "run_case", run_case)
     with pytest.raises(SystemExit, match="the output digests differ"):
         bench_pairs.main(["--label", "report", "--what", "x", "--case", "report-1009"])
-    assert len(sides) == 2 and sides[1] == tmp_path
+    assert len(sides) == 2 and sides[1] == sides[0] / "change"
     assert not (tmp_path / "BENCH_report.json").exists()
+
+
+def test_copies_untracked_files_and_no_ignored_file(monkeypatch, tmp_path):
+    # the change side runs from a copy beside the parent's archive: tracked
+    # and untracked files are copied, ignored ones and deleted ones are not
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    for name in ("tracked.py", "src/gone.py", ".gitignore", "src/untracked.py", "src/ignored.log"):
+        (repo / name).write_text(f"# {name}\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(["git", "-C", str(repo), "add", "tracked.py", "src/gone.py", ".gitignore"], check=True)
+    (repo / "src" / "gone.py").unlink()
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    (tmp_path / "out").mkdir()
+    tree = bench_pairs.copy_worktree(tmp_path / "out")
+    assert tree == tmp_path / "out" / "change"
+    copied = sorted(str(f.relative_to(tree)) for f in tree.rglob("*") if f.is_file())
+    assert copied == [".gitignore", "src/untracked.py", "tracked.py"]
+    assert (tree / "src" / "untracked.py").read_text() == "# src/untracked.py\n"
 
 
 def test_cli_case_digests_the_printed_output(monkeypatch, capsys):

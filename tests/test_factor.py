@@ -82,14 +82,14 @@ def test_essential_identity_and_mult():
 def test_embed_unital_and_hom():
     e1, e2 = build_levels(poly_of(field_ctx(7, 1), [-1, 0, 0, 1]), 2, 10**6)
     for j in (1, 2):
-        assert np.array_equal(e2.embed_from_below(e1, j, e1.identity()), e2.identity())
+        assert np.array_equal(e2.embed_from_below(e1, (j,), e1.identity()), e2.identity())
     # multiplicativity on sampled pairs
     rng = np.random.RandomState(0)
     for _ in range(5):
         u = rng.randint(0, 7, size=(3, 1)).astype(np.int64)
         v = rng.randint(0, 7, size=(3, 1)).astype(np.int64)
-        lhs = e2.embed_from_below(e1, 1, e1.mult(u, v))
-        rhs = e2.mult(e2.embed_from_below(e1, 1, u), e2.embed_from_below(e1, 1, v))
+        lhs = e2.embed_from_below(e1, (1,), e1.mult(u, v))
+        rhs = e2.mult(e2.embed_from_below(e1, (1,), u), e2.embed_from_below(e1, (1,), v))
         assert np.array_equal(lhs, rhs)
 
 
@@ -101,7 +101,7 @@ def test_embed_transparent_product():
     roots = brute_roots(f)
     av = np.array([[1], [2], [0]], dtype=np.int64)
     bv = np.array([[3], [0], [1]], dtype=np.int64)
-    prod = e2.to_tensor(e2.mult(e2.embed_from_below(e1, 1, av), e2.embed_from_below(e1, 2, bv)))
+    prod = e2.to_tensor(e2.mult(e2.embed_from_below(e1, (1,), av), e2.embed_from_below(e1, (2,), bv)))
 
     def poly_val(vec, r):
         return sum((ctx.elem(int(vec[i, 0])) * r**i for i in range(3)), ctx.zero())
@@ -217,6 +217,22 @@ def test_split_by_automorphism_artin_schreier():
     res = split_by_automorphism(poly_of(ctx, [0, -1, 0, 0, 0, 1]), shift_matrix(5), 5)
     assert isinstance(res, ZeroDivisor)
     assert res.vec[:, 0].tolist() == [0, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_split_by_automorphism_reduces_digit_sigma(p):
+    # sigma as digits S + pK with entries near 2^60 is the same automorphism
+    # as S; unreduced, its float64 products gave x^3 - x a wrong zero divisor
+    ctx = field_ctx(p, 1)
+    f = poly_of(ctx, [0, -1] + [0] * (p - 2) + [1])
+    S = shift_matrix(p)
+    want = split_by_automorphism(f, S, p)
+    assert want.vec[:, 0].tolist() == [0, 1] + [0] * (p - 2)
+    rng = random.Random(3)
+    for _ in range(40):
+        K = np.array([[rng.randrange(-2**60 // 3, 2**60 // 3) for _ in range(p)] for _ in range(p)])
+        got = split_by_automorphism(f, (S + p * K)[..., None], p)
+        assert isinstance(got, ZeroDivisor) and got.vec.tobytes() == want.vec.tobytes()
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -504,7 +520,7 @@ def embed_rule_r1(sys):
                 todo = [(ip, h) for ip, h in enumerate(sys.levels[s]) if ("R1", below.uid, h.uid, j) not in checks]
                 if not todo:
                     continue
-                emb = alg.embed_from_below(sys.algebra(s - 1), j, below.idem)
+                emb = alg.embed_from_below(sys.algebra(s - 1), (j,), below.idem)
                 prods = alg.mult_batch(np.stack([here.idem for _, here in todo]), emb)
                 for (ip, here), u in zip(todo, prods):
                     if not u.any() or np.array_equal(u, here.idem):
@@ -572,9 +588,9 @@ def test_rule_r1_makes_no_level_s_product(monkeypatch):
         calls.append(("mult_batch", self.s, active[-1] if active else None))
         return batch(self, rows, v)
 
-    def counting_embed(self, below, j, vec):
+    def counting_embed(self, below, slots, vec):
         calls.append(("embed_from_below", self.s, None))
-        return embed(self, below, j, vec)
+        return embed(self, below, slots, vec)
 
     monkeypatch.setattr(LevelAlgebra, "mult_lower", counting_lower)
     monkeypatch.setattr(LevelAlgebra, "mult_batch", counting_batch)
@@ -727,9 +743,9 @@ def project_by_products(sys, s, idx, dropped):
     """Oracle for `_project_color`: multiply every lower cylinder along
     `dropped` by the ideal's idempotent and take the first that keeps it."""
     here = sys.levels[s][idx]
-    lower = sys.levels[s - len(dropped)]
-    cyls = np.stack([fc._composite_embed(sys, s, dropped, b.idem) for b in lower])
-    prods = sys.algebra(s).mult_batch(cyls, here.idem)
+    alg, below = sys.algebra(s), sys.algebra(s - len(dropped))
+    cyls = alg.embed_from_below(below, dropped, np.stack([b.idem for b in sys.levels[s - len(dropped)]]))
+    prods = alg.mult_batch(cyls, here.idem)
     return next((bi for bi, u in enumerate(prods) if np.array_equal(u, here.idem)), None)
 
 

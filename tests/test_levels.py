@@ -145,7 +145,7 @@ def test_embed_from_below():
     lv1, lv2 = levels[0], levels[1]
     a = rand_vec(lv1, 8)
     for j in (1, 2):
-        b = lv2.embed_from_below(lv1, j, a)
+        b = lv2.embed_from_below(lv1, (j,), a)
         for tup in essential_tuples(3, 2):
             dropped = tuple(v for pos, v in enumerate(tup) if pos != j - 1)
             assert evaluate(lv2, b, tup, roots) == evaluate(lv1, a, dropped, roots)
@@ -159,8 +159,8 @@ def test_embed_product_rule():
     a, b = rand_vec(lv1, 9), rand_vec(lv1, 10)
     ab = lv1.mult(a, b)
     assert np.array_equal(
-        lv2.embed_from_below(lv1, 1, ab),
-        lv2.mult(lv2.embed_from_below(lv1, 1, a), lv2.embed_from_below(lv1, 1, b)),
+        lv2.embed_from_below(lv1, (1,), ab),
+        lv2.mult(lv2.embed_from_below(lv1, (1,), a), lv2.embed_from_below(lv1, (1,), b)),
     )
 
 
@@ -225,7 +225,7 @@ def check_kernel(roots, levels, seed):
     ea = values(below, a)
     below_at = {tup: i for i, tup in enumerate(essential_tuples(n, s - 1))}
     for j in range(1, s + 1):
-        emb = values(lv, lv.embed_from_below(below, j, a))
+        emb = values(lv, lv.embed_from_below(below, (j,), a))
         for i, tup in enumerate(tuples.tolist()):
             assert np.array_equal(emb[i], ea[below_at[tuple(tup[:j - 1] + tup[j:])]])
     # iota_s(a) takes a's value at the tuple without its last entry
@@ -271,7 +271,7 @@ def test_mult_lower_matches_embedded_product(case, batch):
     lv, below = levels[-1], levels[-2]
     v = rand_vec(below, seed)
     for rows in (lv.ops.zeros((0, lv.dim)), np.stack([rand_vec(lv, seed + 1 + i) for i in range(batch)])):
-        want = lv.mult_batch(rows, lv.embed_from_below(below, s, v))
+        want = lv.mult_batch(rows, lv.embed_from_below(below, (s,), v))
         got = lv.mult_lower(below, rows, v)
         assert got.dtype == want.dtype and got.shape == want.shape, (p, d, s, len(rows))
         assert got.tobytes() == want.tobytes(), (p, d, s, len(rows))
@@ -362,7 +362,7 @@ def test_trace_op_makes_no_products(monkeypatch):
     def build(levels):
         top, below = levels[4], levels[3]
         return ([levels[2].rel_trace_last(levels[1], u), top.apply_perm((4, 3, 2, 1, 0), v)]
-                + [top.embed_from_below(below, j, a) for j in range(1, 6)])
+                + [top.embed_from_below(below, (j,), a) for j in range(1, 6)])
 
     _, _, levels = make_levels(11, [1, 3, 4, 5, 9], 5)
     u, v, a = rand_vec(levels[2], 13), rand_vec(levels[4], 14), rand_vec(levels[3], 15)
@@ -430,6 +430,65 @@ def test_monomial_ops_match_products():
             assert got.dtype == want.dtype and got.shape == want.shape, (p, d, n, s)
             assert got.tobytes() == want.tobytes(), (p, d, n, s)
     assert outside == 39832  # rows stepped by x_j past the product space
+
+
+# -- embeddings against the chained embedding operators ------------------------
+
+
+def chained_embed(levels, slots, vec, ops):
+    """Embedding built the old way: one embedding operator per level from
+    level s-k up, inserting the 1-based `slots` in ascending order, so that
+    each slot is final when it is inserted.  ops caches the operators by
+    (level, slot)."""
+    s = levels[-1].s
+    out = vec
+    for lvl, j in enumerate(sorted(slots), start=s - len(slots) + 1):
+        lv, below = levels[lvl - 1], levels[lvl - 2]
+        if (lvl, j) not in ops:
+            ops[lvl, j] = lv._monomial_op(np.insert(below.cells(), j - 1, 0, axis=1))
+        out = lv.ops.matmul_op(out, ops[lvl, j])
+    return out
+
+
+def test_embed_matches_chained_operators():
+    # every slot set of size 1..s-1, on one vector and on a stack of two
+    checked = 0
+    for k, (p, d, n, s) in enumerate(trace_cases()):
+        roots = random.Random(k).sample(range(p**d), n)
+        _, _, levels = make_levels(p, roots, s, d)
+        lv, ops = levels[-1], {}
+        for size in range(1, s):
+            below = levels[s - size - 1]
+            for slots in itertools.combinations(range(1, s + 1), size):
+                for vec in (rand_vec(below, k), np.stack([rand_vec(below, k + 1), rand_vec(below, k + 2)])):
+                    want = chained_embed(levels, slots, vec, ops)
+                    got = lv.embed_from_below(below, slots, vec)
+                    assert got.dtype == want.dtype and got.shape == want.shape, (p, d, n, s, slots)
+                    assert got.tobytes() == want.tobytes(), (p, d, n, s, slots)
+                checked += 1
+    assert checked == 376
+
+
+def test_embed_builds_at_most_one_permutation_operator(monkeypatch):
+    # a k-slot embedding adds at most one `_perm_ops` entry at its own
+    # level, none for the trailing slots, and builds nothing below
+    monomial_op, built = LevelAlgebra._monomial_op, []
+
+    def counting(self, exps):
+        built.append(self.s)
+        return monomial_op(self, exps)
+
+    monkeypatch.setattr(LevelAlgebra, "_monomial_op", counting)
+    s = 4
+    for size in range(1, s):
+        for slots in itertools.combinations(range(1, s + 1), size):
+            _, _, levels = make_levels(11, [1, 3, 4, 5, 9], s)
+            lv, below = levels[-1], levels[s - size - 1]
+            built.clear()
+            lv.embed_from_below(below, slots, rand_vec(below, 17))
+            trailing = slots == tuple(range(s - size + 1, s + 1))
+            assert built == ([] if trailing else [s]) and len(lv._perm_ops) == len(built), slots
+            assert all(low._perm_ops == {} and low._reduction is None for low in levels[:-1]), slots
 
 
 # -- the product indices against the gather and pair-sum constructions -------

@@ -6,7 +6,11 @@
     python3 tools/bench_pairs.py --label x_1009 --what "..." --parent HEAD~1 --case report-1009
 
 The parent is exported with `git archive` into a temporary directory
-(removed at the end, also on failure); the change is the working tree.
+(removed at the end, also on failure).  The change is copied into the same
+directory: the working tree's files that `git ls-files --cached --others
+--exclude-standard` lists and that exist, tracked or untracked but never
+ignored.  Both sides thus run from sibling trees, since where a tree sits
+moves `peak_rss_mb`.
 The driver refuses to start when BENCH_<label>.json already exists (the
 records are the benchmark's history) or when the working tree's tracked
 files equal the parent (once a change is committed, pass --parent HEAD~1).
@@ -45,6 +49,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -101,6 +106,21 @@ def export(rev, dest):
     return tree
 
 
+def copy_worktree(dest):
+    """The working tree's listed files, tracked or untracked but not
+    ignored, copied under dest."""
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            capture_output=True, text=True, check=True).stdout
+    tree = dest / "change"
+    tree.mkdir()
+    for name in listed.split("\0"):
+        src = ROOT / name
+        if name and src.is_file():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, tree / name)
+    return tree
+
+
 def run_once(tree, workload, seed):
     """run.py's last line and the CPU seconds it took, children included."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -134,7 +154,7 @@ def run_case(tree, name):
 def compare_case(args, parent, tmp):
     """Run the case once per side; the record, or an exit when the two
     output digests differ."""
-    trees = {"parent": export(parent, Path(tmp)), "change": ROOT}
+    trees = {"parent": export(parent, Path(tmp)), "change": copy_worktree(Path(tmp))}
     runs = []
     for side in ("parent", "change"):
         result = run_case(trees[side], args.case)
@@ -154,7 +174,8 @@ def compare_case(args, parent, tmp):
         "case": CASES[args.case][0],
         "command": CASES[args.case][1],
         "protocol": (f"one run per side, each a fresh process with {cores} BLAS threads, the parent first; "
-                     f"the parent run from a git archive of {parent}, the change from the working tree; "
+                     f"the parent run from a git archive of {parent} and the change from a copy of the working tree, "
+                     "side by side in one temporary directory; "
                      "wall_s times the call alone, ru_maxrss_mb is the process peak"),
         "runs": runs,
     }
@@ -236,7 +257,7 @@ def main(argv=None):
         return 0
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"parent": export(parent, Path(tmp)), "change": ROOT}
+        trees = {"parent": export(parent, Path(tmp)), "change": copy_worktree(Path(tmp))}
         for workload in args.workload or workloads:
             for pair in range(1, PAIRS + 1):
                 for side in ("parent", "change") if pair % 2 else ("change", "parent"):
@@ -252,7 +273,8 @@ def main(argv=None):
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {SECONDS} --trace 0",
         "protocol": (f"{PAIRS} alternating pairs of parent and change per workload at seed {args.seed}; "
                      "the parent first in odd pairs and the change first in even pairs; the parent run "
-                     f"from a git archive of {parent}, the change from the working tree"),
+                     f"from a git archive of {parent} and the change from a copy of the working tree, side by "
+                     "side in one temporary directory"),
         "runs": runs,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
