@@ -23,6 +23,10 @@ from .gf import NotPrime, PreconditionFailed, is_prime, multiplicative_order
 
 # most pairs (points squared) a cyclotomic scheme may have
 SCHEME_PAIR_CAP = 2**24
+# most counts (relations cubed) an intersection tensor may hold: 97^3, for
+# every report the tests run, and 101^3 fit; the largest accepted report,
+# p = 4001 at e = 100, peaks at 1.0 GB, mostly its e^3-row deviation table
+RELATION_CUBE_CAP = 2**20
 
 
 class NotAScheme(ValueError):
@@ -54,7 +58,8 @@ class Not3Scheme(ValueError):
 
 
 class SchemeTooLarge(PreconditionFailed):
-    """The color matrix would have more than SCHEME_PAIR_CAP pairs."""
+    """The color matrix would have more than SCHEME_PAIR_CAP pairs, or the
+    intersection tensor more than RELATION_CUBE_CAP counts."""
 
 
 @dataclass(frozen=True)
@@ -258,6 +263,9 @@ class IntersectionTensor:
 
 
 def intersection_tensor(s: Scheme) -> IntersectionTensor:
+    G = s.num_colors
+    if G**3 > RELATION_CUBE_CAP:
+        raise SchemeTooLarge(f"{G} relations give {G**3} intersection numbers, past the cap of {RELATION_CUBE_CAP}")
     bad = verify_scheme(s)
     if bad is not None:
         raise NotAScheme(f"axiom {bad.axiom} fails: {bad.message}")

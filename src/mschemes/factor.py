@@ -220,12 +220,12 @@ def _split_with_automorphism(alg: LevelAlgebra, basis, pivots, e_B, exponent: in
     """Deterministic zero-divisor search for a prime-order automorphism.
 
     Eigenspace route when r | Q-1, additive (Artin-Schreier) route when
-    r = char (the caller ensures one holds); returns ZeroDivisor or NoSplit.
+    r = char (the caller ensures one holds and that sigma != 1, so sigma is
+    diagonalizable with an eigenvalue other than 1); returns ZeroDivisor or
+    NoSplit.
     """
     kops, ctx = alg.ops, alg.ctx
     dim = basis.shape[0]
-    if kops.mat_eq(sigma_mat, kops.eye(dim)):
-        raise TrivialAutomorphism("automorphism is the identity")
     if r == ctx.p:
         return _split_char_order(alg, basis, pivots, e_B, exponent, sigma_mat)
     zeta = find_nonresidue(r, ctx) ** ((ctx.order - 1) // r)
@@ -237,7 +237,7 @@ def _split_with_automorphism(alg: LevelAlgebra, basis, pivots, e_B, exponent: in
             z = kops.matmul(ker[:1], basis)[0]
             break
     if z is None:
-        raise TrivialAutomorphism("no nontrivial eigenspace")
+        raise InvalidSystem("no nontrivial eigenspace")
     e_z = alg.power(z, exponent, e_B)
     if not np.array_equal(e_z, e_B):
         return ZeroDivisor((e_B - e_z) % kops.p)
@@ -387,6 +387,8 @@ def split_by_automorphism(f: Poly, sigma, r: int):
     if not is_prime(r):
         raise ValueError("r must be prime")
     eye = kops.eye(n)
+    if kops.mat_eq(sigma, eye):
+        raise TrivialAutomorphism("automorphism is the identity")
     if not kops.mat_eq(square_and_multiply(sigma, r, eye, kops.matmul), eye):
         raise ValueError("sigma^r is not the identity")
     # components of A are k itself when f splits, else extensions of degree <= n
@@ -659,21 +661,22 @@ def _split_with_order(sys: IdealSystem, s: int, idx: int, sigma, rule: str, deta
     """Split levels[s][idx] with the automorphism sigma (row i: its image
     of basis row i, in basis coordinates): the engine runs on
     sigma^(order/r) for r the least prime dividing sigma's order, and r is
-    added to the log entry."""
+    added to the log entry.  R5's tau and a matching's psi move every
+    essential tuple, so sigma = 1 is a broken invariant."""
     alg = sys.algebra(s)
     kops = alg.ops
     ideal = sys.levels[s][idx]
     eye = kops.eye(ideal.dim)
     if kops.mat_eq(sigma, eye):
-        raise TrivialAutomorphism("automorphism is the identity")
-    powers = [sigma]  # sigma^1 .. sigma^order
-    while not kops.mat_eq(powers[-1], eye):
-        if len(powers) >= ORDER_CAP:
+        raise InvalidSystem("automorphism is the identity")
+    power, order = sigma, 1
+    while not kops.mat_eq(power, eye):
+        if order >= ORDER_CAP:
             raise InvalidSystem("automorphism order exceeds cap")
-        powers.append(kops.matmul(powers[-1], sigma))
-    order = len(powers)
+        power, order = kops.matmul(power, sigma), order + 1
     r = _least_prime_divisor(order)
-    res = _split_ideal(alg, ideal.basis, ideal.pivots, ideal.idem, powers[order // r - 1], r, 1)
+    res = _split_ideal(alg, ideal.basis, ideal.pivots, ideal.idem,
+                       square_and_multiply(sigma, order // r, eye, kops.matmul), r, 1)
     if isinstance(res, NoSplit):
         raise InvalidSystem("split algebras always admit a split under a nontrivial automorphism")
     u = alg.idempotent_of(res.vec)

@@ -119,9 +119,6 @@ class LevelAlgebra:
         v[0, 0] = 1
         return v
 
-    def to_tensor(self, vec):
-        return vec.reshape(self.extents + (self.ops.d,))
-
     # -- multiplication ----------------------------------------------------------
 
     def cells(self):

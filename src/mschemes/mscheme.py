@@ -57,20 +57,13 @@ class NoSuchColor(ValueError, IndexError):
 # ---------------------------------------------------------------------------
 # tuple codes
 
-def falling(n: int, s: int) -> int:
-    out = 1
-    for j in range(s):
-        out *= n - j
-    return out
-
-
 @lru_cache(maxsize=None)
 def tuple_table(n: int, s: int) -> np.ndarray:
     """All essential s-tuples over [0, n) in code (= lexicographic) order."""
     arr = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n), s)),
         dtype=np.int8,
-        count=falling(n, s) * s,
+        count=math.perm(n, s) * s,
     )
     arr = arr.reshape(-1, s)
     arr.setflags(write=False)
@@ -126,7 +119,7 @@ class MCollection:
             if s not in levels:
                 raise ValueError(f"missing level {s}")
             lv = np.asarray(levels[s], dtype=np.int32)
-            if lv.shape != (falling(n, s),):
+            if lv.shape != (math.perm(n, s),):
                 raise ValueError(f"level {s} has wrong length")
             t = lv.max() + 1 if lv.size else 0
             if lv.size and sorted(np.unique(lv)) != list(range(t)):
@@ -222,14 +215,6 @@ class PropertyReport:
         return all(self.symmetric_at.values())
 
 
-def _group_minmax(groups, values, num_groups):
-    mn = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
-    mx = np.full(num_groups, -1, dtype=np.int64)
-    np.minimum.at(mn, groups, values)
-    np.maximum.at(mx, groups, values)
-    return mn, mx
-
-
 def _least_codes(pi: MCollection, s: int) -> np.ndarray:
     """The least tuple code of each color of level s."""
     order, bounds = pi._runs[s]
@@ -320,30 +305,28 @@ def check_properties(pi: MCollection) -> PropertyReport:
                 ok = False
                 break
         report.compatible[s] = ok
-        # P2
+        # P2: the fibre of each (color, projected tuple) pair, sorted by
+        # (color * t_b + base color, fibre), so each group is one run whose
+        # ends are its least and largest fibre and whose length counts the
+        # base tuples it reaches
         ok = True
+        width = math.perm(n, s - 1)
         for i in range(1, s + 1):
-            pr = multi_proj_table(n, s, (i,)).astype(np.int64)
-            key = colors * falling(n, s - 1) + pr
-            uniq, counts = np.unique(key, return_counts=True)
-            up = uniq // falling(n, s - 1)
-            ub = uniq % falling(n, s - 1)
-            uq = below[ub]
-            gkey = up * t_b + uq
-            guniq, ginv = np.unique(gkey, return_inverse=True)
-            mn, mx = _group_minmax(ginv, counts, len(guniq))
-            npairs = np.bincount(ginv, minlength=len(guniq))
-            qsizes = pi.sizes[s - 1][(guniq % t_b).astype(np.int64)]
-            bad = np.nonzero((mn != mx) | (npairs != qsizes))[0]
+            uniq, counts = np.unique(colors * width + multi_proj_table(n, s, (i,)), return_counts=True)
+            gkey = uniq // width * t_b + below[uniq % width]
+            order = np.lexsort((counts, gkey))
+            gkey, counts = gkey[order], counts[order]
+            starts = np.flatnonzero(np.diff(gkey, prepend=-1))
+            ends = np.flatnonzero(np.diff(gkey, append=-1))
+            g = gkey[starts]
+            bad = np.flatnonzero((counts[starts] != counts[ends]) | (ends - starts + 1 != pi.sizes[s - 1][g % t_b]))
             if bad.size:
-                g = int(guniq[bad[0]])
-                p_color, q_color = g // t_b, g % t_b
+                k = bad[0]
                 report.violations.append(
                     PropertyViolation(
                         "P2", s,
-                        {"i": i, "color": int(p_color), "base_color": int(q_color),
-                         "min_fibre": int(mn[bad[0]]) if mn[bad[0]] != np.iinfo(np.int64).max else 0,
-                         "max_fibre": int(mx[bad[0]])},
+                        {"i": i, "color": int(g[k] // t_b), "base_color": int(g[k] % t_b),
+                         "min_fibre": int(counts[starts[k]]), "max_fibre": int(counts[ends[k]])},
                     )
                 )
                 ok = False
@@ -390,7 +373,7 @@ def orbit_mscheme(generators, m: int, work_cap: int = WORK_CAP) -> MCollection:
         raise ValueError("need 1 <= m <= n")
     levels = {}
     for s in range(1, m + 1):
-        count = falling(n, s)
+        count = math.perm(n, s)
         if count > work_cap:
             raise WorkCapExceeded(f"level {s} has {count} tuples > work cap {work_cap}")
         t = tuple_table(n, s)
@@ -499,7 +482,7 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
         owner = np.repeat(np.arange(len(used)), sizes)
         keys, distinct = {}, {}
         for d in {d for g in gs for d in table[group_pair[g]]}:
-            width = falling(pi.n, s - len(d))
+            width = math.perm(pi.n, s - len(d))
             k = np.sort(owner * width + multi_proj_table(pi.n, s, d)[codes])
             keys[d] = k[np.concatenate(([True], k[1:] != k[:-1]))]
             distinct[d] = np.bincount(keys[d] // width, minlength=len(used))
@@ -516,7 +499,7 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
             aligned[at] = True
             aligned &= (na == sizes) & (nb == na)
             pa, pb = a[np.repeat(aligned, na)], b[np.repeat(aligned, nb)]
-            differ = np.bincount(pa[pa != pb] // falling(pi.n, s - len(di)), minlength=len(used))
+            differ = np.bincount(pa[pa != pb] // math.perm(pi.n, s - len(di)), minlength=len(used))
             ok[js] = (aligned & (differ == 0))[at]
     return ok
 
@@ -528,7 +511,7 @@ def _level_matchings(pi: MCollection, s: int):
     t = pi.num_colors(s)
     pairs, hits = [], []
     for k in range(1, s):
-        width = falling(pi.n, s - k)
+        width = math.perm(pi.n, s - k)
         drops = list(itertools.combinations(range(1, s + 1), k))
         # keys below t*width, in int32 when they fit, which sorts faster
         dtype = np.int32 if t * width < 2**31 else np.int64

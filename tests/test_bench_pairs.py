@@ -31,52 +31,42 @@ def test_refuses_an_existing_record(monkeypatch, tmp_path):
     assert record.read_text() == "{}\n"
 
 
+def scratch_repo(tmp_path):
+    """A repository with one commit of tracked.py, src/gone.py and a
+    .gitignore that ignores *.log."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    for name in ("tracked.py", "src/gone.py"):
+        (repo / name).write_text(f"# {name}\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "c"],
+                   check=True)
+    return repo
+
+
 def test_refuses_a_parent_equal_to_the_working_tree(monkeypatch, tmp_path):
+    # tree ids decide: an ignored file leaves the trees equal, while a change
+    # made only of an untracked file, which `git diff --quiet` misses, does not
     no_runs(monkeypatch)
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    calls = []
-
-    def git(cmd, **kwargs):
-        calls.append(cmd[3])
-        return subprocess.CompletedProcess(cmd, 0, stdout="abc1234\n", stderr="")
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", git)
-    with pytest.raises(SystemExit, match="the working tree equals abc1234"):
+    repo = scratch_repo(tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    (repo / "src" / "run.log").write_text("ignored\n")
+    with pytest.raises(SystemExit, match="the working tree equals"):
         bench_pairs.main(["--label", "fresh", "--what", "x"])
-    assert calls == ["rev-parse", "diff"]
-    assert not (tmp_path / "BENCH_fresh.json").exists()
-
-
-def test_refuses_a_case_whose_log_digests_differ(monkeypatch, tmp_path):
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-
-    def git(cmd, **kwargs):
-        # rev-parse names the parent; diff --quiet exits 1: the trees differ
-        return subprocess.CompletedProcess(cmd, 0 if cmd[3] == "rev-parse" else 1, stdout="abc1234\n", stderr="")
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", git)
-    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
-    sides = []
-
-    def run_case(tree, name):
-        sides.append(tree)
-        return {"wall_s": 1.0, "ru_maxrss_mb": 100.0, "log_sha256": f"{len(sides)}" * 64}
-
-    monkeypatch.setattr(bench_pairs, "run_case", run_case)
-    with pytest.raises(SystemExit, match="refinement log digests differ"):
-        bench_pairs.main(["--label", "heavy", "--what", "x", "--case", "heavy"])
-    assert len(sides) == 2 and sides[1] == sides[0] / "change"
-    assert not (tmp_path / "BENCH_heavy.json").exists()
+    (repo / "src" / "new.py").write_text("# new\n")
+    with pytest.raises(AssertionError, match="ran past its refusals"):
+        bench_pairs.main(["--label", "fresh", "--what", "x"])
+    assert not (repo / "BENCH_fresh.json").exists()
 
 
 def test_refuses_a_cli_case_whose_output_digests_differ(monkeypatch, tmp_path):
+    # every case, heavy included, is a CLI command digested by its output
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-
-    def git(cmd, **kwargs):
-        return subprocess.CompletedProcess(cmd, 0 if cmd[3] == "rev-parse" else 1, stdout="abc1234\n", stderr="")
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", git)
-    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kwargs: "abc1234")
+    monkeypatch.setattr(bench_pairs, "worktree_tree", lambda: "def5678")
+    monkeypatch.setattr(bench_pairs, "export", lambda treeish, dest, name: dest / name)
     sides = []
 
     def run_case(tree, name):
@@ -84,30 +74,37 @@ def test_refuses_a_cli_case_whose_output_digests_differ(monkeypatch, tmp_path):
         return {"wall_s": 1.0, "ru_maxrss_mb": 100.0, "exit": 0, "output_sha256": f"{len(sides)}" * 64}
 
     monkeypatch.setattr(bench_pairs, "run_case", run_case)
-    with pytest.raises(SystemExit, match="the output digests differ"):
-        bench_pairs.main(["--label", "report", "--what", "x", "--case", "report-1009"])
-    assert len(sides) == 2 and sides[1] == sides[0] / "change"
-    assert not (tmp_path / "BENCH_report.json").exists()
+    for case in ("heavy", "report-1009"):
+        sides.clear()
+        with pytest.raises(SystemExit, match="the output digests differ"):
+            bench_pairs.main(["--label", case, "--what", "x", "--case", case])
+        assert [tree.name for tree in sides] == ["parent", "change"] and sides[0].parent == sides[1].parent
+        assert not (tmp_path / f"BENCH_{case}.json").exists()
 
 
-def test_copies_untracked_files_and_no_ignored_file(monkeypatch, tmp_path):
-    # the change side runs from a copy beside the parent's archive: tracked
-    # and untracked files are copied, ignored ones and deleted ones are not
-    repo = tmp_path / "repo"
-    (repo / "src").mkdir(parents=True)
-    for name in ("tracked.py", "src/gone.py", ".gitignore", "src/untracked.py", "src/ignored.log"):
-        (repo / name).write_text(f"# {name}\n")
-    (repo / ".gitignore").write_text("*.log\n")
-    subprocess.run(["git", "init", "-q", str(repo)], check=True)
-    subprocess.run(["git", "-C", str(repo), "add", "tracked.py", "src/gone.py", ".gitignore"], check=True)
+def test_exports_the_working_tree_without_ignored_or_deleted_files(monkeypatch, tmp_path):
+    # the change side is the tree id of the working tree: tracked and
+    # untracked files are in it, ignored and deleted ones are not, and the
+    # repository's index and status are left as they were
+    repo = scratch_repo(tmp_path)
+    (repo / "tracked.py").write_text("# edited\n")
     (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "untracked.py").write_text("# src/untracked.py\n")
+    (repo / "src" / "ignored.log").write_text("# src/ignored.log\n")
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    def status():
+        return subprocess.run(["git", "-C", str(repo), "status", "--porcelain"], capture_output=True, text=True,
+                              check=True).stdout
+
+    before = status()
     (tmp_path / "out").mkdir()
-    tree = bench_pairs.copy_worktree(tmp_path / "out")
+    tree = bench_pairs.export(bench_pairs.worktree_tree(), tmp_path / "out", "change")
+    assert status() == before
     assert tree == tmp_path / "out" / "change"
-    copied = sorted(str(f.relative_to(tree)) for f in tree.rglob("*") if f.is_file())
-    assert copied == [".gitignore", "src/untracked.py", "tracked.py"]
-    assert (tree / "src" / "untracked.py").read_text() == "# src/untracked.py\n"
+    exported = sorted(str(f.relative_to(tree)) for f in tree.rglob("*") if f.is_file())
+    assert exported == [".gitignore", "src/untracked.py", "tracked.py"]
+    assert (tree / "tracked.py").read_text() == "# edited\n"
 
 
 def test_cli_case_digests_the_printed_output(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -422,6 +423,25 @@ def test_scheme_pair_cap_boundary(monkeypatch):
         assoc.cyclotomic_scheme(4093, 4)
     with pytest.raises(assoc.SchemeTooLarge, match="4099"):
         assoc.cyclotomic_scheme(4099, 2)
+
+
+@pytest.mark.parametrize("p", [1201, 151])
+def test_scheme_report_refuses_many_relations_up_front(capsys, monkeypatch, p):
+    # e = p - 1 gives p relations: 1201^3 int64 counts would take 12.9 GiB,
+    # and 151^3 took 37 s and 2.86 GB in all; the refusal comes before the
+    # tensor's counts and before the scheme check
+    monkeypatch.setattr(assoc, "_pair_counts", _raise(AssertionError("ran past the relation check")))
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, ["scheme-report", "--p", str(p), "--e", str(p - 1)])
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert payload["status"] == "error" and payload["error"] == "SchemeTooLarge"
+    assert str(p**3) in payload["message"]
+
+
+def test_relation_cube_cap_admits_every_tested_report():
+    # criteria 1-3 run every divisor e of p - 1 for p <= 97, so 97 relations
+    assert 97**3 <= assoc.RELATION_CUBE_CAP < 151**3
 
 
 @pytest.mark.parametrize(

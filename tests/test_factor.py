@@ -101,7 +101,7 @@ def test_embed_transparent_product():
     roots = brute_roots(f)
     av = np.array([[1], [2], [0]], dtype=np.int64)
     bv = np.array([[3], [0], [1]], dtype=np.int64)
-    prod = e2.to_tensor(e2.mult(e2.embed_from_below(e1, (1,), av), e2.embed_from_below(e1, (2,), bv)))
+    prod = e2.mult(e2.embed_from_below(e1, (1,), av), e2.embed_from_below(e1, (2,), bv)).reshape(e2.extents + (1,))
 
     def poly_val(vec, r):
         return sum((ctx.elem(int(vec[i, 0])) * r**i for i in range(3)), ctx.zero())
@@ -130,6 +130,21 @@ def test_split_by_automorphism_trivial():
     ctx = field_ctx(7, 1)
     with pytest.raises(TrivialAutomorphism):
         split_by_automorphism(poly_of(ctx, [-1, 0, 1]), np.eye(2, dtype=int), 2)
+
+
+def test_split_path_sorts_unreachable_automorphisms_as_internal():
+    # the pipeline never passes sigma = 1, and a sigma != 1 with sigma^r = 1
+    # (r != char) always has an eigenvalue other than 1; the unipotent
+    # [[1, 1], [0, 1]] has none, and meeting it means a broken invariant
+    ctx = field_ctx(7, 1)
+    sys = IdealSystem(poly_of(ctx, [-1, 0, 1]), 2)
+    kops = sys.algebra(2).ops
+    with pytest.raises(InvalidSystem, match="identity"):
+        fc._split_with_order(sys, 2, 0, kops.eye(sys.levels[2][0].dim), "R5", {})
+    alg = sys.algebra(1)
+    unipotent = np.array([[1, 1], [0, 1]], dtype=np.int64)[..., None]
+    with pytest.raises(InvalidSystem, match="eigenspace"):
+        fc._split_with_automorphism(alg, kops.eye(2), [0, 1], alg.identity(), 6, unipotent, 2)
 
 
 def test_split_by_automorphism_field_nosplit():

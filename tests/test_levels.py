@@ -22,7 +22,7 @@ def make_levels(p, root_ints, m, d=1):
 def evaluate(level, vec, tup, roots):
     """Transparent oracle: value of the coefficient vector at a root tuple."""
     ctx = level.ctx
-    t = level.to_tensor(vec)
+    t = vec.reshape(level.extents + (level.ops.d,))
     total = ctx.zero()
     for exps in itertools.product(*(range(e) for e in level.extents)):
         digits = t[exps + (slice(None),)]

@@ -22,7 +22,6 @@ from mschemes.mscheme import (
     collection_from_json,
     collection_to_json,
     encode_tuples,
-    falling,
     find_matchings,
     load_catalog,
     matching_chase,
@@ -85,10 +84,20 @@ def recoloured(base, seed, split):
     return MCollection(base.n, levels)
 
 
+def group_minmax(groups, values, num_groups):
+    """Least and largest value in each group, by two unbuffered scatters."""
+    mn = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
+    mx = np.full(num_groups, -1, dtype=np.int64)
+    np.minimum.at(mn, groups, values)
+    np.maximum.at(mx, groups, values)
+    return mn, mx
+
+
 def properties_by_permutations(pi):
     """Oracle for `check_properties`: every coordinate permutation encoded
     afresh by `act_table`, in `itertools.permutations` order, and each
-    color's image and constancy taken by `_group_minmax` (as is P1's)."""
+    color's image and constancy taken by `group_minmax` (as is P1's); P2
+    groups each (color, base color) pair's fibres by a second `np.unique`."""
     n = pi.n
     report = mscheme.PropertyReport(
         homogeneous=pi.num_colors(1) == 1,
@@ -104,7 +113,7 @@ def properties_by_permutations(pi):
         ok = True
         for i in range(1, s + 1):
             pc = below[multi_proj_table(n, s, (i,))]
-            mn, mx = mscheme._group_minmax(colors, pc, t_s)
+            mn, mx = group_minmax(colors, pc, t_s)
             bad = np.nonzero(mn != mx)[0]
             if bad.size:
                 c = int(bad[0])
@@ -119,11 +128,11 @@ def properties_by_permutations(pi):
         report.compatible[s] = ok
         ok = True
         for i in range(1, s + 1):
-            width = falling(n, s - 1)
+            width = math.perm(n, s - 1)
             uniq, counts = np.unique(colors * width + multi_proj_table(n, s, (i,)), return_counts=True)
             gkey = uniq // width * t_b + below[uniq % width]
             guniq, ginv = np.unique(gkey, return_inverse=True)
-            mn, mx = mscheme._group_minmax(ginv, counts, len(guniq))
+            mn, mx = group_minmax(ginv, counts, len(guniq))
             npairs = np.bincount(ginv, minlength=len(guniq))
             bad = np.nonzero((mn != mx) | (npairs != pi.sizes[s - 1][guniq % t_b]))[0]
             if bad.size:
@@ -137,7 +146,7 @@ def properties_by_permutations(pi):
         inv_ok = anti_ok = sym_ok = True
         own = np.arange(t_s)
         for tau in itertools.permutations(range(s)):
-            mn, mx = mscheme._group_minmax(colors, colors[act_table(n, s, tau)], t_s)
+            mn, mx = group_minmax(colors, colors[act_table(n, s, tau)], t_s)
             const = mn == mx
             if not const.all() and inv_ok:
                 report.violations.append(
@@ -165,7 +174,7 @@ def antisymmetric_by_permutations(pi, s):
     for tau in itertools.permutations(range(s)):
         if tau == tuple(range(s)):
             continue
-        mn, mx = mscheme._group_minmax(colors, colors[act_table(pi.n, s, tau)], t_s)
+        mn, mx = group_minmax(colors, colors[act_table(pi.n, s, tau)], t_s)
         if ((mn == mx) & (mn == np.arange(t_s))).any():
             return False
     return True
@@ -191,7 +200,7 @@ def test_encode_matches_lex_position():
     for n, s in [(4, 2), (5, 3), (6, 3), (7, 4)]:
         t = tuple_table(n, s)
         codes = encode_tuples(t, n)
-        assert np.array_equal(codes, np.arange(falling(n, s)))
+        assert np.array_equal(codes, np.arange(math.perm(n, s)))
 
 
 def test_orbit_z5():
@@ -288,7 +297,7 @@ def test_check_properties_hand_p2_violation():
     # level-2 colors {(0,1)} vs everything else: fibre sizes differ
     n = 3
     lvl1 = np.zeros(n, dtype=np.int32)
-    lvl2 = np.ones(falling(n, 2), dtype=np.int32)
+    lvl2 = np.ones(math.perm(n, 2), dtype=np.int32)
     lvl2[0] = 0  # tuple (0,1) has code 0
     lvl2[lvl2 == 1] -= 0
     # make ids dense: recode {0 -> 0, 1 -> 1}
@@ -307,7 +316,7 @@ def test_permuted_colors_walks_every_permutation(s):
     t_s = pi.num_colors(s)
     seen = []
     for tau, head, const in mscheme._permuted_colors(pi, s):
-        mn, mx = mscheme._group_minmax(colors, colors[act_table(pi.n, s, tau)], t_s)
+        mn, mx = group_minmax(colors, colors[act_table(pi.n, s, tau)], t_s)
         assert np.array_equal(const, mn == mx), tau
         assert np.array_equal(head[const], mn[const]), tau
         seen.append(tau)
@@ -325,6 +334,35 @@ def test_check_properties_matches_permutation_oracle(name):
 
 def test_check_properties_matches_permutation_oracle_z11_m5():
     assert_properties_match(catalog_mscheme("Z11", 5))
+
+
+@pytest.mark.parametrize("name", sorted(load_catalog()))
+def test_check_properties_matches_permutation_oracle_at_m3_and_m5(name):
+    for m in (3, 5):
+        pi = catalog_mscheme(name, m)
+        assert check_properties(pi) == properties_by_permutations(pi), m
+
+
+def random_collection(seed):
+    """Three levels on 4..7 points, each colored at random with dense ids,
+    so P1 and P2 mostly fail, at a color chosen by the data."""
+    rng = np.random.default_rng(seed)
+    n = 4 + seed % 4
+    levels = {}
+    for s in (1, 2, 3):
+        shades = rng.integers(0, rng.integers(1, 4 * s), size=math.perm(n, s))
+        levels[s] = np.unique(shades, return_inverse=True)[1]
+    return MCollection(n, levels)
+
+
+def test_check_properties_matches_permutation_oracle_on_random_collections():
+    regular = set()
+    for seed in range(120):
+        pi = random_collection(seed)
+        report = check_properties(pi)
+        assert report == properties_by_permutations(pi), seed
+        regular |= {report.regular[2], report.regular[3]}
+    assert regular == {True, False}
 
 
 def test_check_properties_oracle_sees_non_invariant_witnesses():
@@ -458,9 +496,9 @@ def test_find_matchings_keys_past_int32():
     tup = tuple_table(n, 3).astype(np.int64)
     key = (np.minimum(tup[:, 0], tup[:, 1]) * n + np.maximum(tup[:, 0], tup[:, 1])) * n + tup[:, 2]
     colors = np.unique(key, return_inverse=True)[1]
-    pi = MCollection(n, {1: np.zeros(n), 2: np.zeros(falling(n, 2)), 3: colors})
+    pi = MCollection(n, {1: np.zeros(n), 2: np.zeros(math.perm(n, 2)), 3: colors})
     t = pi.num_colors(3)
-    assert t * falling(n, 2) >= 2**31 > t * falling(n, 1)
+    assert t * math.perm(n, 2) >= 2**31 > t * math.perm(n, 1)
     got = find_matchings(pi)
     assert len(got) == 2 * t
     assert (got.level == 3).all() and np.array_equal(got.color, np.repeat(np.arange(t), 2))

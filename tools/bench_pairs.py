@@ -5,15 +5,16 @@
     python3 tools/bench_pairs.py --label x_heavy --what "..." --parent HEAD~1 --case heavy
     python3 tools/bench_pairs.py --label x_1009 --what "..." --parent HEAD~1 --case report-1009
 
-The parent is exported with `git archive` into a temporary directory
-(removed at the end, also on failure).  The change is copied into the same
-directory: the working tree's files that `git ls-files --cached --others
---exclude-standard` lists and that exist, tracked or untracked but never
-ignored.  Both sides thus run from sibling trees, since where a tree sits
-moves `peak_rss_mb`.
+Both sides run from `git archive`s side by side in one temporary directory
+(removed at the end, also on failure), since where a tree sits moves
+`peak_rss_mb`: the parent's commit at <tmp>/parent, and the tree id of the
+working tree at <tmp>/change.  That tree is written through a temporary
+index (`git add -A`, then `git write-tree`), so it holds tracked and
+untracked files but no ignored or deleted one, and the repository's own
+index and `git status` are left as they were.
 The driver refuses to start when BENCH_<label>.json already exists (the
-records are the benchmark's history) or when the working tree's tracked
-files equal the parent (once a change is committed, pass --parent HEAD~1).
+records are the benchmark's history) or when the working tree's tree id is
+the parent's (once a change is committed, pass --parent HEAD~1).
 Each workload gets ten pairs of `perfbench/run.py --trace 0` runs of
 BENCHMARK.json's run_seconds each, the parent first in odd pairs and the
 change first in even pairs.  A run whose last line does not read
@@ -25,14 +26,13 @@ and cpu_s the user and system time of the run and its children.  A summary
 follows on stdout: per workload and end-to-end metric the two medians, the
 parent's quartile spread and how many pairs moved each way.
 
---case NAME runs one of CASES instead: a single library call or CLI
-command too large for a benchmark pass, once per side (the parent first),
-each in a fresh process with one BLAS thread per usable core.  Its record
-holds, per side, the wall seconds of the call, the process's peak RSS
-(`ru_maxrss`) and a digest of the output: for a library call the sha256
-of `log_to_json` of the refinement log (`log_sha256`), for a CLI command
-its exit code and the sha256 of what it prints (`output_sha256`).  The
-two digests must be equal: when they differ the driver stops with nothing
+--case NAME runs one of CASES instead: a `mschemes` CLI command too large
+for a benchmark pass, once per side (the parent first), each in a fresh
+process with one BLAS thread per usable core.  Its record holds, per side,
+the wall seconds of the command, the process's peak RSS (`ru_maxrss`), its
+exit code and the sha256 of what it prints (`output_sha256`; for `heavy`
+that is the factor command's JSON with its whole refinement log).  The two
+digests must be equal: when they differ the driver stops with nothing
 written.
 
 The current figures live in the BENCH_*.json records and in ROADMAP.md.
@@ -49,7 +49,6 @@ import json
 import os
 import platform
 import resource
-import shutil
 import statistics
 import subprocess
 import sys
@@ -59,65 +58,56 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 PAIRS = 10
 SECONDS = BENCHMARK["run_seconds"]
 
-# --case inputs: (what, call).  The call runs in a fresh process with the
-# tree's src on the path: a string is a library call, run after the imports
-# of CASE_RUN; a list is the argv of the `mschemes` CLI, run by CLI_RUN
+# --case inputs: (what, argv of the `mschemes` CLI).  The command runs by
+# CLI_RUN in a fresh process with the tree's src on the path
 CASES = {
     "heavy": ("x^11 - 1 over F_23 at m = 3 (levels over F_23^2, level 3 of dimension 990)",
-              "iks_factor(Poly(field_ctx(23, 1), [-1] + [0] * 10 + [1]), 3)"),
+              ["factor", "--p", "23", "--poly=-1,0,0,0,0,0,0,0,0,0,0,1", "--m", "3"]),
     "report-1009": ("the cyclotomic scheme report at p = 1009, e = 4 (1018081 pairs)",
                     ["scheme-report", "--p", "1009", "--e", "4"]),
     "orbit-z13": ("the orbit scan of Z13 at m = 5", ["orbit-scan", "--catalog", "Z13", "--m", "5"]),
 }
-CASE_RUN = """\
-import hashlib, json, resource, time
-from mschemes.factor import iks_factor, log_to_json
-from mschemes.gf import Poly, field_ctx
-start = time.perf_counter()
-res = {call}
-wall = time.perf_counter() - start
-print(json.dumps({{"wall_s": wall, "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "log_sha256": hashlib.sha256(log_to_json(res.log).encode()).hexdigest()}}))
-"""
 CLI_RUN = """\
 import contextlib, hashlib, io, json, resource, sys, time
 from mschemes.cli import main
 out = io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out):
-    code = main({call!r})
+    code = main({argv!r})
 wall = time.perf_counter() - start
 print(json.dumps({{"wall_s": wall, "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "exit": code, "output_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}}))
 """
 
 
-def export(rev, dest):
-    """The committed files of rev, unpacked under dest."""
-    archive = dest / "tree.tar"
-    subprocess.run(["git", "-C", str(ROOT), "archive", "--output", str(archive), rev], check=True)
-    tree = dest / "tree"
+def git(*args, env=None):
+    """The stripped stdout of a git command run on the repository."""
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True,
+                          env=env).stdout.strip()
+
+
+def worktree_tree():
+    """The tree id of the working tree: HEAD's tree with every tracked and
+    untracked change added, written through a temporary index."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
+
+
+def export(treeish, dest, name):
+    """The files of treeish, a commit or a tree id, unpacked at dest/name."""
+    archive = dest / f"{name}.tar"
+    git("archive", "--output", str(archive), treeish)
+    tree = dest / name
     with tarfile.open(archive) as tar:
         tar.extractall(tree, filter="data")
     archive.unlink()
-    return tree
-
-
-def copy_worktree(dest):
-    """The working tree's listed files, tracked or untracked but not
-    ignored, copied under dest."""
-    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-                            capture_output=True, text=True, check=True).stdout
-    tree = dest / "change"
-    tree.mkdir()
-    for name in listed.split("\0"):
-        src = ROOT / name
-        if name and src.is_file():
-            (tree / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(src, tree / name)
     return tree
 
 
@@ -142,41 +132,51 @@ def run_case(tree, name):
     cores = str(len(os.sched_getaffinity(0)))
     env = {**os.environ, "PYTHONPATH": str(Path(tree) / "src"),
            "OPENBLAS_NUM_THREADS": cores, "OMP_NUM_THREADS": cores, "MKL_NUM_THREADS": cores}
-    call = CASES[name][1]
-    run = CASE_RUN if isinstance(call, str) else CLI_RUN
-    done = subprocess.run([sys.executable, "-c", run.format(call=call)], cwd=tree, env=env,
+    done = subprocess.run([sys.executable, "-c", CLI_RUN.format(argv=CASES[name][1])], cwd=tree, env=env,
                           capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"bench_pairs: case {name} in {tree} failed (exit {done.returncode}):\n{done.stderr[-2000:]}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def compare_case(args, parent, tmp):
-    """Run the case once per side; the record, or an exit when the two
-    output digests differ."""
-    trees = {"parent": export(parent, Path(tmp)), "change": copy_worktree(Path(tmp))}
+def compare_case(args, trees, protocol):
+    """Run the case once per side; the record's runs, or an exit when the
+    two output digests differ."""
     runs = []
     for side in ("parent", "change"):
         result = run_case(trees[side], args.case)
         runs.append({"revision": "committed", "side": side, "case": args.case, "result": result})
         print(f"{args.case} {side}: wall_s {result['wall_s']:.4g}, ru_maxrss_mb {result['ru_maxrss_mb']:.4g}",
               file=sys.stderr, flush=True)
-    library = isinstance(CASES[args.case][1], str)
-    digests = {r["side"]: r["result"]["log_sha256" if library else "output_sha256"] for r in runs}
+    digests = {r["side"]: r["result"]["output_sha256"] for r in runs}
     if digests["parent"] != digests["change"]:
-        sys.exit(f"bench_pairs: case {args.case}: the {'refinement log' if library else 'output'} digests differ "
+        sys.exit(f"bench_pairs: case {args.case}: the output digests differ "
                  f"(parent {digests['parent'][:16]}, change {digests['change'][:16]}); nothing written")
     cores = len(os.sched_getaffinity(0))
     return {
-        "what": args.what,
-        "parent": parent,
-        "machine": machine(),
         "case": CASES[args.case][0],
         "command": CASES[args.case][1],
         "protocol": (f"one run per side, each a fresh process with {cores} BLAS threads, the parent first; "
-                     f"the parent run from a git archive of {parent} and the change from a copy of the working tree, "
-                     "side by side in one temporary directory; "
-                     "wall_s times the call alone, ru_maxrss_mb is the process peak"),
+                     f"{protocol}; wall_s times the command alone, ru_maxrss_mb is the process peak"),
+        "runs": runs,
+    }
+
+
+def compare_workloads(args, trees, protocol):
+    """Ten alternating pairs per workload; the record's runs."""
+    runs = []
+    for workload in args.workload or WORKLOADS:
+        for pair in range(1, PAIRS + 1):
+            for side in ("parent", "change") if pair % 2 else ("change", "parent"):
+                result, cpu = run_once(trees[side], workload, args.seed)
+                runs.append({"revision": "committed", "side": side, "workload": workload,
+                             "seed": args.seed, "pair": pair, "result": result, "cpu_s": cpu})
+                wall = result["metrics"]["wall_s"]["value"]
+                print(f"{workload} pair {pair} {side}: wall_s {wall:.4g}", file=sys.stderr, flush=True)
+    return {
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {SECONDS} --trace 0",
+        "protocol": (f"{PAIRS} alternating pairs of parent and change per workload at seed {args.seed}; "
+                     f"the parent first in odd pairs and the change first in even pairs; {protocol}"),
         "runs": runs,
     }
 
@@ -229,15 +229,14 @@ def summary(runs):
 
 
 def main(argv=None):
-    workloads = [w["name"] for w in BENCHMARK["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="the record is written to BENCH_<label>.json")
     ap.add_argument("--what", required=True, help="one line on what the change does")
     ap.add_argument("--parent", default="HEAD", help="revision run as the parent (default: HEAD)")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workload", action="append", choices=workloads,
+    ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeat for several (default: every workload of BENCHMARK.json)")
-    ap.add_argument("--case", choices=sorted(CASES), help="run this one library call per side instead")
+    ap.add_argument("--case", choices=sorted(CASES), help="run this one CLI command per side instead")
     args = ap.parse_args(argv)
     if args.case and args.workload:
         ap.error("--case runs no workload")
@@ -245,40 +244,20 @@ def main(argv=None):
     out = ROOT / f"BENCH_{args.label}.json"
     if out.exists():
         sys.exit(f"bench_pairs: {out.name} already exists; choose another --label")
-    parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
-                            capture_output=True, text=True, check=True).stdout.strip()
-    if subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", parent, "--"]).returncode == 0:
+    parent = git("rev-parse", "--short", args.parent)
+    change = worktree_tree()
+    if git("rev-parse", f"{parent}^{{tree}}") == change:
         sys.exit(f"bench_pairs: the working tree equals {parent}; pass the change's parent as --parent")
-    if args.case:
-        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-            record = compare_case(args, parent, tmp)
-        out.write_text(json.dumps(record, indent=1) + "\n")
-        print(f"wrote {out.relative_to(ROOT)}")
-        return 0
-    runs = []
+    protocol = (f"the parent run from a git archive of {parent} and the change from a git archive of the "
+                f"working tree's tree {change[:12]}, side by side in one temporary directory")
+    record = {"what": args.what, "parent": parent, "machine": machine()}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"parent": export(parent, Path(tmp)), "change": copy_worktree(Path(tmp))}
-        for workload in args.workload or workloads:
-            for pair in range(1, PAIRS + 1):
-                for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                    result, cpu = run_once(trees[side], workload, args.seed)
-                    runs.append({"revision": "committed", "side": side, "workload": workload,
-                                 "seed": args.seed, "pair": pair, "result": result, "cpu_s": cpu})
-                    wall = result["metrics"]["wall_s"]["value"]
-                    print(f"{workload} pair {pair} {side}: wall_s {wall:.4g}", file=sys.stderr, flush=True)
-    record = {
-        "what": args.what,
-        "parent": parent,
-        "machine": machine(),
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {SECONDS} --trace 0",
-        "protocol": (f"{PAIRS} alternating pairs of parent and change per workload at seed {args.seed}; "
-                     "the parent first in odd pairs and the change first in even pairs; the parent run "
-                     f"from a git archive of {parent} and the change from a copy of the working tree, side by "
-                     "side in one temporary directory"),
-        "runs": runs,
-    }
+        trees = {side: export(treeish, Path(tmp), side) for side, treeish in (("parent", parent), ("change", change))}
+        compare = compare_case if args.case else compare_workloads
+        record.update(compare(args, trees, protocol))
     out.write_text(json.dumps(record, indent=1) + "\n")
-    print("\n".join(summary(runs)))
+    if not args.case:
+        print("\n".join(summary(record["runs"])))
     print(f"wrote {out.relative_to(ROOT)}")
     return 0
 
