@@ -61,8 +61,9 @@ def test_refuses_a_parent_equal_to_the_working_tree(monkeypatch, tmp_path):
     assert not (repo / "BENCH_fresh.json").exists()
 
 
-def test_refuses_a_cli_case_whose_output_digests_differ(monkeypatch, tmp_path):
-    # every case, heavy included, is a CLI command digested by its output
+def fake_sides(monkeypatch, tmp_path):
+    """Stub git, export and run_case so each side prints its own output;
+    returns the list of trees run_case was called on."""
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda *args, **kwargs: "abc1234")
     monkeypatch.setattr(bench_pairs, "worktree_tree", lambda: "def5678")
@@ -74,12 +75,25 @@ def test_refuses_a_cli_case_whose_output_digests_differ(monkeypatch, tmp_path):
         return {"wall_s": 1.0, "ru_maxrss_mb": 100.0, "exit": 0, "output_sha256": f"{len(sides)}" * 64}
 
     monkeypatch.setattr(bench_pairs, "run_case", run_case)
-    for case in ("heavy", "report-1009"):
-        sides.clear()
-        with pytest.raises(SystemExit, match="the output digests differ"):
-            bench_pairs.main(["--label", case, "--what", "x", "--case", case])
-        assert [tree.name for tree in sides] == ["parent", "change"] and sides[0].parent == sides[1].parent
-        assert not (tmp_path / f"BENCH_{case}.json").exists()
+    return sides
+
+
+def refuses_differing_digests(monkeypatch, tmp_path, case):
+    sides = fake_sides(monkeypatch, tmp_path)
+    with pytest.raises(SystemExit, match="the output digests differ"):
+        bench_pairs.main(["--label", case, "--what", "x", "--case", case])
+    assert [tree.name for tree in sides] == ["parent", "change"] and sides[0].parent == sides[1].parent
+    assert not (tmp_path / f"BENCH_{case}.json").exists()
+
+
+def test_refuses_a_case_whose_log_digests_differ(monkeypatch, tmp_path):
+    # heavy prints the factor command's JSON with its whole refinement log,
+    # so its output digest is the digest of that log
+    refuses_differing_digests(monkeypatch, tmp_path, "heavy")
+
+
+def test_refuses_a_cli_case_whose_output_digests_differ(monkeypatch, tmp_path):
+    refuses_differing_digests(monkeypatch, tmp_path, "report-1009")
 
 
 def test_exports_the_working_tree_without_ignored_or_deleted_files(monkeypatch, tmp_path):
