@@ -4,11 +4,11 @@ A scheme is stored as a dense color matrix on X x X with color 0 reserved
 for the identity relation.  Everything is exact integer arithmetic; all
 searches scan in ascending index order, so outputs are deterministic.
 
-`verify_scheme` checks the count axiom one row of pairs at a time.  On a
-translation scheme (the color of (x, y) depends only on y - x mod n, as
-for the cyclotomic schemes) the pair (x, y) has the path counts of
-(0, y - x), so row 0 is checked for all rows; any other scheme is checked
-on every row.
+`verify_scheme` checks all three axioms on a scheme's decisive rows, the
+count axiom one row of pairs at a time.  On a translation scheme (the
+color of (x, y) depends only on y - x mod n, as for the cyclotomic
+schemes) the pair (x, y) behaves as (0, y - x) under every axiom, so row 0
+decides every row; any other scheme is checked on every row.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .gf import NotPrime, PreconditionFailed, is_prime, multiplicative_order
 SCHEME_PAIR_CAP = 2**24
 # most counts (relations cubed) an intersection tensor may hold: 97^3, for
 # every report the tests run, and 101^3 fit; the largest accepted report,
-# p = 4001 at e = 100, peaks at 1.0 GB, mostly its e^3-row deviation table
+# p = 4001 at e = 100, peaks at 0.9 GB, mostly its e^3-row deviation table
 RELATION_CUBE_CAP = 2**20
 
 
@@ -145,16 +145,37 @@ class Scheme:
         first.setflags(write=False)
         self.matrix = m
         self.first = first
+        self._rows = None
         self._transpose = None
+
+    def decisive_rows(self):
+        """The rows 0..k-1 whose pairs decide every check: row 0 alone when
+        x -> x + 1 (mod n) keeps every color (a translation scheme, where
+        (x, y) behaves as (0, y - x)), else all n rows.  Computed once per
+        scheme.  The rows are a prefix, so a flat index into m[:k] is the
+        same flat index into m."""
+        if self._rows is None:
+            m = self.matrix
+            # m[x + 1, y + 1] == m[x, y], the wrapped row and column apart
+            translation = (
+                m[0, 0] == m[-1, -1]
+                and np.array_equal(m[0, 1:], m[-1, :-1])
+                and np.array_equal(m[1:, 0], m[:-1, -1])
+                and np.array_equal(m[1:, 1:], m[:-1, :-1])
+            )
+            self._rows = np.arange(1 if translation else self.n)
+            self._rows.setflags(write=False)
+        return self._rows
 
     def transpose_map(self):
         """(adj, mixed): adj[g] is the color of the transpose of g's first
-        pair, and mixed marks each pair (x, y) with m[y, x] != adj[m[x, y]].
-        Computed once per scheme; both arrays are read-only."""
+        pair, and mixed[x, y] marks each pair (x, y) of the decisive rows
+        with m[y, x] != adj[m[x, y]].  Computed once per scheme; both arrays
+        are read-only."""
         if self._transpose is None:
-            m = self.matrix
+            m, k = self.matrix, len(self.decisive_rows())
             adj = m.T.flat[self.first]
-            mixed = m.T != adj[m]
+            mixed = m[:, :k].T != adj[m[:k]]
             adj.setflags(write=False)
             mixed.setflags(write=False)
             self._transpose = adj, mixed
@@ -165,7 +186,7 @@ class Scheme:
         """g -> g* (transpose class map); requires transpose closure."""
         adj, mixed = self.transpose_map()
         if mixed.any():
-            g = _first_flagged(self.matrix, mixed)[0]
+            g = _first_flagged(self.matrix[: len(mixed)], mixed)[0]
             raise NotAScheme(f"transpose of color {g} is not a single color")
         return adj
 
@@ -202,43 +223,43 @@ def _pair_counts(m, G, x, y):
 
 def verify_scheme(s: Scheme):
     """None if the three axioms hold, else a Violation witness naming the
-    least failing color, its first pair and its first failing pair."""
+    least failing color, its first pair and its first failing pair.
+
+    Every axiom runs on the decisive rows only.  In a translation scheme
+    each row holds the (color, flag) pairs of row 0, so the first failing
+    pair in row-major order lies in row 0 and the witness is the one a
+    check of every row would give."""
     m = s.matrix
     n, G = s.n, s.num_colors
+    rows = s.decisive_rows()
+    head = m[: len(rows)]
     # axiom 1: color 0 is exactly the diagonal
-    diag = np.diag(m)
-    if (diag != 0).any():
-        x = int(np.nonzero(diag != 0)[0][0])
+    diag = np.diagonal(head)
+    if diag.any():
+        x = int(np.flatnonzero(diag)[0])
         return Violation(1, None, None, None, (x, x), (x, x), "diagonal pair not in color 0")
-    off = m.copy()
-    np.fill_diagonal(off, -1)
-    zero_off = np.argwhere(off == 0)
-    if len(zero_off):
-        x, y = map(int, zero_off[0])
-        return Violation(1, None, None, None, (x, y), (x, y), "off-diagonal pair in color 0")
+    zero = head == 0
+    np.fill_diagonal(zero, False)
+    if zero.any():
+        xy = divmod(int(zero.argmax()), n)
+        return Violation(1, None, None, None, xy, xy, "off-diagonal pair in color 0")
     # axiom 2: transpose closure
     mixed = s.transpose_map()[1]
     if mixed.any():
-        g, bad = _first_flagged(m, mixed)
+        g, bad = _first_flagged(head, mixed)
         return Violation(2, g, None, None, divmod(int(s.first[g]), n), divmod(bad, n),
                          "transpose class is mixed")
     # axiom 3: every pair meets the sorted path colors of its color's first
     # pair, checked one row x at a time, in the narrowest of int16, int32 and
-    # int64 that holds the codes (at most G*G - 1): narrower sorts faster.
-    # When x -> x + 1 (mod n) keeps every color, (x, y) has the path counts
-    # of (0, y - x), so row 0 decides every row
+    # int64 that holds the codes (at most G*G - 1): narrower sorts faster
     mc = m.astype(np.int16 if G * G <= 2**15 else np.int32 if G * G <= 2**31 else np.int64, copy=False)
     ref = np.sort(_pair_codes(mc, G, *np.divmod(s.first, n)), axis=1)
-    translation = np.array_equal(np.roll(m, -1, axis=(0, 1)), m)
-    rows = range(1 if translation else n)
-    bad = np.empty((len(rows), n), dtype=bool)
+    bad = np.empty(head.shape, dtype=bool)
     for x in rows:
         row = np.sort(_pair_codes(mc, G, x, slice(None)), axis=1)
         bad[x] = (row != ref[m[x]]).any(axis=1)
-    if translation:
-        bad = bad[0][(np.arange(n) - np.arange(n)[:, None]) % n]
     if bad.any():
-        h, b = _first_flagged(m, bad)
+        h, b = _first_flagged(head, bad)
         xs, ys = np.divmod([s.first[h], b], n)
         c = _pair_counts(m, G, xs, ys)
         f, g = divmod(int(np.flatnonzero(c[0] != c[1])[0]), G)
@@ -336,11 +357,14 @@ def cyclotomic_scheme(p: int, e: int) -> Scheme:
     # alpha^j lies in coset (j - 1) % e + 1
     label = np.zeros(p, dtype=np.int32)
     label[[pow(alpha, j, p) for j in range(1, p)]] = np.arange(p - 1) % e + 1
-    diff = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
     # row 0's color counts, the valencies n_g
     if (np.bincount(label)[1:] != (p - 1) // e).any():
         raise AssertionError("cyclotomic valencies must all equal (p-1)/e")
-    return Scheme(label[diff])
+    # m[x, y] = label[(x - y) % p] = rev[p - 1 - x + y] for rev the reversed
+    # label row written twice: row x is the window of rev starting at p - 1 - x
+    rev = label[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev[:-1]]), p)
+    return Scheme(windows[::-1])
 
 
 def complete_scheme(n: int) -> Scheme:
@@ -466,16 +490,14 @@ def cyclotomic_deviation_report(t: IntersectionTensor) -> DeviationReport:
     p = int(t.n_g.sum())
     e = t.num_colors - 1
     target = Fraction(p + 1, e * e)
-    rows = []
-    max_dev = Fraction(0)
-    for r in range(1, e + 1):
-        for s2 in range(1, e + 1):
-            for t3 in range(1, e + 1):
-                cnt = int(t.c[t3, r, s2])
-                dev = abs(Fraction(cnt) - target)
-                rows.append((r, s2, t3, cnt, dev))
-                if dev > max_dev:
-                    max_dev = dev
+    # rows in (r, s, t) order: cnt[r - 1, s - 1, t - 1] = c^t_{rs}, with one
+    # deviation per distinct count
+    cnt = t.c[1:, 1:, 1:].transpose(1, 2, 0).ravel()
+    counts, which = np.unique(cnt, return_inverse=True)
+    devs = [abs(Fraction(c) - target) for c in counts.tolist()]
+    rst = (np.indices((e, e, e)).reshape(3, -1) + 1).tolist()
+    rows = zip(*rst, cnt.tolist(), [devs[i] for i in which.tolist()])
+    max_dev = max(devs)
     # exact test of max_dev <= sqrt(p) + e
     excess = max_dev - e
     bound_ok = excess <= 0 or excess * excess <= p

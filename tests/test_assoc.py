@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mschemes import assoc, mscheme
 from mschemes.assoc import (
     BadEll,
+    DeviationReport,
     NotAScheme,
     EDoesNotDivide,
     NotHomogeneous,
@@ -149,6 +151,31 @@ def test_cyclotomic_generator_independence():
                 assert pairing.setdefault(a, b) == b
 
 
+PRIMES_TO_97 = [q for q in range(2, 98) if all(q % d for d in range(2, q))]
+# every cyclotomic scheme with p <= 97
+CYCLOTOMIC_TO_97 = [(p, e) for p in PRIMES_TO_97 for e in range(1, p) if (p - 1) % e == 0]
+
+
+def cyclotomic_label(p, e):
+    """Oracle for `cyclotomic_scheme`'s row of colors by difference: the
+    coset of each nonzero x, walking the powers of the least primitive root."""
+    alpha = next(g for g in range(1, p) if len({pow(g, j, p) for j in range(1, p)}) == p - 1)
+    label = np.zeros(p, dtype=np.int32)
+    x = 1
+    for j in range(1, p):
+        x = x * alpha % p
+        label[x] = (j - 1) % e + 1
+    return label
+
+
+@pytest.mark.parametrize("p,e", CYCLOTOMIC_TO_97 + [(1009, 4)])
+def test_cyclotomic_matrix_matches_difference_oracle(p, e):
+    # oracle: the p^2 difference matrix, m[x, y] = label[(x - y) % p]
+    want = cyclotomic_label(p, e)[(np.arange(p)[:, None] - np.arange(p)) % p]
+    got = cyclotomic_scheme(p, e).matrix
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "m,expected",
     [
@@ -248,6 +275,65 @@ def test_verify_scheme_circulant_witnesses(L, axiom):
     assert (v and v.axiom) == axiom
 
 
+@st.composite
+def axiom1_circulants(draw):
+    """Circulants m[x, y] = L[(x - y) % n] with a zero at some L[d], d != 0:
+    every diagonal pair breaks axiom 1 when L[0] != 0, and (x, x - d) does
+    otherwise."""
+    n = draw(st.integers(2, 12))
+    L = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    L[draw(st.integers(1, n - 1))] = 0
+    return _dense(L[(np.arange(n)[:, None] - np.arange(n)) % n])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(axiom1_circulants())
+def test_verify_scheme_axiom1_circulants(m):
+    # oracle: the cube check, which reads axiom 1 off the whole matrix
+    s = Scheme(m)
+    assert s.decisive_rows().tolist() == [0]
+    v = verify_scheme(s)
+    assert v is not None and v.axiom == 1 and v == verify_scheme_by_cube(s)
+
+
+@pytest.mark.parametrize(
+    "L,expected",
+    [([1, 0, 2], Violation(1, None, None, None, (0, 0), (0, 0), "diagonal pair not in color 0")),
+     ([0, 1, 0, 2], Violation(1, None, None, None, (0, 2), (0, 2), "off-diagonal pair in color 0")),
+     ([0, 1, 1, 0, 1], Violation(1, None, None, None, (0, 2), (0, 2), "off-diagonal pair in color 0"))],
+    ids=["diagonal", "off-diagonal-4", "off-diagonal-5"],
+)
+def test_verify_scheme_axiom1_circulant_witnesses(L, expected):
+    n = len(L)
+    s = Scheme(np.array(L)[(np.arange(n)[:, None] - np.arange(n)) % n])
+    assert verify_scheme(s) == expected == verify_scheme_by_cube(s)
+
+
+def translation_by_roll(m):
+    """Oracle for `Scheme.decisive_rows`: m shifted by one along both axes."""
+    return np.array_equal(np.roll(m, -1, axis=(0, 1)), m)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(colour_matrices(), circulant_matrices()))
+def test_decisive_rows_match_roll(m):
+    s = Scheme(m)
+    rows = s.decisive_rows()
+    assert rows.tolist() == list(range(1 if translation_by_roll(s.matrix) else s.n))
+    assert s.decisive_rows() is rows
+    assert s.transpose_map()[1].shape == (len(rows), s.n)
+
+
+def test_transpose_map_keeps_the_decisive_rows():
+    # a translation scheme's transpose mask is its row 0; the recoloured
+    # scheme below is no translation scheme and keeps every row
+    s = cyclotomic_scheme(13, 4)
+    assert s.transpose_map()[1].shape == (1, 13)
+    m = s.matrix.copy()
+    m[0, 1], m[1, 0], m[0, 2], m[2, 0] = m[0, 2], m[2, 0], m[0, 1], m[1, 0]
+    assert Scheme(m).transpose_map()[1].shape == (13, 13)
+
+
 def counting_pair_codes(monkeypatch):
     """The list of rows each `_pair_codes` call is asked for, as it grows."""
     calls = []
@@ -345,6 +431,20 @@ def test_verify_scheme_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_verify_scheme_memory_at_1009():
+    # p = 1009, e = 4 (1018081 pairs): the check of row 0 holds a few n^2
+    # int16 arrays, about 7 MB; a p^2 transpose mask, an int64 spread of
+    # row 0's verdict and a copy for axiom 1 peaked at 24 MB
+    s = cyclotomic_scheme(1009, 4)
+    tracemalloc.start()
+    try:
+        assert verify_scheme(s) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_verify_scheme_past_int16_codes():
@@ -529,6 +629,37 @@ def test_level2_to_scheme_not_homogeneous():
     broken = mscheme.MCollection(5, lv)
     with pytest.raises(NotHomogeneous):
         level2_to_scheme(broken)
+
+
+def deviation_report_by_loop(t):
+    """Oracle for `cyclotomic_deviation_report`: one Fraction per (r, s, t)
+    in a triple loop."""
+    p = int(t.n_g.sum())
+    e = t.num_colors - 1
+    target = Fraction(p + 1, e * e)
+    rows = []
+    max_dev = Fraction(0)
+    for r in range(1, e + 1):
+        for s2 in range(1, e + 1):
+            for t3 in range(1, e + 1):
+                cnt = int(t.c[t3, r, s2])
+                dev = abs(Fraction(cnt) - target)
+                rows.append((r, s2, t3, cnt, dev))
+                if dev > max_dev:
+                    max_dev = dev
+    excess = max_dev - e
+    bound_ok = excess <= 0 or excess * excess <= p
+    return DeviationReport(p, e, tuple(rows), max_dev, e, bound_ok)
+
+
+@pytest.mark.parametrize("p,e", CYCLOTOMIC_TO_97 + [(251, 2), (229, 6)])
+def test_deviation_report_matches_loop(p, e):
+    t = intersection_tensor(cyclotomic_scheme(p, e))
+    got, want = cyclotomic_deviation_report(t), deviation_report_by_loop(t)
+    assert got == want
+    # the report prints these: Python ints and Fractions, not numpy scalars
+    assert {tuple(map(type, row)) for row in got.rows} == {(int, int, int, int, Fraction)}
+    assert type(got.max_deviation) is Fraction
 
 
 def test_deviation_13_4():

@@ -98,6 +98,15 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_module_entry_point_runs_without_warnings():
+    # runpy warns when importing the package has already loaded mschemes.cli
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "mschemes.cli", "smooth", "--n", "12", "--r", "3"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["smooth_divisor"] == 12
+
+
 def test_factor_stuck_exit_code(capsys):
     # degree-5 stuck-at-m=2 case over F_11
     code, payload = run_cli(capsys, ["factor", "--p", "11", "--poly", "0,1,4,8,8,1", "--m", "2"])
