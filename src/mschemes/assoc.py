@@ -133,12 +133,18 @@ class Scheme:
             raise ValueError("color ids must be int32 integers")
         flat = m.ravel()
         # d + 1 distinct ids need at least d + 1 entries, so a larger id is
-        # refused before bincount would allocate for it
+        # refused before first would be allocated for it
         top = int(flat.max())
-        if flat.min() != 0 or top >= flat.size or not np.bincount(flat).all():
+        if flat.min() != 0 or top >= flat.size:
             raise ValueError("color ids must be dense 0..d")
         first = np.full(top + 1, flat.size, dtype=np.intp)
-        np.minimum.at(first, flat, np.arange(flat.size))
+        # row 0 comes first in row-major order, so when it holds every color
+        # (as in every homogeneous scheme) its indices are the first ones
+        np.minimum.at(first, m[0], np.arange(m.shape[1]))
+        if (first == flat.size).any():
+            np.minimum.at(first, flat, np.arange(flat.size))
+            if (first == flat.size).any():
+                raise ValueError("color ids must be dense 0..d")
         self.n = m.shape[0]
         self.num_colors = top + 1
         m.setflags(write=False)
@@ -214,8 +220,9 @@ def _pair_codes(m, G, x, y):
 
 
 def _pair_counts(m, G, x, y):
-    """c[i, f, g] = #{z : m[x[i], z] = f, m[z, y[i]] = g}."""
-    codes = _pair_codes(m.astype(np.int64), G, x, y)
+    """c[i, f, g] = #{z : m[x[i], z] = f, m[z, y[i]] = g}; m's dtype must
+    hold G*G, and only the codes of the pairs read are widened to int64."""
+    codes = _pair_codes(m, G, x, y).astype(np.int64)
     k = len(codes)
     codes += np.arange(k)[:, None] * (G * G)
     return np.bincount(codes.ravel(), minlength=k * G * G).reshape(k, G, G)
@@ -261,7 +268,7 @@ def verify_scheme(s: Scheme):
     if bad.any():
         h, b = _first_flagged(head, bad)
         xs, ys = np.divmod([s.first[h], b], n)
-        c = _pair_counts(m, G, xs, ys)
+        c = _pair_counts(mc, G, xs, ys)
         f, g = divmod(int(np.flatnonzero(c[0] != c[1])[0]), G)
         pair1, pair2 = zip(map(int, xs), map(int, ys))
         return Violation(3, f, g, h, pair1, pair2, "intersection count differs")
@@ -290,6 +297,7 @@ def intersection_tensor(s: Scheme) -> IntersectionTensor:
     bad = verify_scheme(s)
     if bad is not None:
         raise NotAScheme(f"axiom {bad.axiom} fails: {bad.message}")
+    # under the cap G*G fits the int32 matrix
     c = _pair_counts(s.matrix, s.num_colors, *np.divmod(s.first, s.n))
     return IntersectionTensor(c, s.adjoint.copy())
 

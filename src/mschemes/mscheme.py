@@ -57,12 +57,24 @@ class NoSuchColor(ValueError, IndexError):
 # ---------------------------------------------------------------------------
 # tuple codes
 
+def index_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every value in
+    0..bound: the dtype of the tuple and code tables, the orbit labels and
+    the matching sort keys below, each sized by its own bound.  Sums and
+    products on these arrays widen first (`astype`), since numpy keeps the
+    narrow dtype and wraps."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @lru_cache(maxsize=None)
 def tuple_table(n: int, s: int) -> np.ndarray:
     """All essential s-tuples over [0, n) in code (= lexicographic) order."""
     arr = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n), s)),
-        dtype=np.int8,
+        dtype=index_dtype(n - 1),
         count=math.perm(n, s) * s,
     )
     arr = arr.reshape(-1, s)
@@ -70,21 +82,29 @@ def tuple_table(n: int, s: int) -> np.ndarray:
     return arr
 
 
-def encode_tuples(a: np.ndarray, n: int) -> np.ndarray:
-    """Mixed-radix codes of essential tuples (rows of a).
+def encode_tuples(a: np.ndarray, n: int, dtype=np.int64) -> np.ndarray:
+    """Mixed-radix codes of essential tuples (rows of a), in dtype, which
+    must hold perm(n, a.shape[1]) - 1.
 
     Digit i is a[:, i] less the earlier entries below it; the comparisons
-    run in the input dtype and only the code itself is int64.
+    run in the input dtype, and the partial code never leaves
+    -i..perm(n, i + 1) - 1, so it fits dtype throughout.
     """
     a = np.asarray(a)
-    code = np.zeros(a.shape[0], dtype=np.int64)
+    code = np.zeros(a.shape[0], dtype=dtype)
     for i in range(a.shape[1]):
         col = a[:, i]
-        code *= n - i
+        if i:
+            code *= n - i
+            for j in range(i):
+                code -= a[:, j] < col
         code += col
-        for j in range(i):
-            code -= a[:, j] < col
     return code
+
+
+def _encode_narrow(a: np.ndarray, n: int) -> np.ndarray:
+    """`encode_tuples` in the narrowest dtype that holds its codes."""
+    return encode_tuples(a, n, index_dtype(math.perm(n, a.shape[1]) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +112,7 @@ def multi_proj_table(n: int, s: int, dropped: tuple) -> np.ndarray:
     """code -> code with all 1-based coordinates in `dropped` removed."""
     t = tuple_table(n, s)
     cols = [j for j in range(s) if (j + 1) not in dropped]
-    out = encode_tuples(t[:, cols], n)
+    out = _encode_narrow(t[:, cols], n)
     out.setflags(write=False)
     return out
 
@@ -100,7 +120,7 @@ def multi_proj_table(n: int, s: int, dropped: tuple) -> np.ndarray:
 def act_table(n: int, s: int, tau: tuple) -> np.ndarray:
     """code -> code of the coordinate-permuted tuple (v^tau)_j = v_{tau(j)}."""
     t = tuple_table(n, s)
-    return encode_tuples(t[:, list(tau)], n)
+    return _encode_narrow(t[:, list(tau)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +279,10 @@ def _permuted_colors(pi: MCollection, s: int):
     """
     colors = pi.levels[s]
     first = _least_codes(pi, s)
-    swaps = [act_table(pi.n, s, tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, s))) for k in range(s - 1)]
+    # as intp, since each swap gathers once per tau and numpy gathers
+    # fastest by intp
+    swaps = [act_table(pi.n, s, tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, s))).astype(np.intp)
+             for k in range(s - 1)]
     tau, img = list(range(s)), colors
     yield (tuple(tau), *_least_code_values(img, colors, first))
     for k in _adjacent_swaps(s):
@@ -290,7 +313,7 @@ def check_properties(pi: MCollection) -> PropertyReport:
         # P1
         ok = True
         for i in range(1, s + 1):
-            pc = below[multi_proj_table(n, s, (i,))]
+            pc = below.take(multi_proj_table(n, s, (i,)))
             bad = np.flatnonzero(~_least_code_values(pc, colors, first)[1])
             if bad.size:
                 c = int(bad[0])
@@ -371,22 +394,24 @@ def orbit_mscheme(generators, m: int, work_cap: int = WORK_CAP) -> MCollection:
             raise ValueError("generators must be permutations of range(n)")
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
+    gens = [g.astype(index_dtype(n - 1)) for g in gens]
     levels = {}
     for s in range(1, m + 1):
         count = math.perm(n, s)
         if count > work_cap:
             raise WorkCapExceeded(f"level {s} has {count} tuples > work cap {work_cap}")
         t = tuple_table(n, s)
-        imgs = [encode_tuples(g[t], n) for g in gens]
+        # intp codes: each image indexes label in every round below
+        imgs = [encode_tuples(g.take(t), n, np.intp) for g in gens]
         # min-label propagation along each generator, with pointer jumping:
         # label[c] is always a code in the orbit of c, and at the fixpoint the
         # least one (generators are permutations, so img has no repeats)
-        label = np.arange(count, dtype=np.int64)
+        label = np.arange(count, dtype=index_dtype(count - 1))
         while True:
             prev = label.copy()
             for img in imgs:
                 label[img] = np.minimum(label[img], label)
-            label = label[label]
+            label = label.take(label)
             if np.array_equal(label, prev):
                 break
         # codes are in lexicographic order, so this numbers orbits by least tuple
@@ -457,7 +482,10 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
     color*width + proj are taken per drop set over the colors named:
     drop_i is injective on a color iff the color has as many distinct keys
     as tuples, and then the two images are equal iff both counts agree and
-    the color's two sorted key blocks agree position by position.
+    the color's two sorted key blocks agree position by position.  A drop
+    set's keys are built for the first group that reads them and dropped
+    after the last one, so a level holds only the drop sets of the groups
+    in between.
     """
     cols = Matchings.of(matchings)
     color, table = cols.color, cols.table
@@ -479,17 +507,20 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
         in_use[used] = True
         sizes = pi.sizes[s][used]
         codes = pi._runs[s][0][np.repeat(in_use, pi.sizes[s])]  # grouped by color, ascending
-        owner = np.repeat(np.arange(len(used)), sizes)
-        keys, distinct = {}, {}
-        for d in {d for g in gs for d in table[group_pair[g]]}:
-            width = math.perm(pi.n, s - len(d))
-            k = np.sort(owner * width + multi_proj_table(pi.n, s, d)[codes])
-            keys[d] = k[np.concatenate(([True], k[1:] != k[:-1]))]
-            distinct[d] = np.bincount(keys[d] // width, minlength=len(used))
+        owner = np.repeat(np.arange(len(used), dtype=index_dtype(len(used) - 1)), sizes)
+        last = {d: g for g in gs for d in table[group_pair[g]]}
+        held = {}  # drop set -> (its distinct keys, their count per color)
         for g in gs:
             di, dj = table[group_pair[g]]
-            a, b = keys[di], keys[dj]
-            na, nb = distinct[di], distinct[dj]
+            width = math.perm(pi.n, s - len(di))
+            for d in (di, dj):
+                if d not in held:
+                    # keys lie below len(used) * width, as in `_level_matchings`
+                    k = owner.astype(index_dtype(len(used) * width)) * width
+                    k = np.sort(k + multi_proj_table(pi.n, s, d)[codes])
+                    k = k[np.concatenate(([True], k[1:] != k[:-1]))]
+                    held[d] = k, np.bincount(k // width, minlength=len(used))
+            (a, na), (b, nb) = held[di], held[dj]
             js = rows[bounds[g]:bounds[g + 1]]
             at = np.searchsorted(used, color[js])
             # keys run color by color, so where both counts agree the two
@@ -499,8 +530,11 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
             aligned[at] = True
             aligned &= (na == sizes) & (nb == na)
             pa, pb = a[np.repeat(aligned, na)], b[np.repeat(aligned, nb)]
-            differ = np.bincount(pa[pa != pb] // math.perm(pi.n, s - len(di)), minlength=len(used))
+            differ = np.bincount(pa[pa != pb] // width, minlength=len(used))
             ok[js] = (aligned & (differ == 0))[at]
+            for d in (di, dj):
+                if last[d] == g:
+                    del held[d]
     return ok
 
 
@@ -513,8 +547,9 @@ def _level_matchings(pi: MCollection, s: int):
     for k in range(1, s):
         width = math.perm(pi.n, s - k)
         drops = list(itertools.combinations(range(1, s + 1), k))
-        # keys below t*width, in int32 when they fit, which sorts faster
-        dtype = np.int32 if t * width < 2**31 else np.int64
+        # keys color*width + proj lie below t*width; the bound t*width
+        # also holds the factor width
+        dtype = index_dtype(t * width)
         offsets = pi.levels[s].astype(dtype) * width
         # projected codes keyed by color, sorted: each color fills the same
         # positions in every image, so where one image of a color is

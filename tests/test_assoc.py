@@ -411,6 +411,58 @@ def test_scheme_first_matches_unique_random(n, top, seed):
         assert s.num_colors == len(want) and np.array_equal(s.first, want)
 
 
+@pytest.mark.parametrize("p, e", [(5, 2), (13, 4), (97, 4), (101, 5), (251, 2), (1009, 4)])
+def test_scheme_first_matches_unique_on_cyclotomic_schemes(p, e):
+    # row 0 of a cyclotomic scheme holds every color, so it alone gives first
+    m = cyclotomic_scheme(p, e).matrix
+    first = Scheme(m).first
+    want = first_by_unique(m)
+    assert first.dtype == want.dtype and np.array_equal(first, want)
+    assert (first < p).all()
+
+
+def test_scheme_first_when_row_zero_lacks_a_color():
+    m = cyclotomic_scheme(13, 4).matrix.copy()
+    G = int(m.max()) + 1
+    m[3, 7] = m[7, 3] = G  # a new color, off row 0
+    first = Scheme(m).first
+    want = first_by_unique(m)
+    assert first.dtype == want.dtype and np.array_equal(first, want)
+    assert first[G] == 3 * 13 + 7
+    m[3, 7] = m[7, 3] = G + 1  # and with a gap below it
+    with pytest.raises(ValueError, match=first_by_unique(m)):
+        Scheme(m)
+
+
+def test_scheme_memory_at_1009():
+    # the checked int32 copy of the p = 1009 matrix is about 4 MB; an intp
+    # index per pair and a bincount over all pairs peaked at 11.7 MB
+    m = cyclotomic_scheme(1009, 4).matrix
+    tracemalloc.start()
+    try:
+        s = Scheme(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(s.first, first_by_unique(m))
+    assert peak < 7 * 2**20
+
+
+def test_pair_counts_widen_only_the_rows_read():
+    # the intersection numbers of the p = 1009 scheme read G = 5 rows and
+    # columns; an int64 copy of the whole matrix took 7.9 MB
+    s = cyclotomic_scheme(1009, 4)
+    x, y = np.divmod(s.first, s.n)
+    tracemalloc.start()
+    try:
+        c = assoc._pair_counts(s.matrix, s.num_colors, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.dtype == np.int64 and c.sum() == s.num_colors * s.n
+    assert peak < 2**20
+
+
 def test_transpose_map_computed_once(monkeypatch):
     # verify_scheme's axiom-2 pass and the adjoint share one transpose map
     s = cyclotomic_scheme(13, 4)

@@ -2,6 +2,7 @@ import ast
 import builtins
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -181,6 +182,16 @@ def test_orbit_scan_custom_gens(capsys):
 def test_orbit_scan_bad_gens(capsys):
     code, payload = run_cli(capsys, ["orbit-scan", "--gens", "1,1,0", "--m", "2"])
     assert code == 3
+
+
+def test_orbit_scan_gens_past_int8_points(capsys):
+    # a 130-cycle: tuple entries reach 129, past int8.  Z_130 acts freely
+    # on V^(s), so Burnside counts perm(130, s) / 130 orbits at level s
+    gens = ",".join(str((i + 1) % 130) for i in range(130))
+    code, payload = run_cli(capsys, ["orbit-scan", "--gens", gens, "--m", "2"])
+    assert code == 0
+    assert payload["colors"] == [1, 129] == [math.perm(130, s) // 130 for s in (1, 2)]
+    assert payload["homogeneous"] and payload["is_scheme"]
 
 
 def test_orbit_scan_unknown_group(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -591,6 +592,73 @@ def test_encode_tables_match_int64_oracle(data):
         assert got.dtype == np.int64 and np.array_equal(got, encode_by_int64(t[:, cols], n))
     assert np.array_equal(act_table(n, s, tuple(tau)), encode_by_int64(t[:, tau], n))
     assert np.array_equal(multi_proj_table(n, s, dropped), encode_by_int64(t[:, kept], n))
+
+
+@pytest.mark.parametrize(
+    "bound, dtype",
+    [(0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+     (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64)],
+)
+def test_index_dtype_boundaries(bound, dtype):
+    assert mscheme.index_dtype(bound) == dtype
+    assert np.iinfo(mscheme.index_dtype(bound)).max >= bound
+
+
+@pytest.mark.parametrize("n", [127, 128, 129])
+def test_tables_at_the_int8_boundary(n):
+    # entries below n: int8 holds 0..127, so 129 points need int16;
+    # dropping one of two coordinates leaves codes below n as well
+    t = tuple_table(n, 2)
+    assert t.dtype == (np.int8 if n <= 128 else np.int16)
+    assert t.tolist() == [list(p) for p in itertools.permutations(range(n), 2)]
+    for dropped in ((1,), (2,)):
+        proj = multi_proj_table(n, 2, dropped)
+        assert proj.dtype == t.dtype
+        assert np.array_equal(proj, encode_by_int64(t[:, [2 - dropped[0]]], n))
+    swap = act_table(n, 2, (1, 0))
+    assert swap.dtype == np.int16 and np.array_equal(swap, encode_by_int64(t[:, [1, 0]], n))
+
+
+def test_codes_at_the_int16_boundary():
+    # perm(n, 2) - 1 is the largest code: 32579 at n = 181 fits int16, 32941
+    # at n = 182 does not, and at either size encoding never overflows
+    for n, dtype in ((181, np.int16), (182, np.int32)):
+        t = tuple_table(n, 2)
+        assert act_table(n, 2, (0, 1)).dtype == dtype
+        assert np.array_equal(act_table(n, 2, (0, 1)), np.arange(math.perm(n, 2)))
+        assert np.array_equal(act_table(n, 2, (1, 0)), encode_by_int64(t[:, [1, 0]], n))
+
+
+def traced_peak(call):
+    """call()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_matchings_memory():
+    # Z11 at m = 5 has 70430 matchings; with the tables built, the recheck
+    # holds only the keys of the drop sets between a drop set's first and
+    # last group, in the width their bound needs: about 5 MB (int64 keys of
+    # all 30 level-5 drop sets at once peaked at 16.9 MB)
+    pi = catalog_mscheme("Z11", 5)
+    found = find_matchings(pi)
+    ok, peak = traced_peak(lambda: verify_matchings(pi, found))
+    assert ok.all()
+    assert peak < 8 * 2**20
+
+
+def test_find_matchings_memory_with_cold_tables():
+    # building every projection table as well: about 11 MB with tables in
+    # int16 (perm(11, 4) = 7920 codes), 34.2 MB with int64 tables and keys
+    pi = catalog_mscheme("Z11", 5)
+    multi_proj_table.cache_clear()
+    found, peak = traced_peak(lambda: find_matchings(pi))
+    assert len(found) == 70430
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,8 @@ CASES = {
               ["factor", "--p", "23", "--poly=-1,0,0,0,0,0,0,0,0,0,0,1", "--m", "3"]),
     "report-1009": ("the cyclotomic scheme report at p = 1009, e = 4 (1018081 pairs)",
                     ["scheme-report", "--p", "1009", "--e", "4"]),
+    "report-4093": ("the cyclotomic scheme report at p = 4093, e = 4 (16752649 pairs, the largest p admitted)",
+                    ["scheme-report", "--p", "4093", "--e", "4"]),
     "orbit-z13": ("the orbit scan of Z13 at m = 5", ["orbit-scan", "--catalog", "Z13", "--m", "5"]),
 }
 CLI_RUN = """\
