@@ -99,12 +99,11 @@ class BoundsProfile:
     ell: int
 
     def valid_for(self, tensor: "IntersectionTensor") -> bool:
-        lo = self.delta1 * self.k
-        hi = self.delta1p * self.k
-        cap = self.delta2p * self.c
-        for g in range(1, tensor.num_colors):
-            if not (lo <= tensor.n_g[g] <= hi and tensor.c_g[g] <= cap):
-                return False
+        # every nontrivial valency in [delta1*k, delta1'*k], every c(g) <= delta2'*c
+        n_g, c_g = tensor.n_g[1:], tensor.c_g[1:]
+        if n_g.size and not (self.delta1 * self.k <= int(n_g.min()) and int(n_g.max()) <= self.delta1p * self.k
+                             and int(c_g.max()) <= self.delta2p * self.c):
+            return False
         return 1 < self.ell < (self.delta1**2 / self.delta1p) * self.k
 
     def group_size_bound(self) -> Fraction:
@@ -302,33 +301,33 @@ def intersection_tensor(s: Scheme) -> IntersectionTensor:
     return IntersectionTensor(c, s.adjoint.copy())
 
 
+def _first_mismatch(lhs, rhs, where=True):
+    """Index tuple of the first entry, in C order, where lhs != rhs and
+    `where` holds, or None."""
+    bad = (lhs != rhs) & where
+    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
+
+
 def check_tensor_identities(t: IntersectionTensor):
-    """None if identities (1)-(4) and the quadrilateral double count hold."""
+    """None if identities (1)-(4) and the quadrilateral double count hold,
+    else the first that fails with its first failing index."""
     c, adj, G = t.c, t.adjoint, t.num_colors
     n_g = t.n_g
-    # (1) c^f_{de} = c^{f*}_{e*d*}
-    rhs = c[np.ix_(adj, adj, adj)].transpose(0, 2, 1)
-    if not np.array_equal(c, rhs):
-        w = tuple(int(v) for v in np.argwhere(c != rhs)[0])
-        return FailedIdentity(1, w)
-    # (2) c^e_{df} * n_e = c^d_{ef*} * n_d
-    lhs = c.transpose(1, 0, 2) * n_g[None, :, None]
-    rhs = c[:, :, adj] * n_g[:, None, None]
-    if not np.array_equal(lhs, rhs):
-        w = tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
-        return FailedIdentity(2, w)
-    # (3) sum_g c^f_{ge} = n_{e*}
-    lhs = c.sum(axis=1)
-    rhs = np.broadcast_to(n_g[adj][None, :], (G, G))
-    if not np.array_equal(lhs, rhs):
-        w = tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
-        return FailedIdentity(3, w)
-    # (4) sum_g c^g_{ef} * n_g = n_e * n_f
-    lhs = np.einsum("gef,g->ef", c, n_g)
-    rhs = np.outer(n_g, n_g)
-    if not np.array_equal(lhs, rhs):
-        w = tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
-        return FailedIdentity(4, w)
+
+    def sides():
+        # (1) c^f_{de} = c^{f*}_{e*d*}
+        yield c, c[np.ix_(adj, adj, adj)].transpose(0, 2, 1)
+        # (2) c^e_{df} * n_e = c^d_{ef*} * n_d
+        yield c.transpose(1, 0, 2) * n_g[None, :, None], c[:, :, adj] * n_g[:, None, None]
+        # (3) sum_g c^f_{ge} = n_{e*}
+        yield c.sum(axis=1), n_g[adj][None, :]
+        # (4) sum_g c^g_{ef} * n_g = n_e * n_f
+        yield np.einsum("gef,g->ef", c, n_g), np.outer(n_g, n_g)
+
+    for identity, (lhs, rhs) in enumerate(sides(), 1):
+        w = _first_mismatch(lhs, rhs)
+        if w is not None:
+            return FailedIdentity(identity, w)
     # (5) |S_v| two ways, for u != 1, v not in {1, u}
     m1 = np.einsum("ubu->ub", c)  # c^u_{bu}
     m2 = c[:, np.arange(G), adj]  # c^b_{v v*} indexed [b, v]
@@ -336,13 +335,11 @@ def check_tensor_identities(t: IntersectionTensor):
     t1 = c[:, adj, :]  # t1[w, u, v] = c^w_{u* v}
     c2 = c[:, :, adj]  # c2[u, v, w] = c^u_{v w*}
     rhs = np.einsum("uvw,wuv->uv", c2, np.where(t1 > 0, t1 - 1, 0))
-    for u in range(1, G):
-        for v in range(1, G):
-            if v == u:
-                continue
-            if lhs[u, v] != rhs[u, v]:
-                return FailedIdentity(5, (u, v, int(lhs[u, v]), int(rhs[u, v])))
-    return None
+    pairs = np.ones((G, G), dtype=bool)
+    pairs[0] = pairs[:, 0] = False
+    np.fill_diagonal(pairs, False)
+    w = _first_mismatch(lhs, rhs, pairs)
+    return None if w is None else FailedIdentity(5, (*w, int(lhs[w]), int(rhs[w])))
 
 
 def verify_identities(s: Scheme):
@@ -400,29 +397,12 @@ def small_intersection_search(t: IntersectionTensor, ell: int) -> SmallIntersect
     profile = auto_profile(t, ell)
     hypothesis = profile.valid_for(t) and Fraction(G) >= profile.group_size_bound()
     adj = t.adjoint
-    witness = None
-    for u in range(1, G):
-        if witness:
-            break
-        for v in range(1, G):
-            if v == u:
-                continue
-            vec = t.c[:, adj[u], v]
-            found = None
-            for w in range(1, G):
-                if not (0 < vec[w] < ell):
-                    continue
-                for wp in range(1, G):
-                    if wp == w or not (0 < vec[wp] < ell):
-                        continue
-                    if vec[w] <= vec[wp]:
-                        found = Witness(u, v, w, wp, int(vec[w]), int(vec[wp]))
-                        break
-                if found:
-                    break
-            if found:
-                witness = found
-                break
+    # 0 < vec[w] <= vec[wp] < ell, with vec[w] = c^w_{u* v}
+    witness = next((Witness(u, v, w, wp, vec[w], vec[wp])
+                    for u in range(1, G) for v in range(1, G) if v != u
+                    for vec in [t.c[:, adj[u], v].tolist()]
+                    for w in range(1, G) if 0 < vec[w] < ell
+                    for wp in range(1, G) if wp != w and vec[w] <= vec[wp] < ell), None)
     if hypothesis and witness is None:
         raise TheoremContradiction(
             f"|G|={G} meets the bound {profile.group_size_bound()} but no witness exists"

@@ -61,9 +61,9 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def cmd_factor(args) -> int:
     f = poly_from_text(field_ctx(args.p, args.d), args.poly)
     if args.r is not None and is_prime(f.degree):
-        res = factor.prime_degree_factor(f, args.r, args.l, dim_cap=args.dim_cap)
+        res = factor.prime_degree_factor(f, args.r, args.l)
     else:
-        res = factor.iks_factor(f, args.m, dim_cap=args.dim_cap)
+        res = factor.iks_factor(f, args.m)
     if isinstance(res, factor.Factor):
         payload, code = {"status": "factored", "factor": res.g.int_coeffs()}, EXIT_OK
     else:
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--m", type=int, default=4)
     p_factor.add_argument("--r", type=int, default=None)
     p_factor.add_argument("--l", type=int, default=2)
-    p_factor.add_argument("--dim-cap", dest="dim_cap", type=int, default=factor.DIM_CAP)
     p_factor.add_argument("--json", type=str, default=None)
     p_factor.set_defaults(func=cmd_factor)
 

@@ -73,7 +73,6 @@ from .gf import (
 from .levels import DimCapExceeded, LevelAlgebra, ZeroAlgebra, build_levels  # noqa: F401  (re-exported)
 from .linalg import KOps, PrimeTooLarge  # noqa: F401  (re-exported)
 
-DIM_CAP = 10**6
 ORDER_CAP = 10**6
 
 
@@ -182,7 +181,7 @@ def _algebra_amm(alg: LevelAlgebra, e_B, exponent: int, u, r: int):
 @lru_cache(maxsize=None)
 def _field_algebra(ctx: FieldCtx) -> LevelAlgebra:
     """The field as level 1 of k[x]/(x), built once per field."""
-    return build_levels(Poly(ctx, [0, 1]), 1, DIM_CAP)[0]
+    return build_levels(Poly(ctx, [0, 1]), 1)[0]
 
 
 def rth_root(a: FieldElem, r: int) -> FieldElem | None:
@@ -320,7 +319,7 @@ def _split_in_extension(f: Poly, s: int, basis, pivots, idem, sigma_mat, r: int,
     """
     ctx = f.ctx
     K = field_ctx(ctx.p, ctx.d * multiplicative_order(ctx.order, r))
-    algK = build_levels(lift_poly(f, K), s, dim_cap=DIM_CAP)[s - 1]
+    algK = build_levels(lift_poly(f, K), s)[s - 1]
     E = _digit_embedding(ctx, K)
 
     def lift_vec(v):
@@ -375,7 +374,7 @@ def split_by_automorphism(f: Poly, sigma, r: int):
     if dg.is_zero() or poly_gcd(g, dg).degree > 0:
         # nilpotents have no support idempotent: the engine would be wrong
         raise NotSplit("polynomial is not squarefree")
-    alg = build_levels(g, 1, DIM_CAP)[0]
+    alg = build_levels(g, 1)[0]
     kops = alg.ops
     n = alg.dim
     # residues in every shape: the kernels take digits below p
@@ -441,30 +440,30 @@ class IdealSystem:
     ordered refinement log.  Refinement returns new systems sharing the
     immutable per-level machinery."""
 
-    def __init__(self, f: Poly, m: int, dim_cap: int = DIM_CAP):
+    def __init__(self, f: Poly, m: int):
         if not f.is_monic():
             f = f.monic()
         if not is_split_squarefree(f):
             raise NotSplit("pipeline input must be squarefree and fully split")
-        self._build(f, m, dim_cap)
+        self._build(f, m)
 
     @classmethod
-    def _of_split(cls, f: Poly, m: int, dim_cap: int):
+    def _of_split(cls, f: Poly, m: int):
         """The system of a monic f already known to split into distinct
         linear factors, such as the lift of a checked polynomial to an
         extension (lifting keeps the roots)."""
         sys = cls.__new__(cls)
-        sys._build(f, m, dim_cap)
+        sys._build(f, m)
         return sys
 
-    def _build(self, f: Poly, m: int, dim_cap: int):
+    def _build(self, f: Poly, m: int):
         if f.ctx.p < f.degree:
             # fibre counts are field scalars; p >= n keeps them faithful
             raise PreconditionFailed("characteristic must be at least deg f for exact fibre counts")
         self.f = f
         self.ctx = f.ctx
         self.m = m
-        self.algebras = build_levels(f, m, dim_cap)
+        self.algebras = build_levels(f, m)
         self.levels = {}
         self.log = []
         self.shared = {"uid": itertools.count(), "checks": {}, "perms": {}, "traces": {}}
@@ -844,7 +843,7 @@ def validate_certificate(stuck: StuckScheme) -> bool:
     return cert["valid"]
 
 
-def iks_factor(f: Poly, m: int, dim_cap: int = DIM_CAP, stage_hook=None):
+def iks_factor(f: Poly, m: int, stage_hook=None):
     """Factor-or-stuck driver with iterative deepening up to m.
 
     Returns Factor(g) or StuckScheme(sys); both carry the refinement log.
@@ -862,7 +861,7 @@ def iks_factor(f: Poly, m: int, dim_cap: int = DIM_CAP, stage_hook=None):
     for m_try in range(2, min(m, g.degree) + 1):
         k = extension_for_levels(base, m_try)
         fk = lift_poly(g, k)
-        sys = IdealSystem._of_split(fk, m_try, dim_cap)
+        sys = IdealSystem._of_split(fk, m_try)
         attempt = {"m": m_try, "field": {"p": k.p, "d": k.d}}
         while True:
             # one event: the first rule that acts, else the first matching
@@ -872,7 +871,11 @@ def iks_factor(f: Poly, m: int, dim_cap: int = DIM_CAP, stage_hook=None):
                 matchings = _detect_matchings(sys)
                 if not matchings:
                     break
-                res = matching_refinement(sys, matchings[0])
+                try:
+                    res = matching_refinement(sys, matchings[0])
+                except NotAMatching as exc:
+                    # found on this very system: refusing it is a broken invariant
+                    raise InvalidSystem(f"detected matching refused: {exc}") from exc
             if isinstance(res, Refined):
                 sys = res.system
             if stage_hook:
@@ -898,7 +901,7 @@ def log_to_json(log) -> str:
     return json.dumps(log, sort_keys=True, separators=(",", ":"))
 
 
-def prime_degree_factor(f: Poly, r: int, ell: int, dim_cap: int = DIM_CAP):
+def prime_degree_factor(f: Poly, r: int, ell: int):
     """Prime-degree driver: with a large r-smooth divisor of n-1 the stuck
     outcome is impossible, so this always returns a factor."""
     n = f.degree
@@ -912,7 +915,7 @@ def prime_degree_factor(f: Poly, r: int, ell: int, dim_cap: int = DIM_CAP):
     ell_p = 2 * ell + 1
     m = min(n, max(r + 1, math.ceil(2 * math.log2(ell_p)) + 3))
     try:
-        res = iks_factor(f, m, dim_cap=dim_cap)
+        res = iks_factor(f, m)
     except DimCapExceeded as exc:
         raise DimCapExceeded(f"required m={m}: {exc}") from exc
     if isinstance(res, StuckScheme):

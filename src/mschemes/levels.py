@@ -51,12 +51,14 @@ from .gf import Poly, PreconditionFailed, square_and_multiply
 from .linalg import INT64_EXACT, KOps, PrimeTooLarge, dot_exact
 
 # `build_levels` refuses a level whose product-space cells * canonical dim
-# exceeds this (R takes 8*d^2 bytes per unit of this product)
+# exceeds this (R takes 8*d^2 bytes per unit of this product).  It is the
+# only level-size rule: a level has no more dims than cells, so it also
+# refuses every level past dim 7745
 REDUCTION_MATRIX_CAP = 6 * 10**7
 
 
 class DimCapExceeded(PreconditionFailed):
-    pass
+    """A level whose reduction matrix would pass REDUCTION_MATRIX_CAP."""
 
 
 class ZeroAlgebra(ValueError):
@@ -316,7 +318,7 @@ def build_cauchy(f: Poly, s: int, ops: KOps):
     return out
 
 
-def build_levels(f: Poly, m: int, dim_cap: int) -> list:
+def build_levels(f: Poly, m: int) -> list:
     """LevelAlgebra list for s = 1..m (index s-1)."""
     n = f.degree
     if m > n:
@@ -327,9 +329,7 @@ def build_levels(f: Poly, m: int, dim_cap: int) -> list:
     for s in range(1, m + 1):
         dim *= n - s + 1
         cells *= 2 * (n - s + 1) - 1
-        if dim > dim_cap or cells * dim > REDUCTION_MATRIX_CAP:
-            if dim > dim_cap:
-                raise DimCapExceeded(f"level {s} dimension {dim} exceeds cap {dim_cap}")
+        if cells * dim > REDUCTION_MATRIX_CAP:
             raise DimCapExceeded(f"level {s} reduction matrix has {cells} x {dim} = {cells * dim} "
                                  f"cells, above the cap {REDUCTION_MATRIX_CAP}")
     # longest int64 sum of residue products: a convolution over at most

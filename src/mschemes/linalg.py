@@ -66,10 +66,8 @@ class KOps:
 
     # -- element containers ------------------------------------------------
 
-    def zeros(self, shape):
-        if isinstance(shape, int):
-            shape = (shape,)
-        return np.zeros(tuple(shape) + (self.d,), dtype=np.int64)
+    def zeros(self, shape: tuple):
+        return np.zeros((*shape, self.d), dtype=np.int64)
 
     def scalar(self, elem):
         """Digit vector for a FieldElem or int."""

@@ -288,7 +288,7 @@ def test_criterion_11_split_hand_case():
     res = factor.split_by_automorphism(f, sigma, 2)
     # f splits, so the exponent is 7 - 1; the universal exponent for
     # residue degrees <= 2 must give the same vector
-    alg = build_levels(f, 1, factor.DIM_CAP)[0]
+    alg = build_levels(f, 1)[0]
     universal = factor._split_ideal(alg, alg.ops.eye(2), range(2), alg.identity(), sigma[..., None], 2, 2)
     if not isinstance(res, factor.ZeroDivisor):
         failures.append("no zero divisor")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
@@ -636,6 +637,144 @@ def test_thin_scheme_no_contradiction():
     res = small_intersection_search(intersection_tensor(cyclotomic_scheme(13, 12)), 2)
     assert not res.hypothesis_held
     assert res.witness is None
+
+
+def check_tensor_identities_by_loops(t):
+    """Oracle for `check_tensor_identities`: each identity 1-4 on its own
+    path, identity 5 by a double loop over (u, v)."""
+    c, adj, G = t.c, t.adjoint, t.num_colors
+    n_g = t.n_g
+    rhs = c[np.ix_(adj, adj, adj)].transpose(0, 2, 1)
+    if not np.array_equal(c, rhs):
+        return assoc.FailedIdentity(1, tuple(int(v) for v in np.argwhere(c != rhs)[0]))
+    lhs = c.transpose(1, 0, 2) * n_g[None, :, None]
+    rhs = c[:, :, adj] * n_g[:, None, None]
+    if not np.array_equal(lhs, rhs):
+        return assoc.FailedIdentity(2, tuple(int(v) for v in np.argwhere(lhs != rhs)[0]))
+    lhs = c.sum(axis=1)
+    rhs = np.broadcast_to(n_g[adj][None, :], (G, G))
+    if not np.array_equal(lhs, rhs):
+        return assoc.FailedIdentity(3, tuple(int(v) for v in np.argwhere(lhs != rhs)[0]))
+    lhs = np.einsum("gef,g->ef", c, n_g)
+    rhs = np.outer(n_g, n_g)
+    if not np.array_equal(lhs, rhs):
+        return assoc.FailedIdentity(4, tuple(int(v) for v in np.argwhere(lhs != rhs)[0]))
+    m1 = np.einsum("ubu->ub", c)
+    m2 = c[:, np.arange(G), adj]
+    lhs = m1[:, 1:] @ m2[1:, :]
+    t1 = c[:, adj, :]
+    c2 = c[:, :, adj]
+    rhs = np.einsum("uvw,wuv->uv", c2, np.where(t1 > 0, t1 - 1, 0))
+    for u in range(1, G):
+        for v in range(1, G):
+            if v != u and lhs[u, v] != rhs[u, v]:
+                return assoc.FailedIdentity(5, (u, v, int(lhs[u, v]), int(rhs[u, v])))
+    return None
+
+
+def valid_for_by_loop(profile, t):
+    """Oracle for `BoundsProfile.valid_for`: one Fraction test per color."""
+    lo, hi, cap = profile.delta1 * profile.k, profile.delta1p * profile.k, profile.delta2p * profile.c
+    for g in range(1, t.num_colors):
+        if not (lo <= t.n_g[g] <= hi and t.c_g[g] <= cap):
+            return False
+    return 1 < profile.ell < (profile.delta1**2 / profile.delta1p) * profile.k
+
+
+def small_intersection_by_loops(t, ell):
+    """Oracle for `small_intersection_search`: the witness by four nested
+    loops over numpy scalars, then the hypothesis; "contradiction" where
+    the search must raise TheoremContradiction."""
+    G, adj = t.num_colors, t.adjoint
+    witness = None
+    for u in range(1, G):
+        for v in range(1, G):
+            if v == u:
+                continue
+            vec = t.c[:, adj[u], v]
+            for w in range(1, G):
+                if not (0 < vec[w] < ell):
+                    continue
+                for wp in range(1, G):
+                    if wp != w and 0 < vec[wp] < ell and vec[w] <= vec[wp]:
+                        witness = assoc.Witness(u, v, w, wp, int(vec[w]), int(vec[wp]))
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    profile = assoc.auto_profile(t, ell)
+    held = valid_for_by_loop(profile, t) and Fraction(G) >= profile.group_size_bound()
+    return "contradiction" if held and witness is None else (witness, held)
+
+
+def small_intersection_outcome(t, ell):
+    try:
+        res = small_intersection_search(t, ell)
+    except assoc.TheoremContradiction:
+        return "contradiction"
+    if res.witness is not None:
+        # the report prints the witness as JSON: Python ints only
+        assert {type(v) for v in dataclasses.astuple(res.witness)} == {int}
+    return res.witness, res.hypothesis_held
+
+
+def perturbed_tensors(t):
+    """Single-entry perturbations of t: the first pair of colors 0, a
+    self-adjoint diagonal and a few seeded entries, each by +1 and -1 (these
+    reach identities 1, 2 and 3); and, with two nontrivial colors, the
+    product of (+1 at color 1, -1 at color 2) on all three indices, which
+    keeps identities 1-4 on self-adjoint colors of equal valency and breaks 5."""
+    G = t.num_colors
+    rng = np.random.default_rng(G)
+    entries = [(0, 0, 0), (0, 0, min(1, G - 1)), (G - 1, G - 1, G - 1)]
+    entries += [tuple(int(i) for i in rng.integers(0, G, 3)) for _ in range(3)]
+    out = []
+    for at in entries:
+        for delta in (1, -1):
+            c = t.c.copy()
+            c[at] += delta
+            out.append(assoc.IntersectionTensor(c, t.adjoint))
+    if G >= 3:
+        sign = np.zeros(G, dtype=np.int64)
+        sign[1], sign[2] = 1, -1
+        parity = np.einsum("h,f,g->hfg", sign, sign, sign)
+        out.append(assoc.IntersectionTensor(t.c + parity, t.adjoint))
+    return out
+
+
+@pytest.mark.parametrize("p,e", CYCLOTOMIC_TO_97)
+def test_scheme_report_searches_match_loops(p, e):
+    t = intersection_tensor(cyclotomic_scheme(p, e))
+    perturbed = perturbed_tensors(t)
+    for tt in [t] + perturbed:
+        assert check_tensor_identities(tt) == check_tensor_identities_by_loops(tt)
+        for ell in (2, 3, 4):
+            profile = assoc.auto_profile(tt, ell)
+            # auto_profile meets every color's bound; these miss one each
+            for prof in (profile, dataclasses.replace(profile, k=profile.k + 1),
+                         dataclasses.replace(profile, delta1p=profile.delta1p - Fraction(1, 2 * profile.k)),
+                         dataclasses.replace(profile, c=profile.c - 1)):
+                assert prof.valid_for(tt) == valid_for_by_loop(prof, tt)
+    # the loop oracle takes O(G^3) numpy scalar steps where no witness
+    # exists, as on the thin schemes (e = p - 1): past 24 colors only the
+    # unperturbed tensor is searched
+    for tt in [t] + (perturbed if t.num_colors <= 24 else []):
+        for ell in (2, 3, 4):
+            assert small_intersection_outcome(tt, ell) == small_intersection_by_loops(tt, ell)
+
+
+def test_perturbed_tensors_reach_identities():
+    # the perturbations above reach identities 1, 2, 3 and 5; identity 4
+    # holds whenever 1-3 do on these tensors
+    reached = {None if bad is None else bad.identity
+               for p, e in [(5, 2), (7, 1), (7, 3), (13, 6)]
+               for bad in map(check_tensor_identities, perturbed_tensors(intersection_tensor(cyclotomic_scheme(p, e))))}
+    assert reached >= {1, 2, 3, 5}
+    bad = check_tensor_identities(perturbed_tensors(intersection_tensor(cyclotomic_scheme(7, 3)))[-1])
+    assert bad.identity == 5 and all(type(v) is int for v in bad.witness)
 
 
 def test_scheme_to_3scheme_cyclotomic():

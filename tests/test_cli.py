@@ -306,11 +306,19 @@ def test_cli_json_deterministic(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_dim_cap_flag(capsys):
-    argv = ["factor", "--p", "11", "--poly", "10,0,0,0,0,1", "--m", "3", "--dim-cap", "5"]
-    code, payload = run_cli(capsys, argv)
+def test_factor_past_the_reduction_matrix_cap(capsys):
+    # prod_{r=1..63} (x - r) over F_67: level 2 has dim 63 * 62 = 3906 and
+    # 125 * 123 = 15375 product-space cells, just past REDUCTION_MATRIX_CAP
+    ctx = gf.field_ctx(67, 1)
+    f = gf.Poly(ctx, [1])
+    for r in range(1, 64):
+        f = f * gf.Poly(ctx, [-r, 1])
+    poly = ",".join(str(c) for c in f.int_coeffs())
+    code, payload = run_cli(capsys, ["factor", "--p", "67", "--poly", poly, "--m", "2"])
     assert code == 4
     assert payload["error"] == "DimCapExceeded"
+    assert payload["message"] == ("level 2 reduction matrix has 15375 x 3906 = 60054750 cells, "
+                                  f"above the cap {levels.REDUCTION_MATRIX_CAP}")
 
 
 def test_every_error_class_has_one_family():
@@ -374,7 +382,8 @@ def test_error_family_map():
     assert all(issubclass(cls, PreconditionFailed) for cls in caps)
     assert mscheme.PreconditionFailed is PreconditionFailed
     assert issubclass(factor.InvalidSystem, AssertionError)
-    # raised both for caller input and inside the pipeline
+    # caller input (exit 3); gf.Overflow is also raised inside the pipeline,
+    # while iks_factor re-raises a NotAMatching of its own as InvalidSystem
     assert all(issubclass(cls, ValueError) for cls in (factor.TrivialAutomorphism, factor.NotAMatching, gf.Overflow))
 
 

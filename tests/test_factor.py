@@ -72,7 +72,7 @@ def lagrange_idempotent(f, subset):
 
 def test_essential_identity_and_mult():
     # the level-2 identity is a unit on every basis vector
-    e2 = build_levels(poly_of(field_ctx(7, 1), [-1, 0, 0, 1]), 2, 10**6)[1]
+    e2 = build_levels(poly_of(field_ctx(7, 1), [-1, 0, 0, 1]), 2)[1]
     for i in range(e2.dim):
         v = e2.zero()
         v[i, 0] = 1
@@ -80,7 +80,7 @@ def test_essential_identity_and_mult():
 
 
 def test_embed_unital_and_hom():
-    e1, e2 = build_levels(poly_of(field_ctx(7, 1), [-1, 0, 0, 1]), 2, 10**6)
+    e1, e2 = build_levels(poly_of(field_ctx(7, 1), [-1, 0, 0, 1]), 2)
     for j in (1, 2):
         assert np.array_equal(e2.embed_from_below(e1, (j,), e1.identity()), e2.identity())
     # multiplicativity on sampled pairs
@@ -97,7 +97,7 @@ def test_embed_transparent_product():
     # iota_1(a) * iota_2(b) evaluated at explicit roots equals a(v2) b(v1)
     ctx = field_ctx(7, 1)
     f = poly_of(ctx, [-1, 0, 0, 1])
-    e1, e2 = build_levels(f, 2, 10**6)
+    e1, e2 = build_levels(f, 2)
     roots = brute_roots(f)
     av = np.array([[1], [2], [0]], dtype=np.int64)
     bv = np.array([[3], [0], [1]], dtype=np.int64)
@@ -170,7 +170,7 @@ def test_split_zero_divisor_property():
     res = split_by_automorphism(f, np.array([[1, 0], [0, 6]]), 2)
     z = res.vec
     assert z.any()
-    b = build_levels(f, 1, 10**6)[0]
+    b = build_levels(f, 1)[0]
     m_z = fc.KOps(ctx).zeros((2, 2))
     for i in range(2):
         v = b.zero()
@@ -483,7 +483,7 @@ def test_rule_r2_matches_per_ideal_oracle(monkeypatch, p, d, roots):
         return got
 
     monkeypatch.setitem(fc._RULES, "R2", checked)
-    outcome, events = run_events(IdealSystem._of_split(f, 3, fc.DIM_CAP))
+    outcome, events = run_events(IdealSystem._of_split(f, 3))
     assert outcome == "factor" and events >= 5
     assert "Refined" in seen and "NoChange" in seen
 
@@ -515,7 +515,7 @@ def test_rule_r2_constant_counts_make_no_power_chain(monkeypatch, p, d, roots):
         return rule(sys)
 
     monkeypatch.setitem(fc._RULES, "R2", checked)
-    assert run_events(IdealSystem._of_split(f, 3, fc.DIM_CAP))[0] == "factor"
+    assert run_events(IdealSystem._of_split(f, 3))[0] == "factor"
     assert constant and all(c["power"] == 0 for c in constant)
     assert any(c["mult_batch"] for c in constant)
 
@@ -553,7 +553,7 @@ def orbit_quintic_system(p, seed):
     rng = random.Random(seed)
     c, t = rng.randrange(1, p), rng.randrange(1, p)
     f = split_poly(ctx, [(c + t * z) % p for z in mu5])
-    return IdealSystem._of_split(lift_poly(f, extension_for_levels(ctx, 3)), 3, fc.DIM_CAP)
+    return IdealSystem._of_split(lift_poly(f, extension_for_levels(ctx, 3)), 3)
 
 
 @pytest.mark.parametrize("p,seed", [(31, 1), (11, 1)], ids=["F31", "F121"])
@@ -754,6 +754,120 @@ def test_matching_refinement_bad_indices(matching):
         matching_refinement(sys, matching)
 
 
+def test_detected_matching_refused_is_internal(monkeypatch):
+    # iks_factor refines with a matching it detected itself, so a refusal
+    # there is a broken invariant (exit 6), not bad input; the refusal's
+    # reason stays attached as the cause
+    bogus = mscheme.Matching(2, 0, (1,), (1,))
+    monkeypatch.setattr(fc, "_detect_matchings", lambda sys: [bogus])
+    f = poly_of(field_ctx(7, 1), [-1, 0, 0, 1])
+    with pytest.raises(InvalidSystem, match="detected matching refused") as exc:
+        iks_factor(f, 2)
+    assert isinstance(exc.value.__cause__, NotAMatching)
+
+
+def tuple_idempotent(sys, f, a, b):
+    """Level-2 idempotent of the one tuple (a, b): iota(e_a) on coordinate 1
+    times iota(e_b) on coordinate 2 (the fresh slot is the other one)."""
+    e1, e2 = sys.algebra(1), sys.algebra(2)
+    at = [e2.embed_from_below(e1, (slot,), lagrange_idempotent(f, [r])) for slot, r in ((2, a), (1, b))]
+    return e2.mult(*at)
+
+
+def test_rule_r3_splits_after_an_unmatched_image():
+    # level 2 split by hand into {(1, 2)} and the rest: the swap's image of
+    # the tuple's idempotent, that of (2, 1), is no ideal's, so R3 splits the
+    # rest along it
+    ctx = field_ctx(7, 1)
+    f = poly_of(ctx, [-1, 0, 0, 1])
+    sys = IdealSystem(f, 2)
+    one, two = ctx.elem(1), ctx.elem(2)
+    sys = sys._split(2, 0, tuple_idempotent(sys, f, one, two), "seed", {}).system
+    res = refine_step(sys, "R3")
+    assert isinstance(res, Refined)
+    assert res.system.log[-1] == {"rule": "R3", "level": 2, "ideal": 1, "dims": [1, 4], "tau": [1, 0], "source": 0}
+    assert np.array_equal(res.system.levels[2][1].idem, tuple_idempotent(sys, f, two, one))
+    colors = supports(res.system, [1, 2, 4]).levels[2]
+    assert np.bincount(colors).tolist() == [1, 1, 4]
+
+
+def stuck_quintic():
+    # x(x+4)(x+6)(x+7)(x+9) over F_11 sticks at m = 2, as in
+    # test_stuck_scheme_certificate
+    res = iks_factor(poly_of(field_ctx(11, 1), [0, 1, 4, 8, 8, 1]), 2)
+    assert isinstance(res, StuckScheme) and res.certificate["valid"]
+    return res
+
+
+def test_validate_certificate_refuses():
+    stuck = stuck_quintic()
+    # a rule still acts: R5 on the unrefined system of the same f
+    fresh = IdealSystem(stuck.system.f, 2)
+    assert not validate_certificate(StuckScheme(fresh, {}))
+    # every rule is stable (their checks are cached by ideal uid), but the
+    # level-1 ideal's basis has lost a row, so the dimension sums fail
+    broken = stuck.system.clone()
+    ideal = broken.levels[1][0]
+    broken.levels[1][0] = dataclasses.replace(ideal, basis=ideal.basis[1:], pivots=ideal.pivots[1:])
+    assert not validate_certificate(StuckScheme(broken, {}))
+
+
+def _scale_first(sys):
+    # 2e_A is no idempotent; e_B - e_A keeps the level's sum
+    a, b = sys.levels[2]
+    uid, p = sys.shared["uid"], sys.ctx.p
+    sys.levels[2] = [dataclasses.replace(a, uid=next(uid), idem=2 * a.idem % p),
+                     dataclasses.replace(b, uid=next(uid), idem=(b.idem - a.idem) % p)]
+
+
+def _repeat_first(sys):
+    a, b = sys.levels[2]
+    sys.levels[2][1] = dataclasses.replace(b, uid=next(sys.shared["uid"]), idem=a.idem)
+
+
+def _drop_row(sys):
+    a = sys.levels[2][0]
+    sys.levels[2][0] = dataclasses.replace(a, basis=a.basis[1:], pivots=a.pivots[1:])
+
+
+def _whole_level(sys):
+    alg = sys.algebra(2)
+    sys.levels[2] = [fc.Ideal(next(sys.shared["uid"]), 2, alg.identity(), alg.ops.eye(alg.dim), tuple(range(alg.dim)))]
+
+
+@pytest.mark.parametrize("mutate, flag", [
+    (_scale_first, "orthogonal_partition"),  # an idempotent fails e^2 = e
+    (_repeat_first, "orthogonal_partition"),  # the idempotents sum to 2e_A, not 1
+    (_drop_row, "dimension_sums_ok"),
+    (_whole_level, "antisymmetric"),  # the swap fixes the identity
+])
+def test_certificate_flags(mutate, flag):
+    sys = stuck_quintic().system.clone()
+    mutate(sys)
+    cert = fc._certificate(sys, [])
+    flags = ("orthogonal_partition", "dimension_sums_ok", "antisymmetric")
+    assert {k: cert[k] for k in flags} == {k: k != flag for k in flags}
+    assert cert["homogeneous"] and not cert["valid"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: iks_factor(poly_of(field_ctx(7, 1), [-1, 0, 0, 1]), 1), "m must be >= 2"),
+    (lambda: iks_factor(poly_of(field_ctx(7, 1), [-1, 1]), 2), "degree must be >= 2"),
+    (lambda: refine_step(fresh_system(7, [-1, 0, 0, 1], 2), "R6"), "unknown rule 'R6'"),
+    (lambda: fc.rth_root(field_ctx(7, 1).zero(), 3), "nonzero element"),
+    (lambda: fc.rth_root(field_ctx(7, 1).elem(2), 4), "r must be prime"),
+    (lambda: split_by_automorphism(poly_of(field_ctx(7, 1), [-1, 0, 1]), [[1, 0], [0, 6]], 4), "r must be prime"),
+    (lambda: split_by_automorphism(poly_of(field_ctx(7, 1), [-1, 0, 1]), [[1, 0], [0, 6]], 3),
+     "sigma\\^r is not the identity"),
+    (lambda: prime_degree_factor(poly_of(field_ctx(11, 1), [10, 0, 0, 0, 0, 1]), 2, 0), "ell must be >= 1"),
+], ids=["iks-m", "iks-degree", "refine-rule", "rth-root-zero", "rth-root-composite", "split-composite",
+        "split-order", "prime-degree-ell"])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert type(exc.value) is ValueError
+
+
 def project_by_products(sys, s, idx, dropped):
     """Oracle for `_project_color`: multiply every lower cylinder along
     `dropped` by the ideal's idempotent and take the first that keeps it."""
@@ -832,13 +946,6 @@ def test_prime_degree_smooth_too_small():
         prime_degree_factor(f, 2, 1)
 
 
-def test_dim_cap():
-    ctx = field_ctx(11, 1)
-    f = poly_of(ctx, [10, 0, 0, 0, 0, 1])
-    with pytest.raises(DimCapExceeded):
-        IdealSystem(f, 3, dim_cap=10)
-
-
 def test_reduction_matrix_cap():
     # R of level 5 of a degree-7 input (45045 x 2520 cells) and of level 4 of
     # a degree-9 input (36465 x 3024) exceeds REDUCTION_MATRIX_CAP
@@ -848,7 +955,7 @@ def test_reduction_matrix_cap():
         for r in range(1, n + 1):
             f = f * poly_of(ctx, [-r, 1])
         with pytest.raises(DimCapExceeded, match=f"level {m} reduction matrix") as exc:
-            build_levels(f, m, 10**6)
+            build_levels(f, m)
         assert isinstance(exc.value, PreconditionFailed)
         if n == 7:
             with pytest.raises(DimCapExceeded):
@@ -859,7 +966,7 @@ def test_levels_deeper_than_degree():
     # no essential 4-tuples on 3 points: a typed error, not an IndexError
     f = poly_of(field_ctx(7, 1), [-1, 0, 0, 1])
     with pytest.raises(ZeroAlgebra):
-        build_levels(f, 4, 10**6)
+        build_levels(f, 4)
     with pytest.raises(ZeroAlgebra):
         IdealSystem(f, 4)
 

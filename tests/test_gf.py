@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from mschemes import gf
 from mschemes.factor import rth_root
+from mschemes.linalg import KOps
 from mschemes.gf import (
     FieldMismatch,
     NoNonresidue,
@@ -65,6 +67,42 @@ def test_field_ctx_modulus_is_first_irreducible(p, d):
     cands = (list(reversed(t)) + [1] for t in itertools.product(range(p), repeat=d))
     first = next(cs for cs in cands if irreducible(Poly(base, cs)))
     assert field_ctx(p, d).modulus == tuple(first)
+
+
+def schoolbook_products(ctx, a, b):
+    """Oracle for products in F_{p^d}: digit rows a, b (k, d) convolved,
+    then reduced by long division by the modulus, top degree first."""
+    p, d = ctx.p, ctx.d
+    prod = np.zeros((len(a), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        prod[:, i:i + d] += a[:, i:i + 1] * b
+    prod %= p
+    modulus = np.array(ctx.modulus, dtype=np.int64)
+    for top in range(2 * d - 2, d - 1, -1):
+        prod[:, top - d:top + 1] = (prod[:, top - d:top + 1] - prod[:, top:top + 1] * modulus) % p
+    return prod[:, :d]
+
+
+@pytest.mark.parametrize("p, d, pairs", [(2, 5, None), (2, 8, None), (3, 7, 20000)])
+def test_products_where_reduction_rows_reduce_twice(p, d, pairs):
+    # building these fields' rows x^(d+i) mod the modulus meets a nonzero top
+    # coefficient while shifting (for F_32, x^5 + x^2 + 1: x^8 = x^3 + x^2 + 1
+    # after x^7 = x^4 + x^2 reduces again); all pairs of F_32 and F_256, a
+    # seeded sample of F_2187
+    ctx = field_ctx(p, d)
+    if (p, d) == (2, 5):
+        assert ctx.modulus == (1, 0, 1, 0, 0, 1)
+    rng = np.random.default_rng(d)
+    if pairs is None:
+        i, j = (g.ravel() for g in np.meshgrid(np.arange(ctx.order), np.arange(ctx.order)))
+    else:
+        i, j = rng.integers(0, ctx.order, (2, pairs))
+    digits = np.array([ctx.from_index(k).coeffs for k in range(ctx.order)], dtype=np.int64)
+    want = schoolbook_products(ctx, digits[i], digits[j])
+    assert np.array_equal(KOps(ctx).mul(digits[i], digits[j]), want)
+    elems = [ctx.from_index(k) for k in range(ctx.order)]
+    for k in rng.choice(len(i), min(len(i), 2000), replace=False):
+        assert (elems[i[k]] * elems[j[k]]).coeffs == tuple(want[k].tolist())
 
 
 def test_field_ctx_not_prime():

@@ -16,7 +16,7 @@ def make_levels(p, root_ints, m, d=1):
     f = Poly(ctx, [1])
     for r in roots:
         f = f * Poly(ctx, [-r, ctx.one()])
-    return ctx, roots, build_levels(f, m, 10**6)
+    return ctx, roots, build_levels(f, m)
 
 
 def evaluate(level, vec, tup, roots):
