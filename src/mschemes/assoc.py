@@ -13,7 +13,6 @@ decides every row; any other scheme is checked on every row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -490,18 +489,3 @@ def cyclotomic_deviation_report(t: IntersectionTensor) -> DeviationReport:
     excess = max_dev - e
     bound_ok = excess <= 0 or excess * excess <= p
     return DeviationReport(p, e, tuple(rows), max_dev, e, bound_ok)
-
-
-def scheme_to_json(s: Scheme) -> str:
-    payload = {
-        "n": s.n,
-        "colors": [int(v) for v in s.matrix.reshape(-1)],
-        "adjoint": [int(v) for v in s.adjoint],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def scheme_from_json(text: str) -> Scheme:
-    data = json.loads(text)
-    n = data["n"]
-    return Scheme(np.array(data["colors"]).reshape(n, n))

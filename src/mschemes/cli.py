@@ -12,6 +12,7 @@ as JSON with status "error".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys as _sys
 from functools import lru_cache
@@ -83,11 +84,7 @@ def cmd_scheme_report(args) -> int:
         witnesses[str(ell)] = (
             None
             if res.witness is None
-            else {
-                "u": res.witness.u, "v": res.witness.v, "w": res.witness.w,
-                "w_prime": res.witness.w_prime, "c1": res.witness.c1, "c2": res.witness.c2,
-                "hypothesis_held": res.hypothesis_held,
-            }
+            else {**dataclasses.asdict(res.witness), "hypothesis_held": res.hypothesis_held}
         )
     dev = assoc.cyclotomic_deviation_report(t)
     payload = {
@@ -123,10 +120,10 @@ def _parse_generators(text: str) -> list:
 def cmd_orbit_scan(args) -> int:
     if args.catalog:
         names = sorted(mscheme.load_catalog()) if args.catalog == "all" else [args.catalog]
-        pis = [mscheme.catalog_mscheme(name, args.m, work_cap=args.work_cap) for name in names]
+        pis = [mscheme.catalog_mscheme(name, args.m) for name in names]
     elif args.gens:
         names = ["custom"]
-        pis = [mscheme.orbit_mscheme(_parse_generators(args.gens), args.m, work_cap=args.work_cap)]
+        pis = [mscheme.orbit_mscheme(_parse_generators(args.gens), args.m)]
     else:
         raise MissingInput("need --catalog or --gens")
     entries = [_scan_one(name, pi) for name, pi in zip(names, pis)]
@@ -200,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--catalog", type=str, default=None, help="group name or 'all'")
     p_orb.add_argument("--gens", type=str, default=None, help="semicolon-separated image lists")
     p_orb.add_argument("--m", type=int, default=4)
-    p_orb.add_argument("--work-cap", dest="work_cap", type=int, default=mscheme.WORK_CAP)
     p_orb.add_argument("--json", type=str, default=None)
     p_orb.set_defaults(func=cmd_orbit_scan)
 

@@ -424,10 +424,6 @@ def poly_from_text(ctx, text: str) -> Poly:
     return Poly(ctx, [ctx.elem(c) if c >= 0 else -ctx.elem(-c) for c in ints])
 
 
-def poly_to_text(f: Poly) -> str:
-    return ",".join(str(c) for c in f.int_coeffs())
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd via the Euclidean algorithm."""
     if a.ctx != b.ctx:

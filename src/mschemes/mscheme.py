@@ -172,9 +172,6 @@ class MCollection:
         code = int(encode_tuples(np.array([tup]), self.n)[0])
         return int(self.levels[s][code])
 
-    def tuples_of_color(self, s: int, c: int) -> np.ndarray:
-        return tuple_table(self.n, s)[self.codes_of_color(s, c)]
-
     def __eq__(self, other):
         return (
             isinstance(other, MCollection)
@@ -186,20 +183,6 @@ class MCollection:
     def __repr__(self):
         counts = [self.num_colors(s) for s in range(1, self.m + 1)]
         return f"MCollection(n={self.n}, m={self.m}, colors={counts})"
-
-
-def collection_to_json(pi: MCollection) -> str:
-    payload = {
-        "n": pi.n,
-        "m": pi.m,
-        "levels": {str(s): [int(v) for v in pi.levels[s]] for s in pi.levels},
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def collection_from_json(text: str) -> MCollection:
-    data = json.loads(text)
-    return MCollection(data["n"], {int(s): np.array(v, dtype=np.int32) for s, v in data["levels"].items()})
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +366,7 @@ def check_properties(pi: MCollection) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # orbit m-schemes
 
-def orbit_mscheme(generators, m: int, work_cap: int = WORK_CAP) -> MCollection:
+def orbit_mscheme(generators, m: int) -> MCollection:
     """Colors = orbits of the generated group on V^(s), numbered by least tuple."""
     gens = [np.asarray(g, dtype=np.int64) for g in generators]
     if not gens:
@@ -398,8 +381,8 @@ def orbit_mscheme(generators, m: int, work_cap: int = WORK_CAP) -> MCollection:
     levels = {}
     for s in range(1, m + 1):
         count = math.perm(n, s)
-        if count > work_cap:
-            raise WorkCapExceeded(f"level {s} has {count} tuples > work cap {work_cap}")
+        if count > WORK_CAP:
+            raise WorkCapExceeded(f"level {s} has {count} tuples > work cap {WORK_CAP}")
         t = tuple_table(n, s)
         # intp codes: each image indexes label in every round below
         imgs = [encode_tuples(g.take(t), n, np.intp) for g in gens]
@@ -787,9 +770,9 @@ def load_catalog() -> dict:
     return {name: (entry["degree"], [tuple(g) for g in entry["generators"]]) for name, entry in raw.items()}
 
 
-def catalog_mscheme(name: str, m: int, work_cap: int = WORK_CAP) -> MCollection:
+def catalog_mscheme(name: str, m: int) -> MCollection:
     cat = load_catalog()
     if name not in cat:
         raise UnknownGroup(f"unknown catalog group {name!r}")
     degree, gens = cat[name]
-    return orbit_mscheme(gens, min(m, degree), work_cap=work_cap)
+    return orbit_mscheme(gens, min(m, degree))

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import tracemalloc
 from fractions import Fraction
 
@@ -24,9 +23,7 @@ from mschemes.assoc import (
     cyclotomic_scheme,
     intersection_tensor,
     level2_to_scheme,
-    scheme_from_json,
     scheme_to_3scheme,
-    scheme_to_json,
     small_intersection_search,
     verify_identities,
     verify_scheme,
@@ -534,8 +531,6 @@ def test_scheme_copies_its_input():
 def test_scheme_refuses_non_integral(m):
     with pytest.raises(ValueError, match="integers"):
         Scheme(m)
-    with pytest.raises(ValueError, match="integers"):
-        scheme_from_json(json.dumps({"n": 2, "colors": m.ravel().tolist()}))
 
 
 def test_scheme_refuses_empty():
@@ -890,8 +885,3 @@ def test_adjoint_is_transpose_class():
             assert (s.matrix.T[mask] == adj[g]).all()
         t = intersection_tensor(s)
         assert t.n_g.sum() == s.n
-
-
-def test_scheme_json_roundtrip():
-    s = cyclotomic_scheme(7, 2)
-    assert scheme_from_json(scheme_to_json(s)) == s

@@ -126,9 +126,37 @@ def test_cli_case_digests_the_printed_output(monkeypatch, capsys):
     from mschemes.cli import main
 
     argv = ["smooth", "--n", "12", "--r", "3"]
-    monkeypatch.setitem(bench_pairs.CASES, "smooth-12", ("the 3-smooth part of 12", argv))
+    monkeypatch.setitem(bench_pairs.CASES, "smooth-12", ("the 3-smooth part of 12", argv, None))
     result = bench_pairs.run_case(ROOT, "smooth-12")
     assert main(argv) == result["exit"] == 0
     assert result["output_sha256"] == hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert result["wall_s"] > 0 and result["ru_maxrss_mb"] > 0
 
+
+def golden_runs(monkeypatch, wrong=()):
+    """Stub run_case to print each case's golden, or another digest for the
+    cases in wrong; returns the list of cases run."""
+    ran = []
+
+    def run_case(tree, name):
+        ran.append(name)
+        digest = "0" * 64 if name in wrong else bench_pairs.CASES[name][2]
+        return {"wall_s": 1.0, "ru_maxrss_mb": 100.0, "exit": 0, "output_sha256": digest}
+
+    monkeypatch.setattr(bench_pairs, "run_case", run_case)
+    return ran
+
+
+def test_check_goldens_passes_when_every_case_prints_its_golden(monkeypatch):
+    ran = golden_runs(monkeypatch)
+    bench_pairs.check_goldens()
+    assert ran == list(bench_pairs.CASES)
+    assert all(len(golden) == 64 for _, _, golden in bench_pairs.CASES.values())
+
+
+@pytest.mark.parametrize("case", sorted(bench_pairs.CASES))
+def test_check_goldens_names_the_case_that_differs(monkeypatch, case):
+    ran = golden_runs(monkeypatch, wrong={case})
+    with pytest.raises(SystemExit, match=f"differs from its golden: {case}$"):
+        bench_pairs.check_goldens()
+    assert ran == list(bench_pairs.CASES)

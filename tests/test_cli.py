@@ -234,14 +234,15 @@ def test_factor_theorem_contradiction_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "source",
+    "source, cap",
     [
-        ["--catalog", "Z13", "--m", "5", "--work-cap", "10000"],  # level 4 has 17160 tuples
-        ["--gens", "1,2,3,4,0", "--m", "3", "--work-cap", "10"],  # level 2 has 20 tuples
+        (["--catalog", "Z13", "--m", "5"], 10**4),  # level 4 has 17160 tuples
+        (["--gens", "1,2,3,4,0", "--m", "3"], 10),  # level 2 has 20 tuples
     ],
     ids=["catalog", "gens"],
 )
-def test_orbit_scan_work_cap(capsys, source):
+def test_orbit_scan_work_cap(capsys, monkeypatch, source, cap):
+    monkeypatch.setattr(mscheme, "WORK_CAP", cap)
     code, payload = run_cli(capsys, ["orbit-scan"] + source)
     assert code == 4
     assert payload["error"] == "WorkCapExceeded"
@@ -365,14 +366,17 @@ def test_typed_errors_are_still_their_builtins():
 
 
 def test_no_assert_statements_in_src():
-    # python -O strips assert statements, so invariants raise explicitly
+    # python -O strips assert statements and makes __debug__ False; the
+    # package uses neither, so its code runs the same with or without -O
+    # and every invariant raises explicitly
     found = []
     for folder, _, names in os.walk(os.path.dirname(factor.__file__)):
         for name in sorted(n for n in names if n.endswith(".py")):
             path = os.path.join(folder, name)
             with open(path) as fh:
                 tree = ast.parse(fh.read(), path)
-            found += [f"{path}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert not found, found
 
 

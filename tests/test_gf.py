@@ -20,7 +20,6 @@ from mschemes.gf import (
     multiplicative_order,
     poly_from_text,
     poly_gcd,
-    poly_to_text,
 )
 
 SMALL_ORDERS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2), (2, 4), (3, 3)]
@@ -379,7 +378,6 @@ def test_poly_text_roundtrip():
     ctx = field_ctx(7, 1)
     f = poly_from_text(ctx, "6,0,0,1")
     assert f == Poly(ctx, [-1, 0, 0, 1])
-    assert poly_to_text(f) == "6,0,0,1"
     g = poly_from_text(ctx, "-1,0,0,1")  # negatives reduced mod p
     assert g == f
 

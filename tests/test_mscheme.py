@@ -20,8 +20,6 @@ from mschemes.mscheme import (
     act_table,
     catalog_mscheme,
     check_properties,
-    collection_from_json,
-    collection_to_json,
     encode_tuples,
     find_matchings,
     load_catalog,
@@ -289,9 +287,10 @@ def test_orbit_colours_match_bfs_oracle():
             assert pi.levels[s].tolist() == [colour[t] for t in tuples], (name, s)
 
 
-def test_orbit_work_cap():
+def test_orbit_work_cap(monkeypatch):
+    monkeypatch.setattr(mscheme, "WORK_CAP", 10**4)
     with pytest.raises(WorkCapExceeded):
-        catalog_mscheme("Z13", 5, work_cap=10**4)
+        catalog_mscheme("Z13", 5)
 
 
 def test_check_properties_hand_p2_violation():
@@ -778,15 +777,10 @@ def test_orbit_matching_theorem_m4():
 def test_subdegree_multiplicativity():
     pi = catalog_mscheme("F21", 4)
     for c4 in range(pi.num_colors(4)):
-        t4 = tuple(int(v) for v in pi.tuples_of_color(4, c4)[0])
+        t4 = tuple(int(v) for v in tuple_table(pi.n, 4)[pi.codes_of_color(4, c4)][0])
         c3 = pi.color_of_tuple(t4[:3])
         c2 = pi.color_of_tuple(t4[:2])
         s_pv = subdegree(pi, 4, c4, 2, c2)
         s_pq = subdegree(pi, 4, c4, 3, c3)
         s_qv = subdegree(pi, 3, c3, 2, c2)
         assert s_pv == s_pq * s_qv
-
-
-def test_collection_json_roundtrip():
-    pi = catalog_mscheme("Z5", 3)
-    assert collection_from_json(collection_to_json(pi)) == pi

@@ -33,7 +33,11 @@ the wall seconds of the command, the process's peak RSS (`ru_maxrss`), its
 exit code and the sha256 of what it prints (`output_sha256`; for `heavy`
 that is the factor command's JSON with its whole refinement log).  The two
 digests must be equal: when they differ the driver stops with nothing
-written.
+written.  Each case also carries its golden output digest, and
+check_goldens() runs every case once on this tree, the same way, and
+exits naming each case whose digest is not its golden:
+
+    PYTHONPATH=tools python3 -c 'import bench_pairs; bench_pairs.check_goldens()'
 
 The current figures live in the BENCH_*.json records and in ROADMAP.md.
 perfbench/README.md is frozen with the benchmark and describes the level
@@ -62,16 +66,21 @@ WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 PAIRS = 10
 SECONDS = BENCHMARK["run_seconds"]
 
-# --case inputs: (what, argv of the `mschemes` CLI).  The command runs by
-# CLI_RUN in a fresh process with the tree's src on the path
+# --case inputs: (what, argv of the `mschemes` CLI, golden output_sha256).
+# The command runs by CLI_RUN in a fresh process with the tree's src on the
+# path; check_goldens compares each output digest with its golden
 CASES = {
     "heavy": ("x^11 - 1 over F_23 at m = 3 (levels over F_23^2, level 3 of dimension 990)",
-              ["factor", "--p", "23", "--poly=-1,0,0,0,0,0,0,0,0,0,0,1", "--m", "3"]),
+              ["factor", "--p", "23", "--poly=-1,0,0,0,0,0,0,0,0,0,0,1", "--m", "3"],
+              "ea1dad2e26f9f7792be39c76d59d756e92e48c2d6a6ce319e812802c4405dec7"),
     "report-1009": ("the cyclotomic scheme report at p = 1009, e = 4 (1018081 pairs)",
-                    ["scheme-report", "--p", "1009", "--e", "4"]),
+                    ["scheme-report", "--p", "1009", "--e", "4"],
+                    "1eb5a965066c66c112f2fdcbb54296c32c53a976d7f9e3db37ace64719571281"),
     "report-4093": ("the cyclotomic scheme report at p = 4093, e = 4 (16752649 pairs, the largest p admitted)",
-                    ["scheme-report", "--p", "4093", "--e", "4"]),
-    "orbit-z13": ("the orbit scan of Z13 at m = 5", ["orbit-scan", "--catalog", "Z13", "--m", "5"]),
+                    ["scheme-report", "--p", "4093", "--e", "4"],
+                    "b3f91b5e7e70dba869bfdc073fdbaf2af7e2d06986b60beb28524099c5ae78df"),
+    "orbit-z13": ("the orbit scan of Z13 at m = 5", ["orbit-scan", "--catalog", "Z13", "--m", "5"],
+                  "7602b95bfc7401d26723b9219768c0631a06f845ed708db0f08fad8caa384361"),
 }
 CLI_RUN = """\
 import contextlib, hashlib, io, json, resource, sys, time
@@ -139,6 +148,20 @@ def run_case(tree, name):
     if done.returncode:
         sys.exit(f"bench_pairs: case {name} in {tree} failed (exit {done.returncode}):\n{done.stderr[-2000:]}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def check_goldens():
+    """Run every case once on this tree; exit naming each case whose output
+    digest is not its golden."""
+    wrong = []
+    for name, (_, _, golden) in CASES.items():
+        result = run_case(ROOT, name)
+        print(f"{name}: wall_s {result['wall_s']:.4g}, ru_maxrss_mb {result['ru_maxrss_mb']:.4g}, "
+              f"output_sha256 {result['output_sha256'][:16]}", file=sys.stderr, flush=True)
+        if result["output_sha256"] != golden:
+            wrong.append(name)
+    if wrong:
+        sys.exit(f"bench_pairs: output digest differs from its golden: {', '.join(wrong)}")
 
 
 def compare_case(args, trees, protocol):
