@@ -52,6 +52,10 @@ class ScanCapExceeded(PreconditionFailed):
     pass
 
 
+class ExtensionTooLarge(PreconditionFailed):
+    """The extension the levels need is past MAGNITUDE_CAP, a cap met by valid input."""
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -513,7 +517,7 @@ def extension_for_levels(q_ctx: FieldCtx, m: int) -> FieldCtx:
         d = math.lcm(d, multiplicative_order(q, s))
     total = q_ctx.d * d
     if q_ctx.p**total > MAGNITUDE_CAP:
-        raise Overflow(f"q^d = {q_ctx.p**total} exceeds magnitude cap {MAGNITUDE_CAP}")
+        raise ExtensionTooLarge(f"q^d = {q_ctx.p**total} exceeds magnitude cap {MAGNITUDE_CAP}")
     return field_ctx(q_ctx.p, total)
 
 

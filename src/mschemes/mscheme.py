@@ -20,6 +20,7 @@ from importlib import resources
 
 import numpy as np
 
+from . import assoc
 from .gf import PreconditionFailed, is_prime
 
 WORK_CAP = 10**7
@@ -43,6 +44,14 @@ class NotAntisymmetric(ValueError):
 
 class DepthExhausted(PreconditionFailed):
     """The chase ran out of levels; contradicts the halving argument."""
+
+
+class NotHomogeneous(ValueError):
+    pass
+
+
+class Not3Scheme(ValueError):
+    pass
 
 
 class UnknownGroup(ValueError):
@@ -218,10 +227,13 @@ class PropertyReport:
         return all(self.symmetric_at.values())
 
 
-def _least_codes(pi: MCollection, s: int) -> np.ndarray:
-    """The least tuple code of each color of level s."""
-    order, bounds = pi._runs[s]
-    return order[bounds[:-1]]
+def _color_keys(pi: MCollection, s: int, dropped: tuple) -> np.ndarray:
+    """color * width + projected code of each level-s tuple, with the 1-based
+    coordinates in `dropped` removed and width = perm(n, s - len(dropped)); in
+    index_dtype(t * width) for t colors, which holds every key and the factor width."""
+    width = math.perm(pi.n, s - len(dropped))
+    dtype = index_dtype(pi.num_colors(s) * width)
+    return pi.levels[s].astype(dtype) * width + multi_proj_table(pi.n, s, dropped).astype(dtype)
 
 
 def _least_code_values(values, colors, first):
@@ -261,7 +273,8 @@ def _permuted_colors(pi: MCollection, s: int):
     through one of the s - 1 adjacent-swap tables.
     """
     colors = pi.levels[s]
-    first = _least_codes(pi, s)
+    order, bounds = pi._runs[s]
+    first = order[bounds[:-1]]  # each color's least code
     # as intp, since each swap gathers once per tau and numpy gathers
     # fastest by intp
     swaps = [act_table(pi.n, s, tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, s))).astype(np.intp)
@@ -288,56 +301,47 @@ def check_properties(pi: MCollection) -> PropertyReport:
     if not report.homogeneous:
         report.violations.append(PropertyViolation("P4", 1, {"num_colors": pi.num_colors(1)}))
     for s in range(2, pi.m + 1):
-        colors = pi.levels[s].astype(np.int64)
         t_s = pi.num_colors(s)
-        below = pi.levels[s - 1].astype(np.int64)
+        below = pi.levels[s - 1]
         t_b = pi.num_colors(s - 1)
-        first = _least_codes(pi, s)
-        # P1
-        ok = True
-        for i in range(1, s + 1):
-            pc = below.take(multi_proj_table(n, s, (i,)))
-            bad = np.flatnonzero(~_least_code_values(pc, colors, first)[1])
-            if bad.size:
-                c = int(bad[0])
-                idx = pi.codes_of_color(s, c)
-                pcs = pc[idx]
-                u = tuple(int(v) for v in tuple_table(n, s)[idx[0]])
-                other = idx[int(np.nonzero(pcs != pcs[0])[0][0])]
-                v = tuple(int(x) for x in tuple_table(n, s)[other])
-                report.violations.append(
-                    PropertyViolation("P1", s, {"i": i, "color": c, "tuple_u": u, "tuple_v": v})
-                )
-                ok = False
-                break
-        report.compatible[s] = ok
-        # P2: the fibre of each (color, projected tuple) pair, sorted by
-        # (color * t_b + base color, fibre), so each group is one run whose
-        # ends are its least and largest fibre and whose length counts the
-        # base tuples it reaches
-        ok = True
         width = math.perm(n, s - 1)
+        # one pass per coordinate i serves P2 and P1: the fibre of each
+        # (color, projected tuple) pair, sorted by (color * t_b + base color,
+        # fibre), so each group is one run whose ends are its least and
+        # largest fibre and whose length counts the base tuples it reaches
+        # (P2), and a color is compatible at i iff it has one group (P1)
+        p1 = p2 = None
         for i in range(1, s + 1):
-            uniq, counts = np.unique(colors * width + multi_proj_table(n, s, (i,)), return_counts=True)
-            gkey = uniq // width * t_b + below[uniq % width]
+            uniq, counts = np.unique(_color_keys(pi, s, (i,)), return_counts=True)
+            gkey = (uniq // width).astype(np.int64) * t_b + below[uniq % width]
             order = np.lexsort((counts, gkey))
             gkey, counts = gkey[order], counts[order]
             starts = np.flatnonzero(np.diff(gkey, prepend=-1))
             ends = np.flatnonzero(np.diff(gkey, append=-1))
             g = gkey[starts]
-            bad = np.flatnonzero((counts[starts] != counts[ends]) | (ends - starts + 1 != pi.sizes[s - 1][g % t_b]))
-            if bad.size:
-                k = bad[0]
-                report.violations.append(
-                    PropertyViolation(
+            if p1 is None:
+                split = np.flatnonzero(np.diff(g // t_b) == 0)
+                if split.size:
+                    # witnesses: c's least tuple, and its first with another base color
+                    c = int(g[split[0]] // t_b)
+                    idx = pi.codes_of_color(s, c)
+                    pcs = below[multi_proj_table(n, s, (i,))[idx]]
+                    u, v = tuple_table(n, s)[[idx[0], idx[np.argmax(pcs != pcs[0])]]].tolist()
+                    p1 = PropertyViolation("P1", s, {"i": i, "color": c, "tuple_u": tuple(u), "tuple_v": tuple(v)})
+            if p2 is None:
+                bad = np.flatnonzero((counts[starts] != counts[ends]) | (ends - starts + 1 != pi.sizes[s - 1][g % t_b]))
+                if bad.size:
+                    k = bad[0]
+                    p2 = PropertyViolation(
                         "P2", s,
                         {"i": i, "color": int(g[k] // t_b), "base_color": int(g[k] % t_b),
                          "min_fibre": int(counts[starts[k]]), "max_fibre": int(counts[ends[k]])},
                     )
-                )
-                ok = False
+            if p1 is not None and p2 is not None:
                 break
-        report.regular[s] = ok
+        report.violations += [v for v in (p1, p2) if v is not None]
+        report.compatible[s] = p1 is None
+        report.regular[s] = p2 is None
         # P3 / P5 / P6 via the full coordinate-permutation action: each is
         # witnessed by its least violating tau, and the witnesses are listed
         # in the order a lexicographic walk would meet them
@@ -364,6 +368,50 @@ def check_properties(pi: MCollection) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
+# association schemes as 3-schemes, and back
+
+def scheme_to_3scheme(s: assoc.Scheme) -> MCollection:
+    """3-scheme with P_2 = nontrivial colors and P_3 keyed by pair-color triples."""
+    if s.n < 3:
+        raise assoc.TooSmall("need at least 3 points")
+    n, G, m = s.n, s.num_colors, s.matrix
+    x, y = tuple_table(n, 2).T
+    a, b, c = tuple_table(n, 3).T
+    keys = (m[a, b].astype(np.int64) * G + m[a, c]) * G + m[b, c]
+    return MCollection(n, {1: np.zeros(n, dtype=np.int32), 2: m[x, y] - 1, 3: _first_occurrence_ids(keys)})
+
+
+def _first_occurrence_ids(keys):
+    uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(np.argsort(first, kind="stable"), kind="stable")
+    return order[inv].astype(np.int32)
+
+
+def level2_to_scheme(pi: MCollection) -> assoc.Scheme:
+    """Association scheme from levels 1-2 of a homogeneous 3-scheme."""
+    if pi.m < 3:
+        raise Not3Scheme("need levels up to 3")
+    report = check_properties(pi)
+    if not report.homogeneous:
+        raise NotHomogeneous("level 1 must be a single color")
+    if not report.is_scheme:
+        raise Not3Scheme("P1-P3 must hold at every level")
+    return _level2_scheme(pi)
+
+
+def _level2_scheme(pi: MCollection) -> assoc.Scheme:
+    """Level 2's colors, shifted past the identity color 0, as an association
+    scheme; Not3Scheme if they do not form one."""
+    m = np.zeros((pi.n, pi.n), dtype=np.int32)
+    x, y = tuple_table(pi.n, 2).T
+    m[x, y] = pi.levels[2] + 1
+    s = assoc.Scheme(m)
+    if assoc.verify_scheme(s) is not None:
+        raise Not3Scheme("level-2 colors do not form an association scheme")
+    return s
+
+
+# ---------------------------------------------------------------------------
 # orbit m-schemes
 
 def orbit_mscheme(generators, m: int) -> MCollection:
@@ -377,12 +425,14 @@ def orbit_mscheme(generators, m: int) -> MCollection:
             raise ValueError("generators must be permutations of range(n)")
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
+    # perm(n, s) grows with s, so the top level is the largest
+    top = math.perm(n, m)
+    if top > WORK_CAP:
+        raise WorkCapExceeded(f"level {m} has {top} tuples > work cap {WORK_CAP}")
     gens = [g.astype(index_dtype(n - 1)) for g in gens]
     levels = {}
     for s in range(1, m + 1):
         count = math.perm(n, s)
-        if count > WORK_CAP:
-            raise WorkCapExceeded(f"level {s} has {count} tuples > work cap {WORK_CAP}")
         t = tuple_table(n, s)
         # intp codes: each image indexes label in every round below
         imgs = [encode_tuples(g.take(t), n, np.intp) for g in gens]
@@ -498,7 +548,7 @@ def verify_matchings(pi: MCollection, matchings) -> np.ndarray:
             width = math.perm(pi.n, s - len(di))
             for d in (di, dj):
                 if d not in held:
-                    # keys lie below len(used) * width, as in `_level_matchings`
+                    # keys lie below len(used) * width, as in `_color_keys`
                     k = owner.astype(index_dtype(len(used) * width)) * width
                     k = np.sort(k + multi_proj_table(pi.n, s, d)[codes])
                     k = k[np.concatenate(([True], k[1:] != k[:-1]))]
@@ -530,14 +580,10 @@ def _level_matchings(pi: MCollection, s: int):
     for k in range(1, s):
         width = math.perm(pi.n, s - k)
         drops = list(itertools.combinations(range(1, s + 1), k))
-        # keys color*width + proj lie below t*width; the bound t*width
-        # also holds the factor width
-        dtype = index_dtype(t * width)
-        offsets = pi.levels[s].astype(dtype) * width
         # projected codes keyed by color, sorted: each color fills the same
         # positions in every image, so where one image of a color is
         # injective, two images are equal sets iff they agree there
-        images = {d: np.sort(offsets + multi_proj_table(pi.n, s, d).astype(dtype)) for d in drops}
+        images = {d: np.sort(_color_keys(pi, s, d)) for d in drops}
         injective = {d: np.bincount(img[1:][img[1:] == img[:-1]] // width, minlength=t) == 0
                      for d, img in images.items()}
         for di, dj in itertools.combinations(drops, 2):
@@ -616,7 +662,7 @@ def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) 
     n = pi.n
     s = t_level
     if not 1 <= i <= s:
-        raise PreconditionFailed(f"coordinate {i} is outside 1..{s}")
+        raise ValueError(f"coordinate {i} is outside 1..{s}")
     # normalize: move coordinate i to the last slot via invariance
     if i != s:
         tau = tuple(list(range(i - 1)) + list(range(i, s)) + [i - 1])
@@ -664,10 +710,8 @@ def matching_chase(pi: MCollection, t_level: int, color: int, i: int, ell: int) 
 def prime_matching(pi: MCollection, ell: int) -> Matching:
     """Matching in a homogeneous antisymmetric m-scheme on a prime number of
     points, via a small-intersection witness on the level-2 scheme."""
-    from . import assoc
-
     if ell < 2:
-        raise PreconditionFailed("ell must be >= 2")
+        raise assoc.BadEll("ell must be >= 2")
     n = pi.n
     if not is_prime(n):
         raise PreconditionFailed("n not prime")
@@ -681,7 +725,7 @@ def prime_matching(pi: MCollection, ell: int) -> Matching:
         raise PreconditionFailed("collection is not antisymmetric")
     if not report.is_scheme:
         raise PreconditionFailed("collection is not an m-scheme")
-    scheme = assoc.level2_to_scheme(pi)
+    scheme = _level2_scheme(pi)
     t = assoc.intersection_tensor(scheme)
     k = t.valency(1)
     t2 = pi.num_colors(2)

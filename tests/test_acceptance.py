@@ -137,13 +137,13 @@ def test_criterion_05_three_scheme_round_trip():
     for p in [q for q in PRIMES_97 if q <= 31 and q >= 3]:
         for e in _divisors(p - 1):
             s = assoc.cyclotomic_scheme(p, e)
-            pi = assoc.scheme_to_3scheme(s)
+            pi = mscheme.scheme_to_3scheme(s)
             rep = mscheme.check_properties(pi)
             if not (rep.compatible[2] and rep.compatible[3] and rep.regular[2] and rep.regular[3]
                     and rep.invariant[2] and rep.invariant[3]):
                 failures.append((p, e, "forward image not a 3-scheme"))
                 continue
-            if assoc.level2_to_scheme(pi) != s:
+            if mscheme.level2_to_scheme(pi) != s:
                 failures.append((p, e, "round trip"))
     _report(5, "3-scheme round trip is the identity, p <= 31", failures, time.time() - t0, 60)
 

@@ -13,7 +13,6 @@ from mschemes.assoc import (
     DeviationReport,
     NotAScheme,
     EDoesNotDivide,
-    NotHomogeneous,
     Scheme,
     TooSmall,
     Violation,
@@ -22,13 +21,12 @@ from mschemes.assoc import (
     cyclotomic_deviation_report,
     cyclotomic_scheme,
     intersection_tensor,
-    level2_to_scheme,
-    scheme_to_3scheme,
     small_intersection_search,
     verify_identities,
     verify_scheme,
 )
 from mschemes.gf import NotPrime
+from mschemes.mscheme import NotHomogeneous, level2_to_scheme, scheme_to_3scheme
 
 
 def brute_tensor(s):

@@ -236,13 +236,15 @@ def test_factor_theorem_contradiction_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "source, cap",
     [
-        (["--catalog", "Z13", "--m", "5"], 10**4),  # level 4 has 17160 tuples
-        (["--gens", "1,2,3,4,0", "--m", "3"], 10),  # level 2 has 20 tuples
+        (["--catalog", "Z13", "--m", "5"], 10**4),  # level 5 has 154440 tuples
+        (["--gens", "1,2,3,4,0", "--m", "3"], 10),  # level 3 has 60 tuples
     ],
     ids=["catalog", "gens"],
 )
 def test_orbit_scan_work_cap(capsys, monkeypatch, source, cap):
+    # refused from the top level's size, before any level is built
     monkeypatch.setattr(mscheme, "WORK_CAP", cap)
+    monkeypatch.setattr(mscheme, "tuple_table", _raise(AssertionError("built a level past the cap")))
     code, payload = run_cli(capsys, ["orbit-scan"] + source)
     assert code == 4
     assert payload["error"] == "WorkCapExceeded"
@@ -381,13 +383,14 @@ def test_no_assert_statements_in_src():
 
 
 def test_error_family_map():
-    caps = (gf.ScanCapExceeded, factor.DimCapExceeded, mscheme.WorkCapExceeded, factor.PrimeTooLarge,
-            factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, mscheme.DepthExhausted)
+    caps = (gf.ScanCapExceeded, gf.ExtensionTooLarge, factor.DimCapExceeded, mscheme.WorkCapExceeded,
+            factor.PrimeTooLarge, factor.NotPrimeDegree, factor.SmoothDivisorTooSmall, mscheme.DepthExhausted)
     assert all(issubclass(cls, PreconditionFailed) for cls in caps)
     assert mscheme.PreconditionFailed is PreconditionFailed
     assert issubclass(factor.InvalidSystem, AssertionError)
-    # caller input (exit 3); gf.Overflow is also raised inside the pipeline,
-    # while iks_factor re-raises a NotAMatching of its own as InvalidSystem
+    # caller input (exit 3): gf.Overflow only from field_ctx, since past the
+    # cap the pipeline's extension raises ExtensionTooLarge, and iks_factor
+    # re-raises a NotAMatching of its own as InvalidSystem
     assert all(issubclass(cls, ValueError) for cls in (factor.TrivialAutomorphism, factor.NotAMatching, gf.Overflow))
 
 
@@ -403,6 +406,15 @@ def test_factor_characteristic_below_degree_exit_code(capsys):
     code, payload = run_cli(capsys, ["factor", "--p", "2", "--d", "2", "--poly", "0,2,3,1"])
     assert code == 4
     assert payload["error"] == "PreconditionFailed"
+
+
+def test_factor_extension_past_cap_exit_code(capsys, monkeypatch):
+    # this quintic sticks at m = 2 over F_11, and m = 3 needs F_121, past a
+    # cap of 120: a cap met by valid input
+    monkeypatch.setattr(gf, "MAGNITUDE_CAP", 120)
+    code, payload = run_cli(capsys, ["factor", "--p", "11", "--poly", "0,1,4,8,8,1", "--m", "3"])
+    assert code == 4
+    assert payload["error"] == "ExtensionTooLarge"
 
 
 def test_factor_scan_cap_exit_code(capsys, monkeypatch):

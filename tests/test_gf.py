@@ -8,6 +8,7 @@ from mschemes import gf
 from mschemes.factor import rth_root
 from mschemes.linalg import KOps
 from mschemes.gf import (
+    ExtensionTooLarge,
     FieldMismatch,
     NoNonresidue,
     NotPrime,
@@ -358,8 +359,9 @@ def test_multiplicative_order_refuses_non_units(a, n):
 
 
 def test_extension_for_levels_overflow():
-    # q = 2^31 - 1 has order 4 mod 5, so m = 5 needs q^4 > 2^63 - 1
-    with pytest.raises(Overflow):
+    # q = 2^31 - 1 has order 4 mod 5, so m = 5 needs q^4 > 2^63 - 1: a cap
+    # met by valid input (exit 4), where field_ctx refuses caller input
+    with pytest.raises(ExtensionTooLarge):
         extension_for_levels(field_ctx(2**31 - 1, 1), 5)
 
 

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -381,8 +383,36 @@ def test_check_properties_matches_oracle_on_recoloured(name, m, seed, split):
     assert_properties_match(recoloured(catalog_mscheme(name, m), seed, split))
 
 
+def test_check_properties_reads_each_coordinate_table_once(monkeypatch):
+    # P1 is read off P2's groups, so where every property check passes,
+    # each single-coordinate projection table is read once per (s, i)
+    calls = []
+    real = mscheme.multi_proj_table
+    monkeypatch.setattr(mscheme, "multi_proj_table", lambda n, s, dropped: calls.append((s, dropped)) or real(n, s, dropped))
+    report = check_properties(catalog_mscheme("Z7", 4))
+    assert report.is_scheme and report.antisymmetric
+    assert calls == [(s, (i,)) for s in range(2, 5) for i in range(1, s + 1)]
+
+
+def test_one_import_direction_between_assoc_and_mscheme():
+    # mscheme imports assoc at module top and assoc never names mscheme; no
+    # module of the package imports inside a function body
+    folder = os.path.dirname(mscheme.__file__)
+    nested = []
+    for name in sorted(n for n in os.listdir(folder) if n.endswith(".py")):
+        path = os.path.join(folder, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        nested += [f"{name}:{node.lineno}" for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, nested
+    with open(assoc.__file__) as fh:
+        assert "mscheme" not in fh.read()
+
+
 def test_scheme_to_3scheme_properties():
-    pi = assoc.scheme_to_3scheme(assoc.cyclotomic_scheme(7, 2))
+    pi = mscheme.scheme_to_3scheme(assoc.cyclotomic_scheme(7, 2))
     rep = check_properties(pi)
     assert rep.compatible[2] and rep.compatible[3]
     assert rep.regular[2] and rep.regular[3]
@@ -397,7 +427,7 @@ def test_subdegree_z5():
 
 
 def test_subdegree_complete_4():
-    pi = assoc.scheme_to_3scheme(assoc.complete_scheme(4))
+    pi = mscheme.scheme_to_3scheme(assoc.complete_scheme(4))
     assert pi.num_colors(3) == 1 and pi.num_colors(2) == 1
     assert subdegree(pi, 3, 0, 2, 0) == 2  # 24 triples over 12 pairs
 
@@ -687,15 +717,17 @@ def test_matching_chase_trigger_case():
 
 
 def test_matching_chase_not_antisymmetric():
-    pi = assoc.scheme_to_3scheme(assoc.complete_scheme(5))
+    pi = mscheme.scheme_to_3scheme(assoc.complete_scheme(5))
     with pytest.raises(NotAntisymmetric):
         matching_chase(pi, 2, 0, 1, 2)
 
 
 @pytest.mark.parametrize("i", [-1, 0, 4, 7])
 def test_matching_chase_refuses_coordinate(i):
+    # a coordinate outside the level is caller input (exit 3), not an unmet
+    # precondition
     pi = catalog_mscheme("Z7", 3)
-    with pytest.raises(PreconditionFailed, match="outside 1..3"):
+    with pytest.raises(ValueError, match="outside 1..3"):
         matching_chase(pi, 3, 0, i, 4)
 
 
@@ -710,6 +742,22 @@ def test_prime_matching_thin_z13():
     pi = catalog_mscheme("Z13", 5)
     m = prime_matching(pi, 2)
     assert m.verify(pi)
+
+
+def test_prime_matching_refuses_ell_below_2():
+    # as small_intersection_search does for the same ell
+    with pytest.raises(assoc.BadEll):
+        prime_matching(catalog_mscheme("Z5", 5), 1)
+
+
+def test_prime_matching_checks_properties_once(monkeypatch):
+    # demo 03's input: the level-2 scheme is built without a second check
+    calls = []
+    real = mscheme.check_properties
+    monkeypatch.setattr(mscheme, "check_properties", lambda pi: calls.append(pi.m) or real(pi))
+    pi = catalog_mscheme("Z13", 5)
+    assert prime_matching(pi, 2).verify(pi)
+    assert calls == [5]
 
 
 def test_prime_matching_z6_not_prime():
